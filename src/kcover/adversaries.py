@@ -303,7 +303,7 @@ def _split_unit(batch: Batch, parts: int) -> Batch:
     return Batch(tuple(SubInterval(cuts[i], cuts[i + 1]) for i in range(parts)))
 
 
-class UnitSumAdversary(Adversary):
+class UnitSumAdversary(UnitChainAdversary):
     """Unit-sum variant: the unit-chain items, each partitioned into equal
     touching pieces.  Marginal lengths are unchanged, so threshold policies
     trace identically to the unpartitioned run."""
@@ -313,34 +313,17 @@ class UnitSumAdversary(Adversary):
     def __init__(self, k: int, n: int, parts_per_batch: int):
         if parts_per_batch < 1:
             raise ConfigError(f"need parts_per_batch >= 1, got {parts_per_batch}")
-        inner = UnitChainAdversary(k, n)
-        super().__init__(
-            k, n, Setting("US", "UN"), inner.target_len, lb_us_un(k, n)
-        )
-        self.inner = inner
+        super().__init__(k, n)
+        self.setting = Setting("US", "UN")
+        self.declared_bound = lb_us_un(k, n)
         self.parts = parts_per_batch
 
     def describe(self):
         return {"quota": self.quota, "n": self.total, "parts": self.parts}
 
-    def _wrap(self, batch: Optional[Batch]) -> Optional[Batch]:
-        if batch is None or self.parts == 1:
-            return batch
-        return _split_unit(batch, self.parts)
-
-    def first(self) -> Batch:
-        if self._pos != 0:
-            raise ProtocolError("first() may only be called once, before react()")
-        self._pos = 1
-        return self._wrap(self.inner.first())
-
-    def react(self, decision, position):
-        if position != self._pos:
-            raise ProtocolError(
-                f"react out of turn: expected position {self._pos}, got {position}"
-            )
-        self._pos += 1
-        return self._wrap(self.inner.react(decision, position))
+    def _item(self, position):
+        batch = super()._item(position)
+        return batch if self.parts == 1 else _split_unit(batch, self.parts)
 
 
 def adv_us_un(k: int, n: int, parts_per_batch: int) -> UnitSumAdversary:

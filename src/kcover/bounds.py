@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ConfigError
-from .thresholds import soa_an_theta
+from .thresholds import check_schedule, soa_an_theta, soa_theta
 
 
 class Unbounded:
@@ -130,37 +130,15 @@ def lb_al() -> Unbounded:
 
 
 def ub_soa(k: int, n: int, setting: str = "UL", m: Optional[float] = None) -> float:
-    """Guaranteed worst-case ratio of the known-count threshold policy."""
-    if k < 2 or k > n - 1:
-        raise ConfigError(f"need 2 <= k <= n-1, got k={k} n={n}")
-    if setting in ("UL", "US"):
-        a = (math.sqrt(1 + 2 * (k - 1) * (n - k)) - 1) / (k - 1) + 1.0
-        b = (math.sqrt(9 * k * k - 14 * k + 9) - k - 1) / (2 * (k - 1)) + 1.0
-        return min(a, b)
-    if setting == "FL":
-        if m is None or m <= 1.0:
-            raise ConfigError("FL bound needs m > 1")
-        a = (math.sqrt(1 + 2 * (k - 1) * (n - k) * m) - 1) / (k - 1) + 1.0
-        b = (
-            math.sqrt((1 + 8 * m) * k * k - (6 + 8 * m) * k + 9) - k - 1
-        ) / (2 * (k - 1)) + 1.0
-        return min(a, b)
-    raise ConfigError(f"no threshold-policy bound for setting {setting!r}")
+    """Guaranteed worst-case ratio of the known-count threshold policy:
+    1 + 2 * :func:`soa_theta`."""
+    return 1.0 + 2.0 * soa_theta(k, n, setting, m)
 
 
 def ub_soa_an(k: int, setting: str = "UL", m: Optional[float] = None) -> float:
-    """Guaranteed worst-case ratio of the count-free threshold policy."""
-    if k < 2:
-        raise ConfigError(f"need k >= 2, got {k}")
-    if setting in ("UL", "US"):
-        return (math.sqrt(9 * k * k - 14 * k + 9) - k - 1) / (2 * (k - 1)) + 1.0
-    if setting == "FL":
-        if m is None or m <= 1.0:
-            raise ConfigError("FL bound needs m > 1")
-        return (
-            math.sqrt((1 + 8 * m) * k * k - (6 + 8 * m) * k + 9) - k - 1
-        ) / (2 * (k - 1)) + 1.0
-    raise ConfigError(f"no threshold-policy bound for setting {setting!r}")
+    """Guaranteed worst-case ratio of the count-free threshold policy:
+    1 + 2 * :func:`soa_an_theta`."""
+    return 1.0 + 2.0 * soa_an_theta(k, setting, m)
 
 
 def ub_multi(thresholds: Sequence[float], k: int) -> float:
@@ -176,13 +154,7 @@ def ub_multi(thresholds: Sequence[float], k: int) -> float:
         )
     if k < 2:
         raise ConfigError(f"need k >= 2, got {k}")
-    prev = None
-    for i, t in enumerate(thresholds):
-        if not (0.0 < t <= 1.0):
-            raise ConfigError(f"thresholds[{i}]={t!r} outside (0, 1]")
-        if prev is not None and t > prev:
-            raise ConfigError("thresholds must be non-increasing")
-        prev = t
+    thresholds = check_schedule(thresholds)
     tail = sum(thresholds[1:])
     return max(k / (1.0 + tail), 1.0 + 2.0 * thresholds[1])
 
@@ -202,7 +174,7 @@ class BoundReport:
 
 def bound_table(k: int, n: int, m: float = 2.0) -> list[BoundReport]:
     """Lower/upper bound rows for every setting at the given parameters."""
-    rows = [
+    return [
         BoundReport("UL-UN", k, n, None, lb_ul_un(k, n), ub_soa(k, n, "UL"), "unit/known"),
         BoundReport("UL-AN", k, None, None, lb_ul_an(k), ub_soa_an(k, "UL"), "unit/unknown"),
         BoundReport("FL-UN", k, n, m, lb_fl_un(k, n, m), ub_soa(k, n, "FL", m), "flex/known"),
@@ -210,9 +182,3 @@ def bound_table(k: int, n: int, m: float = 2.0) -> list[BoundReport]:
         BoundReport("AL", k, n, None, lb_al(), None, "arbitrary"),
         BoundReport("US-UN", k, n, None, lb_us_un(k, n), ub_soa(k, n, "US"), "unit-sum/known"),
     ]
-    return rows
-
-
-def optimal_constant_multi(k: int) -> float:
-    """The constant threshold at which :func:`ub_multi` is minimal."""
-    return soa_an_theta(k, "UL")

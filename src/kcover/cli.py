@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,6 +57,15 @@ def _parse_range(text: str) -> tuple[int, int]:
     return v, v
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for every float flag: nan and infinities are usage
+    errors, not inputs."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_adversary(args):
     name = args.adversary
     if name == "al":
@@ -95,8 +105,7 @@ def _build_policy(args, k, n, setting, m):
     if name == "multi-threshold":
         if not args.thresholds:
             raise KcoverError("--thresholds is required for multi-threshold")
-        values = [float(t) for t in args.thresholds.split(",")]
-        return MultiThresholdPolicy(values)
+        return MultiThresholdPolicy(args.thresholds)
     raise KcoverError(f"unknown policy {name!r}")
 
 
@@ -165,8 +174,8 @@ def cmd_verify(args) -> int:
         max_n=args.max_n,
         seed=args.seed,
         suites=suites,
-        k_range=_parse_range(args.k),
-        n_range=_parse_range(args.n),
+        k_range=args.k,
+        n_range=args.n,
     )
     sys.stdout.write(report)
     if args.out:
@@ -238,15 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", help="replay a JSON instance file instead")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--m", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=1e-3)
+    p.add_argument("--m", type=_finite_float, default=2.0)
+    p.add_argument("--epsilon", type=_finite_float, default=1e-3)
     p.add_argument("--horizon", type=int)
     p.add_argument("--parts-per-batch", type=int, default=3)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--theta1", type=float)
-    p.add_argument("--theta2", type=float)
+    p.add_argument("--theta", type=_finite_float)
+    p.add_argument("--theta1", type=_finite_float)
+    p.add_argument("--theta2", type=_finite_float)
     p.add_argument("--omega", type=int)
-    p.add_argument("--thresholds", help="comma-separated non-increasing list")
+    p.add_argument("--thresholds", help="comma-separated non-increasing list",
+                   type=lambda text: [_finite_float(t) for t in text.split(",")])
     p.add_argument("--out", help="write the game record JSON here")
     p.add_argument("--save-instance", help="write the realized instance here")
     p.set_defaults(func=cmd_run)
@@ -255,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=99)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=_finite_float, default=0.01)
     p.add_argument("--out", default="sweep.csv")
     p.add_argument("--plot-script", help="also write a matplotlib plot script")
     p.set_defaults(func=cmd_sweep)
@@ -266,21 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--suite", default="all",
                    choices=["all", "oracle", "adversary", "bounds"])
-    p.add_argument("--k", default="2..6", help="adversary quota range, e.g. 2..6")
-    p.add_argument("--n", default="8..12", help="adversary count range, e.g. 8..12")
+    p.add_argument("--k", type=_parse_range, default="2..6",
+                   help="adversary quota range, e.g. 2..6")
+    p.add_argument("--n", type=_parse_range, default="8..12",
+                   help="adversary count range, e.g. 8..12")
     p.add_argument("--out", help="directory for the report and counterexamples")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("solve-doa", help="grid-search the two-phase parameters")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--step", type=float, default=0.01)
+    p.add_argument("--step", type=_finite_float, default=0.01)
     p.set_defaults(func=cmd_solve_doa)
 
     p = sub.add_parser("bounds", help="print the lower/upper bound table")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=float, default=2.0)
+    p.add_argument("--m", type=_finite_float, default=2.0)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("instance", help="validate (and normalize) an instance file")
@@ -293,14 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        numeric.EPS  # reads and checks KCOVER_EPS before anything else runs
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except KcoverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (KcoverError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

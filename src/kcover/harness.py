@@ -23,8 +23,9 @@ from .adversaries import (
     adv_ul_un_k2,
     adv_us_un,
 )
-from .bounds import lb_ul_un, ub_multi, ub_soa, ub_soa_an
-from .errors import SolverEmptyError
+from .bounds import bound_table, lb_ul_un, ub_multi, ub_soa, ub_soa_an
+from .errors import ConfigError, ProtocolError, SolverEmptyError
+from .instance_io import instance_to_dict
 from .intervals import Batch, Instance, Setting, SubInterval, union_length
 from .offline import brute_force_offline, solve_offline, solve_offline_unit
 from .policies import (
@@ -96,53 +97,16 @@ def oracle_value(inst: Instance) -> float:
     return brute_force_offline(inst)[0]
 
 
-def run_game(policy: Policy, adversary: Adversary, seed: Optional[int] = None):
-    """Play policy vs adversary to the horizon; returns (record, instance)."""
-    items: list[Batch] = []
-    decisions: list[Decision] = []
-    accepted: list[int] = []
-    item = adversary.first()
-    pos = 1
-    while item is not None:
-        remaining = adversary.total - pos + 1 if adversary.known_count else None
-        d = policy.next(item, pos, remaining)
-        items.append(item)
-        decisions.append(d)
-        if d is Decision.ACCEPT:
-            accepted.append(pos - 1)
-        item = adversary.react(d, pos)
-        pos += 1
-    inst = Instance(
-        adversary.target_len, adversary.quota, adversary.setting, tuple(items)
-    )
+def _score(policy, inst, trace, source, source_config, declared_bound, seed):
+    """Score the items one played game accepted against the offline optimum
+    and build its record; accepting more items than the quota is an error."""
+    accepted = tuple(i for i, d in enumerate(trace) if d is Decision.ACCEPT)
+    if len(accepted) > inst.quota:
+        raise ProtocolError(
+            f"{policy.name} accepted {len(accepted)} items with quota {inst.quota}"
+        )
     alg = union_length([inst.items[i] for i in accepted])
     opt = oracle_value(inst)
-    ratio = None if alg == 0.0 else opt / alg
-    record = GameRecord(
-        setting=adversary.setting.label(),
-        k=adversary.quota,
-        n=inst.n,
-        m=adversary.setting.m,
-        policy=policy.name,
-        policy_config=policy.describe(),
-        source=adversary.name,
-        source_config=adversary.describe(),
-        alg_value=alg,
-        opt_value=opt,
-        ratio=ratio,
-        declared_bound=adversary.declared_bound,
-        accepted=tuple(accepted),
-        trace=[d.value for d in decisions],
-        seed=seed,
-    )
-    return record, inst
-
-
-def replay_game(policy: Policy, inst: Instance, source: str = "instance"):
-    """Run a policy over a fixed instance file and score it."""
-    alg, accepted, trace = run_policy(policy, inst)
-    opt = oracle_value(inst)
-    ratio = None if alg == 0.0 else opt / alg
     return GameRecord(
         setting=inst.setting.label(),
         k=inst.quota,
@@ -151,14 +115,43 @@ def replay_game(policy: Policy, inst: Instance, source: str = "instance"):
         policy=policy.name,
         policy_config=policy.describe(),
         source=source,
-        source_config={},
+        source_config=source_config,
         alg_value=alg,
         opt_value=opt,
-        ratio=ratio,
-        declared_bound=None,
+        ratio=None if alg == 0.0 else opt / alg,
+        declared_bound=declared_bound,
         accepted=accepted,
         trace=[d.value for d in trace],
+        seed=seed,
     )
+
+
+def run_game(policy: Policy, adversary: Adversary, seed: Optional[int] = None):
+    """Play policy vs adversary to the horizon; returns (record, instance)."""
+    items: list[Batch] = []
+    decisions: list[Decision] = []
+    item = adversary.first()
+    pos = 1
+    while item is not None:
+        d = policy.next(item, pos)
+        items.append(item)
+        decisions.append(d)
+        item = adversary.react(d, pos)
+        pos += 1
+    inst = Instance(
+        adversary.target_len, adversary.quota, adversary.setting, tuple(items)
+    )
+    record = _score(
+        policy, inst, decisions, adversary.name, adversary.describe(),
+        adversary.declared_bound, seed,
+    )
+    return record, inst
+
+
+def replay_game(policy: Policy, inst: Instance, source: str = "instance"):
+    """Run a policy over a fixed instance file and score it."""
+    trace = run_policy(policy, inst)[2]
+    return _score(policy, inst, trace, source, {}, None, None)
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +178,14 @@ def gen_instance(
             s = rng.uniform(0.0, a - 1.0)
             items.append(Batch.single(s, s + 1.0))
         setting = Setting("UL", count_setting)
-    elif length_setting == "FL":
-        a = 30.0
+    elif length_setting in ("FL", "AL"):
+        fl = length_setting == "FL"
+        a, lo, hi = (30.0, 1.0, m) if fl else (10.0, 0.05, 5.0)
         for _ in range(n):
-            length = rng.uniform(1.0, m)
+            length = rng.uniform(lo, hi)
             s = rng.uniform(0.0, a - length)
             items.append(Batch.single(s, s + length))
-        setting = Setting("FL", count_setting, m)
-    elif length_setting == "AL":
-        a = 10.0
-        for _ in range(n):
-            length = rng.uniform(0.05, 5.0)
-            s = rng.uniform(0.0, a - length)
-            items.append(Batch.single(s, s + length))
-        setting = Setting("AL", count_setting)
+        setting = Setting(length_setting, count_setting, m if fl else None)
     elif length_setting == "US":
         a = 12.0
         for _ in range(n):
@@ -229,8 +216,7 @@ def random_nk(rng: random.Random, max_n: int) -> tuple[int, int]:
 
 
 def random_multi_thresholds(rng: random.Random, k: int) -> list[float]:
-    values = sorted((rng.uniform(0.05, 1.0) for _ in range(k)), reverse=True)
-    return values
+    return sorted((rng.uniform(0.05, 1.0) for _ in range(k)), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +245,6 @@ class SuiteResult:
 
 def verify_oracle(trials: int, max_n: int, seed: int) -> SuiteResult:
     """DP vs enumeration on random instances of every setting."""
-    from .instance_io import instance_to_dict
-
     res = SuiteResult("oracle")
     rng = random.Random(seed)
     settings = [("UL", None), ("FL", 1.5), ("FL", 2.0), ("FL", 5.0), ("AL", None), ("US", None)]
@@ -361,8 +345,6 @@ def verify_adversaries(
     k_range: tuple[int, int], n_range: tuple[int, int], seed: int
 ) -> SuiteResult:
     """Every bound construction forces its declared ratio on the test suite."""
-    from .instance_io import instance_to_dict
-
     res = SuiteResult("adversary")
     rng = random.Random(seed)
     tol = 1e-6
@@ -431,8 +413,6 @@ def verify_bounds(seed: int, lists: int = 1000) -> SuiteResult:
     """Sandwich consistency and the multi-threshold formula chain."""
     res = SuiteResult("bounds")
     rng = random.Random(seed)
-    from .bounds import bound_table
-
     bad = None
     for k in range(2, 21):
         for n in (k + 1, k + 5, 3 * k, 100):
@@ -476,6 +456,11 @@ def run_verify(
     n_range: tuple[int, int] = (8, 12),
 ) -> tuple[str, bool, list[tuple[str, dict]]]:
     """Run the requested suites; returns (report text, passed, dumps)."""
+    if trials < 1:
+        raise ConfigError(f"need trials >= 1, got {trials}")
+    for flag, (lo, hi) in (("k", k_range), ("n", n_range)):
+        if lo > hi:
+            raise ConfigError(f"empty {flag} range {lo}..{hi}")
     header = [
         "kcover verify report",
         f"seed={seed} trials={trials} max-n={max_n} "
@@ -520,6 +505,8 @@ class SweepRow:
 def run_sweep(
     n: int = 100, k_min: int = 2, k_max: int = 99, step: float = 0.01
 ) -> list[SweepRow]:
+    if k_min > k_max:
+        raise ConfigError(f"empty quota range k={k_min}..{k_max}")
     rows = []
     for k in range(k_min, k_max + 1):
         soa = ub_soa(k, n, "UL")

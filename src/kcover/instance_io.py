@@ -16,6 +16,7 @@ field path.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -38,7 +39,13 @@ def instance_to_dict(inst: Instance) -> dict:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def instance_from_dict(doc: dict) -> Instance:

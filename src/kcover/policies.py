@@ -1,10 +1,11 @@
 """Online decision-makers behind one sequential interface.
 
 Every policy sees one batch at a time and must accept or reject on the
-spot; accepts are irrevocable and capped by the quota.  Threshold policies
-accept when the batch's marginal covered length reaches the phase's
-threshold; comparison uses >= theta - EPS so exact-boundary cases are not
-flipped by float drift.
+spot; accepts are irrevocable and capped by the quota.  Every threshold
+policy is a schedule of one rule (:class:`SchedulePolicy`): the i-th accept
+needs a marginal covered length of at least the i-th threshold.  The
+comparison uses >= theta - EPS so exact-boundary cases are not flipped by
+float drift.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 from . import numeric
 from .errors import ConfigError, ProtocolError
 from .intervals import Batch, CoverageState, Instance, absorb, added_length, union_length
-from .thresholds import soa_an_theta, soa_theta
+from .thresholds import check_schedule, soa_an_theta, soa_theta
 
 
 class Decision(str, enum.Enum):
@@ -24,9 +25,14 @@ class Decision(str, enum.Enum):
 
 
 class Policy:
-    """Stateful single-run decision maker; build a fresh one per game."""
+    """Stateful single-run decision maker; build a fresh one per game.
+
+    A policy that uses the release count takes it as `total` in its
+    constructor; None means the count is unknown.
+    """
 
     name = "policy"
+    total: Optional[int] = None
 
     def __init__(self, quota: int):
         if quota < 1:
@@ -39,26 +45,30 @@ class Policy:
     def describe(self) -> dict:
         return {"quota": self.quota}
 
-    def next(
-        self, item: Batch, position: int, remaining_known: Optional[int] = None
-    ) -> Decision:
-        """Decide on the item released at `position` (1-based, in order)."""
+    def next(self, item: Batch, position: int) -> Decision:
+        """Decide on the item released at `position` (1-based, in order);
+        once the quota is used, every later item is rejected."""
         if position != self._cursor + 1:
             raise ProtocolError(
                 f"decision out of turn: expected position {self._cursor + 1}, "
                 f"got {position}"
             )
         self._cursor = position
-        accept = self._decide(item, position, remaining_known)
-        if accept:
-            if self.accepted_count >= self.quota:
-                raise ProtocolError("policy tried to accept beyond its quota")
-            self.accepted_count += 1
-            self.state = absorb(self.state, item)
-            return Decision.ACCEPT
-        return Decision.REJECT
+        if self.accepted_count >= self.quota or not self._decide(item, position):
+            return Decision.REJECT
+        self.accepted_count += 1
+        self.state = absorb(self.state, item)
+        return Decision.ACCEPT
 
-    def _decide(self, item, position, remaining_known) -> bool:
+    def _forced(self, position: int) -> bool:
+        """True when the count is known and the remaining quota covers
+        every remaining release."""
+        return (
+            self.total is not None
+            and self.quota - self.accepted_count >= self.total - position + 1
+        )
+
+    def _decide(self, item, position) -> bool:
         raise NotImplementedError
 
 
@@ -76,62 +86,70 @@ def _default_theta(k, n, setting, m, theta):
     return soa_theta(k, n, setting, m)
 
 
-class ThresholdPolicy(Policy):
-    """Single threshold with a known release count.
+def _check_known_count(quota, total):
+    if total is None:
+        raise ConfigError("this policy needs the total release count")
+    if not (2 <= quota <= total - 1):
+        raise ConfigError(f"need 2 <= k <= n-1, got k={quota} n={total}")
 
-    Always accepts the first item.  Then, in order: stop once the quota is
-    used; accept when the remaining quota covers every remaining release;
-    otherwise accept exactly when the marginal length reaches theta.
+
+class SchedulePolicy(Policy):
+    """Per-accept threshold schedule, the rule behind every threshold policy.
+
+    In order: accept the first item when `free_first` is set; accept when
+    the count is known and the remaining quota covers every remaining
+    release; otherwise accept exactly when the marginal length reaches
+    schedule[accepted_count].  `schedule` has one threshold per accept.
     """
+
+    free_first = True
+
+    def __init__(self, quota: int, schedule: Sequence[float], total: Optional[int] = None):
+        super().__init__(quota)
+        self.schedule = tuple(schedule)
+        self.total = total
+
+    def _decide(self, item, position):
+        if position == 1 and self.free_first:
+            return True
+        if self._forced(position):
+            return True
+        theta = self.schedule[self.accepted_count]
+        return added_length(self.state, item) >= theta - numeric.EPS
+
+
+class ThresholdPolicy(SchedulePolicy):
+    """Single threshold with a known release count: theta at every accept,
+    with the free first accept and the forced accepts."""
 
     name = "soa"
 
     def __init__(self, quota, total, theta=None, setting="UL", m=None):
-        super().__init__(quota)
-        if total is None:
-            raise ConfigError("this policy needs the total release count")
-        if not (2 <= quota <= total - 1):
-            raise ConfigError(f"need 2 <= k <= n-1, got k={quota} n={total}")
-        self.total = total
+        _check_known_count(quota, total)
         self.theta = _default_theta(quota, total, setting, m, theta)
+        super().__init__(quota, (self.theta,) * quota, total)
 
     def describe(self):
         return {"quota": self.quota, "n": self.total, "theta": self.theta}
 
-    def _decide(self, item, position, remaining_known):
-        if position == 1:
-            return True
-        if self.accepted_count >= self.quota:
-            return False
-        if self.quota - self.accepted_count >= self.total - position + 1:
-            return True
-        return added_length(self.state, item) >= self.theta - numeric.EPS
 
-
-class AnytimeThresholdPolicy(Policy):
-    """Single threshold without knowing the release count: the same rule
-    minus the quota-enough branch."""
+class AnytimeThresholdPolicy(SchedulePolicy):
+    """Single threshold without knowing the release count: the same rule,
+    never forced."""
 
     name = "soa-an"
 
     def __init__(self, quota, theta=None, setting="UL", m=None):
-        super().__init__(quota)
         if quota < 2:
             raise ConfigError(f"need k >= 2, got {quota}")
         self.theta = _default_theta(quota, None, setting, m, theta)
+        super().__init__(quota, (self.theta,) * quota)
 
     def describe(self):
         return {"quota": self.quota, "theta": self.theta}
 
-    def _decide(self, item, position, remaining_known):
-        if position == 1:
-            return True
-        if self.accepted_count >= self.quota:
-            return False
-        return added_length(self.state, item) >= self.theta - numeric.EPS
 
-
-class TwoPhaseThresholdPolicy(Policy):
+class TwoPhaseThresholdPolicy(SchedulePolicy):
     """Explore with theta1, exploit with theta2 after `switch_after` accepts.
 
     theta1 applies while fewer than `switch_after` items are accepted (so to
@@ -142,11 +160,7 @@ class TwoPhaseThresholdPolicy(Policy):
     name = "doa"
 
     def __init__(self, quota, total, switch_after, theta1, theta2):
-        super().__init__(quota)
-        if total is None:
-            raise ConfigError("this policy needs the total release count")
-        if not (2 <= quota <= total - 1):
-            raise ConfigError(f"need 2 <= k <= n-1, got k={quota} n={total}")
+        _check_known_count(quota, total)
         if not (1 <= switch_after <= quota):
             raise ConfigError(
                 f"need 1 <= switch point <= k, got {switch_after}"
@@ -155,10 +169,11 @@ class TwoPhaseThresholdPolicy(Policy):
             raise ConfigError(
                 f"need 0 < theta1 <= theta2 <= 1, got ({theta1}, {theta2})"
             )
-        self.total = total
         self.switch_after = switch_after
         self.theta1 = float(theta1)
         self.theta2 = float(theta2)
+        schedule = (self.theta1,) * switch_after + (self.theta2,) * (quota - switch_after)
+        super().__init__(quota, schedule, total)
 
     def describe(self):
         return {
@@ -169,46 +184,22 @@ class TwoPhaseThresholdPolicy(Policy):
             "theta2": self.theta2,
         }
 
-    def _decide(self, item, position, remaining_known):
-        if position == 1:
-            return True
-        if self.accepted_count >= self.quota:
-            return False
-        if self.quota - self.accepted_count >= self.total - position + 1:
-            return True
-        theta = self.theta1 if self.accepted_count < self.switch_after else self.theta2
-        return added_length(self.state, item) >= theta - numeric.EPS
 
-
-class MultiThresholdPolicy(Policy):
+class MultiThresholdPolicy(SchedulePolicy):
     """Non-increasing per-accept thresholds; the i-th accept needs marginal
     length >= thresholds[i].  No unconditional first accept (on unit-length
-    input the first item passes any threshold <= 1 anyway)."""
+    input the first item passes any threshold <= 1 anyway) and no forced
+    accepts."""
 
     name = "multi-threshold"
+    free_first = False
 
     def __init__(self, thresholds: Sequence[float]):
-        thresholds = tuple(float(t) for t in thresholds)
-        if not thresholds:
-            raise ConfigError("need at least one threshold")
-        prev = None
-        for i, t in enumerate(thresholds):
-            if not (0.0 < t <= 1.0):
-                raise ConfigError(f"thresholds[{i}]={t!r} outside (0, 1]")
-            if prev is not None and t > prev:
-                raise ConfigError("thresholds must be non-increasing")
-            prev = t
-        super().__init__(len(thresholds))
-        self.thresholds = thresholds
+        self.thresholds = check_schedule(thresholds)
+        super().__init__(len(self.thresholds), self.thresholds)
 
     def describe(self):
         return {"quota": self.quota, "thresholds": list(self.thresholds)}
-
-    def _decide(self, item, position, remaining_known):
-        if self.accepted_count >= self.quota:
-            return False
-        theta = self.thresholds[self.accepted_count]
-        return added_length(self.state, item) >= theta - numeric.EPS
 
 
 class AcceptAllPolicy(Policy):
@@ -216,13 +207,14 @@ class AcceptAllPolicy(Policy):
 
     name = "accept-all"
 
-    def _decide(self, item, position, remaining_known):
-        return self.accepted_count < self.quota
+    def _decide(self, item, position):
+        return True
 
 
 class RejectUntilForcedPolicy(Policy):
     """Reject until the remaining quota only just covers the remaining
-    releases, then accept everything (takes the last k items)."""
+    releases, then accept everything (takes the last k items).  Without a
+    release count it is never forced, so it rejects everything."""
 
     name = "reject-until-forced"
 
@@ -233,13 +225,8 @@ class RejectUntilForcedPolicy(Policy):
     def describe(self):
         return {"quota": self.quota, "n": self.total}
 
-    def _decide(self, item, position, remaining_known):
-        total = self.total if self.total is not None else remaining_known
-        if total is None:
-            return False  # never forced when the horizon is unknown
-        if self.accepted_count >= self.quota:
-            return False
-        return self.quota - self.accepted_count >= total - position + 1
+    def _decide(self, item, position):
+        return self._forced(position)
 
 
 def run_policy(
@@ -249,11 +236,10 @@ def run_policy(
 
     Returns (covered length, accepted item indices, full decision trace).
     """
-    total = inst.n if inst.setting.count == "UN" else None
     accepted: list[int] = []
     trace: list[Decision] = []
     for pos, item in enumerate(inst.items, start=1):
-        d = policy.next(item, pos, total)
+        d = policy.next(item, pos)
         trace.append(d)
         if d is Decision.ACCEPT:
             accepted.append(pos - 1)

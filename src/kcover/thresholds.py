@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,42 +27,51 @@ def _check_kn(k: int, n: int) -> None:
         raise ConfigError(f"need 2 <= k <= n-1, got k={k} n={n}")
 
 
-def soa_theta(k: int, n: int, setting: str = "UL", m: Optional[float] = None) -> float:
-    """Single threshold for a known release count.
-
-    UL and US share one formula; FL weights the count-dependent candidate by
-    the maximum item length m.  AL has no sound threshold, callers must pick
-    their own.
-    """
-    _check_kn(k, n)
+def _length_ratio(setting: str, m: Optional[float]):
+    """Longest-to-shortest item length the threshold formulas take: 1 for
+    unit items (UL, US), m for FL.  AL has no sound threshold."""
     if setting in ("UL", "US"):
-        a = (math.sqrt(1 + 2 * (k - 1) * (n - k)) - 1) / (2 * k - 2)
-        b = (math.sqrt(9 * k * k - 14 * k + 9) - k - 1) / (4 * (k - 1))
-        return min(a, b)
+        return 1
     if setting == "FL":
         if m is None or m <= 1.0:
             raise ConfigError("FL threshold needs m > 1")
-        a = (math.sqrt(1 + 2 * (k - 1) * (n - k) * m) - 1) / (2 * k - 2)
-        b = (
-            math.sqrt((1 + 8 * m) * k * k - (6 + 8 * m) * k + 9) - k - 1
-        ) / (4 * (k - 1))
-        return min(a, b)
+        return m
     raise ConfigError(f"no default threshold for setting {setting!r}")
+
+
+def soa_theta(k: int, n: int, setting: str = "UL", m: Optional[float] = None) -> float:
+    """Single threshold for a known release count: the smaller of a
+    count-dependent candidate and the count-free :func:`soa_an_theta`.
+
+    FL weights both candidates by the maximum item length m.  AL has no
+    sound threshold, callers must pick their own.
+    """
+    _check_kn(k, n)
+    r = _length_ratio(setting, m)
+    a = (math.sqrt(1 + 2 * (k - 1) * (n - k) * r) - 1) / (2 * k - 2)
+    return min(a, soa_an_theta(k, setting, m))
 
 
 def soa_an_theta(k: int, setting: str = "UL", m: Optional[float] = None) -> float:
     """Single threshold when the release count is unknown (count-free form)."""
     if k < 2:
         raise ConfigError(f"need k >= 2, got {k}")
-    if setting in ("UL", "US"):
-        return (math.sqrt(9 * k * k - 14 * k + 9) - k - 1) / (4 * (k - 1))
-    if setting == "FL":
-        if m is None or m <= 1.0:
-            raise ConfigError("FL threshold needs m > 1")
-        return (
-            math.sqrt((1 + 8 * m) * k * k - (6 + 8 * m) * k + 9) - k - 1
-        ) / (4 * (k - 1))
-    raise ConfigError(f"no default threshold for setting {setting!r}")
+    r = _length_ratio(setting, m)
+    return (math.sqrt((1 + 8 * r) * k * k - (6 + 8 * r) * k + 9) - k - 1) / (4 * (k - 1))
+
+
+def check_schedule(thresholds: Sequence[float]) -> tuple[float, ...]:
+    """Validate a per-accept threshold list: non-empty, every entry in
+    (0, 1], non-increasing.  Returns the entries as a tuple of floats."""
+    values = tuple(float(t) for t in thresholds)
+    if not values:
+        raise ConfigError("need at least one threshold")
+    for i, t in enumerate(values):
+        if not (0.0 < t <= 1.0):
+            raise ConfigError(f"thresholds[{i}]={t!r} outside (0, 1]")
+        if i and t > values[i - 1]:
+            raise ConfigError("thresholds must be non-increasing")
+    return values
 
 
 def theta_crossover(n: int) -> int:

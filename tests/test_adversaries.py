@@ -8,6 +8,7 @@ from kcover import (
     ConfigError,
     Decision,
     Policy,
+    ProtocolError,
     RejectUntilForcedPolicy,
     ThresholdPolicy,
     adv_al,
@@ -23,7 +24,7 @@ from kcover import (
     lb_ul_un,
     solve_offline,
 )
-from kcover.harness import full_policy_suite, run_game
+from kcover.harness import full_policy_suite, replay_game, run_game
 
 
 class RejectAt(Policy):
@@ -35,7 +36,7 @@ class RejectAt(Policy):
         super().__init__(quota)
         self.skip = set(skip)
 
-    def _decide(self, item, position, remaining_known):
+    def _decide(self, item, position):
         return position not in self.skip and self.accepted_count < self.quota
 
 
@@ -239,3 +240,25 @@ def test_adaptivity_window(rng):
         b_items.append(advB.react(Decision.REJECT if pos == 3 else Decision.ACCEPT, pos))
     assert a_items[:3] == b_items[:3]
     assert a_items[3] != b_items[3]
+
+
+@pytest.mark.parametrize("k", [3, 5])
+@pytest.mark.parametrize("make_adv", [adv_ul_un_general, lambda k, n: adv_us_un(k, n, 3)])
+def test_live_and_replayed_games_agree(k, make_adv, rng):
+    # A policy learns the release count only from its constructor, so the
+    # live game and the replay of its realised instance see the same input
+    # and must decide the same way.
+    for n in (k + 1, 2 * k + 2):
+        suite = full_policy_suite("UL", k, n, None, rng)
+        suite.append(("reject-until-forced, no count", lambda: RejectUntilForcedPolicy(k)))
+        for name, factory in suite:
+            live, inst = run_game(factory(), make_adv(k, n))
+            replayed = replay_game(factory(), inst)
+            assert live.trace == replayed.trace, (name, k, n)
+            assert live.accepted == replayed.accepted, (name, k, n)
+
+
+def test_game_over_quota_is_an_error():
+    # The policy's own quota (5) exceeds the game's (3).
+    with pytest.raises(ProtocolError):
+        run_game(AcceptAllPolicy(5), adv_ul_un_general(3, 10))

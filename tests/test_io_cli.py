@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -58,6 +59,17 @@ class TestInstanceIO:
     def test_missing_field(self):
         with pytest.raises(SchemaError, match="quota"):
             instance_from_dict({"target_len": 1.0, "setting": {}, "items": []})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("inf"), float("-inf"), float("nan"), 10**400],
+        ids=["inf", "-inf", "nan", "huge-int"],
+    )
+    def test_non_finite_number_diagnosed(self, bad):
+        doc = instance_to_dict(make_instance())
+        doc["items"][1][0][1] = bad
+        with pytest.raises(SchemaError, match=r"items\[1\]\[0\]\[1\]: expected a finite"):
+            instance_from_dict(doc)
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -153,6 +165,47 @@ class TestCli:
         assert "matplotlib" in plot_path.read_text()
 
 
+    def test_infinite_instance_length_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        write_instance(make_instance(), path)
+        path.write_text(path.read_text().replace("1.4", "Infinity"))
+        assert run_cli("run", "--policy", "soa", "--instance", str(path)) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--k", "3", "--n", "9", "--m", "nan"),
+            ("run", "--policy", "soa", "--adversary", "fl-un", "--k", "3", "--m", "inf"),
+            ("run", "--policy", "multi-threshold", "--thresholds", "0.5,nan",
+             "--adversary", "ul-un-k2"),
+            ("solve-doa", "--k", "3", "--n", "9", "--step=-inf"),
+        ],
+    )
+    def test_non_finite_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "expected a finite number" in capsys.readouterr().err
+
+    def test_verify_inverted_quota_range_exits_2(self, capsys):
+        assert run_cli("verify", "--k", "5..2") == 2
+        assert "empty k range 5..2" in capsys.readouterr().err
+
+    def test_verify_zero_trials_exits_2(self, capsys):
+        assert run_cli("verify", "--trials", "0") == 2
+        assert "trials >= 1" in capsys.readouterr().err
+
+    def test_sweep_inverted_quota_range_exits_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep", "--k-min", "5", "--k-max", "1", "--out", str(csv_path)
+        )
+        assert code == 2
+        assert "empty quota range" in capsys.readouterr().err
+        assert not csv_path.exists()
+
+
 class TestSweepRows:
     def test_row_invariants(self):
         rows = run_sweep(30, 2, 12, 0.05)
@@ -175,3 +228,28 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert "US-UN" in proc.stdout
+
+
+@pytest.mark.parametrize("value", ["abc", "", "-1", "nan", "inf"])
+def test_cli_rejects_bad_kcover_eps(value):
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcover", "solve-doa", "--k", "5", "--n", "10"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "KCOVER_EPS": value},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: KCOVER_EPS")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_cli_accepts_kcover_eps_override():
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcover", "verify", "--suite", "bounds"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "KCOVER_EPS": "0"},
+    )
+    assert proc.returncode == 0
+    assert " eps=0 " in proc.stdout

@@ -26,7 +26,7 @@ from conftest import unit_instance
 class RejectAllStub(Policy):
     name = "reject-all"
 
-    def _decide(self, item, position, remaining_known):
+    def _decide(self, item, position):
         return False
 
 
