@@ -23,7 +23,7 @@ from .adversaries import (
     adv_us_un,
 )
 from .bounds import bound_table
-from .errors import KcoverError
+from .errors import ConfigError, KcoverError
 from .harness import (
     plot_script,
     replay_game,
@@ -93,6 +93,8 @@ def _build_policy(args, k, n, setting, m):
     if name == "soa-an":
         return AnytimeThresholdPolicy(k, theta=theta, setting=setting, m=m)
     if name == "doa":
+        if n is None:  # solve_doa and the policy both need the count
+            raise ConfigError("doa needs the total release count")
         if args.theta1 is not None and args.theta2 is not None:
             omega = args.omega or max(1, round(0.8 * k))
             return TwoPhaseThresholdPolicy(k, n, omega, args.theta1, args.theta2)

@@ -458,6 +458,8 @@ def run_verify(
     """Run the requested suites; returns (report text, passed, dumps)."""
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got {trials}")
+    if max_n < 3:
+        raise ConfigError(f"need max-n >= 3, got {max_n}")
     for flag, (lo, hi) in (("k", k_range), ("n", n_range)):
         if lo > hi:
             raise ConfigError(f"empty {flag} range {lo}..{hi}")

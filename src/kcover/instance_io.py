@@ -112,6 +112,8 @@ def read_instance(path: Union[str, Path]) -> Instance:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal over Python's digit limit
+        raise SchemaError(f"{p}: unreadable JSON: {exc}") from exc
     try:
         return instance_from_dict(doc)
     except SchemaError as exc:

@@ -7,7 +7,10 @@ global tolerance) merge into one covered component.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from . import numeric
@@ -80,23 +83,9 @@ class Batch:
         return "Batch(" + ", ".join(repr(p) for p in self.parts) + ")"
 
 
-def _merge(parts: Iterable[SubInterval]) -> list[SubInterval]:
-    """Sort-and-sweep merge; pieces whose gap is within EPS become one."""
-    ordered = sorted(parts, key=lambda p: (p.start, p.end))
-    merged: list[list[float]] = []
-    for p in ordered:
-        if merged and p.start <= merged[-1][1] + numeric.EPS:
-            if p.end > merged[-1][1]:
-                merged[-1][1] = p.end
-        else:
-            merged.append([p.start, p.end])
-    return [SubInterval(a, b) for a, b in merged]
-
-
 def union_length(batches: Sequence[Batch]) -> float:
     """Total covered length of the union of all parts of all batches."""
-    parts = [p for b in batches for p in b.parts]
-    return sum(p.length for p in _merge(parts))
+    return CoverageState.of(p for b in batches for p in b.parts).total_len
 
 
 def intersection_length(u: SubInterval, v: SubInterval) -> float:
@@ -106,25 +95,80 @@ def intersection_length(u: SubInterval, v: SubInterval) -> float:
 
 @dataclass(frozen=True)
 class CoverageState:
-    """Canonical disjoint-interval union of everything accepted so far."""
+    """Canonical disjoint-interval union of everything accepted so far.
 
-    components: tuple[SubInterval, ...]
-    total_len: float
-    component_count: int
+    Component i is [starts[i], ends[i]]; components are sorted left to right
+    and each starts more than EPS after the previous one ends.  `sums` holds
+    the left-to-right running sums of the component lengths (``sums[i]`` is
+    the length of the first i components), so `total_len` is ``sums[-1]``.
+    ``sums[0]`` is the int 0, like ``sum()`` of nothing: a game that
+    accepts nothing records its value as ``0`` in JSON, not ``0.0``.
+    """
+
+    starts: tuple[float, ...]
+    ends: tuple[float, ...]
+    sums: tuple[float, ...]
 
     @classmethod
     def empty(cls) -> "CoverageState":
-        return cls((), 0.0, 0)
+        return cls((), (), (0,))
 
     @classmethod
     def of(cls, parts: Iterable[SubInterval]) -> "CoverageState":
-        merged = tuple(_merge(parts))
-        return cls(merged, sum(p.length for p in merged), len(merged))
+        """Sort-and-sweep merge; pieces whose gap is within EPS become one."""
+        eps = numeric.EPS
+        starts: list[float] = []
+        ends: list[float] = []
+        for a, b in sorted((p.start, p.end) for p in parts):
+            if ends and a <= ends[-1] + eps:
+                if b > ends[-1]:
+                    ends[-1] = b
+            else:
+                starts.append(a)
+                ends.append(b)
+        sums = tuple(accumulate(map(sub, ends, starts), initial=0))
+        return cls(tuple(starts), tuple(ends), sums)
+
+    @property
+    def total_len(self) -> float:
+        return self.sums[-1]
+
+    @property
+    def component_count(self) -> int:
+        return len(self.starts)
+
+    @property
+    def components(self) -> tuple[SubInterval, ...]:
+        return tuple(SubInterval(a, b) for a, b in zip(self.starts, self.ends))
 
 
 def absorb(state: CoverageState, batch: Batch) -> CoverageState:
-    """New canonical state after accepting `batch`; `state` is untouched."""
-    return CoverageState.of(state.components + batch.parts)
+    """New canonical state after accepting `batch`; `state` is untouched.
+
+    Each part [a, b] touches the run of components from the first whose
+    end + EPS >= a up to, not including, the first whose start > b + EPS;
+    both ends are found by bisection, and the run is spliced out for one
+    component spanning it and the part.  These are the comparisons the
+    sort-and-sweep merge of :meth:`CoverageState.of` makes, so the result
+    is the same, bit for bit.  Running sums are recomputed only from the
+    leftmost splice onward: for parts arriving left to right that is the
+    tail alone.
+    """
+    eps = numeric.EPS
+    starts, ends = state.starts, state.ends
+    first = len(starts)
+    for p in batch.parts:
+        a, b = p.start, p.end
+        lo = bisect_left(ends, a, key=lambda end: end + eps)
+        hi = bisect_right(starts, b + eps, lo)
+        if lo < hi:
+            a = min(a, starts[lo])
+            b = max(b, ends[hi - 1])
+        starts = starts[:lo] + (a,) + starts[hi:]
+        ends = ends[:lo] + (b,) + ends[hi:]
+        first = min(first, lo)
+    tail = accumulate(map(sub, ends[first:], starts[first:]), initial=state.sums[first])
+    return CoverageState(starts, ends, state.sums[:first] + tuple(tail))
 
 
 def added_length(state: CoverageState, batch: Batch) -> float:

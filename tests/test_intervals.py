@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kcover import numeric
 from kcover import (
     Batch,
     CoverageState,
@@ -182,3 +185,74 @@ def test_union_equals_absorbed_total(bs):
     for b in bs:
         state = absorb(state, b)
     assert state.total_len == pytest.approx(union_length(bs), abs=1e-9)
+
+
+EPS = numeric.EPS
+GAPS = (0.0, EPS / 2, EPS, 2 * EPS, 0.25)  # merge, merge, the edge, apart, apart
+SIZES = (EPS / 2, 3 * EPS, 0.1, 1 / 3, 0.7)  # the small ones bridge near-touching pieces
+
+
+@st.composite
+def edge_batches(draw):
+    """Batches placed 0, EPS/2, EPS or 2*EPS (give or take one ulp) away
+    from an endpoint of an earlier piece, on either side, including
+    multi-part unit-sum batches."""
+    anchors = [1.1, 2.3, 4.7]  # not dyadic, so EPS steps round both ways
+    out = []
+    for _ in range(draw(st.integers(1, 12))):
+        parts = draw(st.integers(1, 3))
+        sizes = [1.0 / parts] * parts if parts > 1 else [draw(st.sampled_from(SIZES))]
+        anchor = draw(st.sampled_from(anchors))
+        gap = draw(st.sampled_from(GAPS))
+        ulp = draw(st.sampled_from((-1.0, 0.0, 1.0)))  # straddle the EPS edge
+        pieces = []
+        if anchor >= 2.0 and draw(st.booleans()):  # ends left of the anchor
+            at = math.nextafter(anchor - gap, anchor - gap + ulp)
+            for size in sizes:
+                pieces.insert(0, SubInterval(at - size, at))
+                at -= size + draw(st.sampled_from(GAPS[:4]))
+        else:  # starts right of the anchor
+            at = math.nextafter(anchor + gap, anchor + gap + ulp)
+            for size in sizes:
+                pieces.append(SubInterval(at, at + size))
+                at += size + draw(st.sampled_from(GAPS[:4]))
+        anchors += [p.start for p in pieces] + [p.end for p in pieces]
+        out.append(Batch(tuple(pieces)))
+    return out
+
+
+def bits(state):
+    floats = state.starts + state.ends + state.sums
+    return [float(x).hex() for x in floats]
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_batches(), st.randoms(use_true_random=False))
+def test_absorb_matches_sort_and_sweep_bit_for_bit(bs, rnd):
+    rnd.shuffle(bs)
+    state = CoverageState.empty()
+    for b in bs:
+        before = bits(state)
+        new = absorb(state, b)
+        assert added_length(state, b) == new.total_len - state.total_len
+        assert bits(state) == before  # the input state is untouched
+        state = new
+    ref = CoverageState.of(p for b in bs for p in b.parts)
+    assert bits(state) == bits(ref)
+    assert float(union_length(bs)).hex() == float(state.total_len).hex()
+    for end, start in zip(state.ends, state.starts[1:]):
+        assert start > end + EPS  # canonical: no two components touch
+
+
+def test_many_disjoint_items():
+    state = CoverageState.empty()
+    total, x = 0.0, 0.0
+    for i in range(4000):
+        x += 0.01 + (i % 5) / 100
+        length = 0.1 + (i * 7 % 13) / 10
+        b = single(x, x + length)
+        total += b.parts[0].length
+        state = absorb(state, b)
+        x += length
+    assert state.component_count == 4000
+    assert state.total_len == total

@@ -77,6 +77,17 @@ class TestInstanceIO:
         with pytest.raises(SchemaError, match="line 2"):
             read_instance(path)
 
+    def test_overlong_integer_literal_diagnosed(self, tmp_path, capsys):
+        # Python refuses to parse int literals over 4,300 digits.
+        path = tmp_path / "huge.json"
+        doc = instance_to_dict(make_instance())
+        doc["target_len"] = "TARGET"
+        path.write_text(json.dumps(doc).replace('"TARGET"', "9" * 5000))
+        with pytest.raises(SchemaError, match="huge.json: unreadable JSON"):
+            read_instance(path)
+        assert run_cli("instance", str(path)) == 2
+        assert "huge.json" in capsys.readouterr().err
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -196,6 +207,11 @@ class TestCli:
         assert run_cli("verify", "--trials", "0") == 2
         assert "trials >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_n", ["2", "0", "-5"])
+    def test_verify_max_n_below_3_exits_2(self, max_n, capsys):
+        assert run_cli("verify", "--max-n", max_n, "--suite", "oracle") == 2
+        assert f"need max-n >= 3, got {max_n}" in capsys.readouterr().err
+
     def test_sweep_inverted_quota_range_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
         code = run_cli(
@@ -228,6 +244,17 @@ def test_cli_subprocess_entry():
     )
     assert proc.returncode == 0
     assert "US-UN" in proc.stdout
+
+
+def test_cli_doa_without_release_count_exits_2():
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcover", "run", "--policy", "doa",
+         "--adversary", "fl-an", "--k", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: doa needs the total release count\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "", "-1", "nan", "inf"])
