@@ -69,7 +69,7 @@ def _finite_float(text: str) -> float:
 def _build_adversary(args):
     name = args.adversary
     if name == "al":
-        horizon = args.horizon or 2 * args.k + 2
+        horizon = 2 * args.k + 2 if args.horizon is None else args.horizon
         return adv_al(args.epsilon, args.k, horizon)
     if name == "ul-un-k2":
         return adv_ul_un_k2(args.n)
@@ -78,7 +78,7 @@ def _build_adversary(args):
     if name == "fl-un":
         return adv_fl_un(args.k, args.n, args.m)
     if name == "fl-an":
-        horizon = args.horizon or 2 * args.k + 4
+        horizon = 2 * args.k + 4 if args.horizon is None else args.horizon
         return adv_fl_an(args.k, args.m, horizon)
     if name == "us-un":
         return adv_us_un(args.k, args.n, args.parts_per_batch)
@@ -96,7 +96,7 @@ def _build_policy(args, k, n, setting, m):
         if n is None:  # solve_doa and the policy both need the count
             raise ConfigError("doa needs the total release count")
         if args.theta1 is not None and args.theta2 is not None:
-            omega = args.omega or max(1, round(0.8 * k))
+            omega = max(1, round(0.8 * k)) if args.omega is None else args.omega
             return TwoPhaseThresholdPolicy(k, n, omega, args.theta1, args.theta2)
         sol = solve_doa(k, n)
         return TwoPhaseThresholdPolicy(k, n, sol.omega, sol.theta1, sol.theta2)
@@ -311,7 +311,7 @@ def main(argv=None) -> int:
         numeric.EPS  # reads and checks KCOVER_EPS before anything else runs
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (KcoverError, FileNotFoundError) as exc:
+    except (KcoverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

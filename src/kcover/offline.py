@@ -11,7 +11,12 @@ value tables:
 * ``kappa[i][j]`` -- same, but item i itself must be accepted.
 
 The intersecting transition must recurse through ``kappa`` so that the
-subtracted overlap is actually covered by the accepted predecessor.
+subtracted overlap is actually covered by the accepted predecessor.  Item i
+is either rejected or accepted, so ``chi[i][j] = max(chi[i-1][j],
+kappa[i][j])`` once i > j; a tie keeps the rejection.  Besides the two value
+tables the DP stores one byte per cell, set when ``kappa`` took the
+intersecting transition; backtracking re-derives every other choice from
+the tables.
 """
 
 from __future__ import annotations
@@ -100,6 +105,11 @@ def _sparse_argmin(values: tuple[float, ...]) -> Callable[[int, int], int]:
     return query
 
 
+def _first_equal_end(ends: tuple[float, ...], idx: int) -> int:
+    """Smallest index whose end equals ends[idx] (ends are sorted)."""
+    return bisect_left(ends, ends[idx], 0, idx)
+
+
 def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Optional[int]]]:
     """For each sorted item i return (psi, phi), both 0-based or None.
 
@@ -119,19 +129,22 @@ def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Opt
             q = argmin_start(t, i - 1)
             if s.starts[q] < o_i:
                 psi[i] = q
-        idx = t - 1
-        if idx >= 0:
-            while idx - 1 >= 0 and s.ends[idx - 1] == s.ends[idx]:
-                idx -= 1
-            phi[i] = idx
+        if t >= 1:
+            phi[i] = _first_equal_end(s.ends, t - 1)
     return psi, phi
 
 
 def _dp_tables(s: SortedInstance, quota: int):
-    """Fill chi/kappa plus parent pointers for backtracking."""
+    """Fill chi/kappa and the flag rows that backtracking needs.
+
+    ``via_psi[i][j]`` is 1 when ``kappa[i][j]`` took the intersecting
+    transition through ``kappa[psi+1][j-1]`` (it must beat the disjoint one
+    strictly); otherwise ``kappa`` went through ``chi[phi+1][j-1]``, or, at
+    ``j == 1``, took item i alone.  ``chi`` needs no flags: it rejects item
+    i exactly when ``chi[i-1][j] >= kappa[i][j]``.
+    """
     n = len(s.order)
     psi, phi = build_predecessors(s)
-    lens = [s.ends[i] - s.starts[i] for i in range(n)]
 
     # Prefix union lengths, Len of the first i sorted items.
     pref = [0.0] * (n + 1)
@@ -143,67 +156,42 @@ def _dp_tables(s: SortedInstance, quota: int):
     q = quota
     chi = [[0.0] * (q + 1) for _ in range(n + 1)]
     kappa = [[0.0] * (q + 1) for _ in range(n + 1)]
-    # parent entries: ("all",) | ("reject",) | ("phi", prev) | ("psi", prev) | ("last",)
-    pchi: list[list[tuple]] = [[("none",)] * (q + 1) for _ in range(n + 1)]
-    pkap: list[list[tuple]] = [[("none",)] * (q + 1) for _ in range(n + 1)]
-    cells = 0
+    via_psi = [bytearray(q + 1) for _ in range(n + 1)]
 
     for i in range(1, n + 1):
         item = i - 1  # 0-based sorted index of the newest item
-        ov = (
-            intersection_length(
-                s.base.items[s.order[item]].parts[0],
-                s.base.items[s.order[psi[item]]].parts[0],
-            )
-            if psi[item] is not None
-            else 0.0
-        )
-        for j in range(0, q + 1):
-            cells += 2
-            # kappa: item i is accepted.
-            if j == 0:
-                kappa[i][j] = 0.0
-            elif j == 1:
-                kappa[i][j] = lens[item]
-                pkap[i][j] = ("last",)
-            else:
-                fi = phi[item]
-                best = lens[item] + chi[0 if fi is None else fi + 1][j - 1]
-                parent = ("phi", 0 if fi is None else fi + 1)
-                if psi[item] is not None:
-                    cand = lens[item] - ov + kappa[psi[item] + 1][j - 1]
-                    if cand > best:
-                        best, parent = cand, ("psi", psi[item] + 1)
-                kappa[i][j] = best
-                pkap[i][j] = parent
-            # chi: item i free to be rejected.
-            if j == 0:
-                chi[i][j] = 0.0
-            elif i <= j:
-                chi[i][j] = pref[i]
-                pchi[i][j] = ("all",)
-            else:
-                best = chi[i - 1][j]
-                parent = ("reject",)
-                fi = phi[item]
-                cand = lens[item] + chi[0 if fi is None else fi + 1][j - 1]
+        size = s.ends[item] - s.starts[item]
+        p, f = psi[item], phi[item]
+        # psi ends inside item i and starts before it: this is their overlap.
+        rest = size - (s.ends[p] - s.starts[item]) if p is not None else 0.0
+        after_phi = chi[0 if f is None else f + 1]
+        kap, flags = kappa[i], via_psi[i]
+        for j in range(1, q + 1):
+            if j == 1:
+                kap[j] = size
+                continue
+            best = size + after_phi[j - 1]
+            if p is not None:
+                cand = rest + kappa[p + 1][j - 1]
                 if cand > best:
-                    best, parent = cand, ("phi", 0 if fi is None else fi + 1)
-                if psi[item] is not None:
-                    cand = lens[item] - ov + kappa[psi[item] + 1][j - 1]
-                    if cand > best:
-                        best, parent = cand, ("psi", psi[item] + 1)
-                chi[i][j] = best
-                pchi[i][j] = parent
+                    best = cand
+                    flags[j] = 1
+            kap[j] = best
+        row, above = chi[i], chi[i - 1]
+        for j in range(1, q + 1):
+            if i <= j:
+                row[j] = pref[i]
+            else:  # max(reject, accept); a tie rejects item i
+                row[j] = above[j] if above[j] >= kap[j] else kap[j]
 
-    ctx = DpContext(psi, phi, chi, kappa, cells)
-    return ctx, pchi, pkap
+    ctx = DpContext(psi, phi, chi, kappa, 2 * n * len(chi[0]))
+    return ctx, via_psi
 
 
 def dp_context(inst: Instance, quota: Optional[int] = None) -> DpContext:
     """Run the DP and expose its tables (used by property tests)."""
     q = inst.quota if quota is None else quota
-    ctx, _, _ = _dp_tables(sort_instance(inst), q)
+    ctx, _ = _dp_tables(sort_instance(inst), q)
     return ctx
 
 
@@ -222,31 +210,33 @@ def solve_offline(
         return 0.0, ()
     _require_singletons(inst, "solve_offline")
     s = sort_instance(inst)
-    ctx, pchi, pkap = _dp_tables(s, q)
+    ctx, via_psi = _dp_tables(s, q)
+    chi, kappa = ctx.chi, ctx.kappa
     n = inst.n
 
-    chosen: set[int] = set()
-    stack = [("chi", n, q)]
-    while stack:
-        table, i, j = stack.pop()
-        if i == 0 or j == 0:
-            continue
-        parent = (pchi if table == "chi" else pkap)[i][j]
-        kind = parent[0]
-        if kind == "all":
-            chosen.update(range(i))
-        elif kind == "reject":
-            stack.append(("chi", i - 1, j))
-        elif kind == "phi":
-            chosen.add(i - 1)
-            stack.append(("chi", parent[1], j - 1))
-        elif kind == "psi":
-            chosen.add(i - 1)
-            stack.append(("kappa", parent[1], j - 1))
-        elif kind == "last":
-            chosen.add(i - 1)
-    picked = tuple(sorted(s.order[i] for i in chosen))
-    return ctx.chi[n][q], picked
+    # Walk back from chi[n][q]; in_chi says which table the cell is in.
+    chosen: list[int] = []
+    i, j, in_chi = n, q, True
+    while i > 0:
+        if in_chi:
+            if i <= j:
+                chosen.extend(range(i))
+                break
+            if chi[i - 1][j] >= kappa[i][j]:
+                i -= 1
+                continue
+        item = i - 1  # at kappa[i][j]: item i is accepted
+        chosen.append(item)
+        if j == 1:
+            break
+        if via_psi[i][j]:
+            i, in_chi = ctx.psi[item] + 1, False
+        else:
+            f = ctx.phi[item]
+            i, in_chi = (0 if f is None else f + 1), True
+        j -= 1
+    picked = tuple(sorted(s.order[t] for t in chosen))
+    return chi[n][q], picked
 
 
 def _unit_predecessors(s: SortedInstance):
@@ -265,9 +255,7 @@ def _unit_predecessors(s: SortedInstance):
             lam[i] = t
         idx = bisect_right(s.ends, d_i - 1.0 + numeric.EPS, 0, i) - 1
         if idx >= 0:
-            while idx - 1 >= 0 and s.ends[idx - 1] == s.ends[idx]:
-                idx -= 1
-            mu[i] = idx
+            mu[i] = _first_equal_end(s.ends, idx)
     return lam, mu
 
 
@@ -278,7 +266,8 @@ def solve_offline_unit(
 
     Exploits that some optimal solution always accepts the latest-ending
     item, so every table cell commits to its last item and recurses through
-    the lam/mu predecessors only.
+    the lam/mu predecessors only; ``via_lam`` flags the cells that went
+    through lam.
     """
     q = inst.quota if quota is None else quota
     if q < 0:
@@ -295,42 +284,41 @@ def solve_offline_unit(
     s = sort_instance(inst)
     n = inst.n
     lam, mu = _unit_predecessors(s)
-    lens = [s.ends[i] - s.starts[i] for i in range(n)]
 
     chi = [[0.0] * (q + 1) for _ in range(n + 1)]
-    parent: list[list[tuple]] = [[("none",)] * (q + 1) for _ in range(n + 1)]
+    via_lam = [bytearray(q + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
         item = i - 1
-        ov = 0.0
-        if lam[item] is not None:
-            ov = intersection_length(
+        size = s.ends[item] - s.starts[item]
+        lt, mt = lam[item], mu[item]
+        rest = 0.0
+        if lt is not None:
+            rest = size - intersection_length(
                 s.base.items[s.order[item]].parts[0],
-                s.base.items[s.order[lam[item]]].parts[0],
+                s.base.items[s.order[lt]].parts[0],
             )
+        row, flags = chi[i], via_lam[i]
         for j in range(1, q + 1):
-            if j == 1 or (lam[item] is None and mu[item] is None):
-                chi[i][j] = lens[item]
-                parent[i][j] = ("self",)
+            if j == 1 or (lt is None and mt is None):
+                row[j] = size
                 continue
-            best, par = None, None
-            if mu[item] is not None:
-                best = lens[item] + chi[mu[item] + 1][j - 1]
-                par = ("mu", mu[item] + 1)
-            if lam[item] is not None:
-                cand = lens[item] - ov + chi[lam[item] + 1][j - 1]
+            best = None if mt is None else size + chi[mt + 1][j - 1]
+            if lt is not None:
+                cand = rest + chi[lt + 1][j - 1]
                 if best is None or cand > best:
-                    best, par = cand, ("lam", lam[item] + 1)
-            chi[i][j] = best
-            parent[i][j] = par
+                    best = cand
+                    flags[j] = 1
+            row[j] = best
 
-    chosen: set[int] = set()
+    chosen: list[int] = []
     i, j = n, q
-    while i > 0 and j > 0:
-        kind = parent[i][j]
-        chosen.add(i - 1)
-        if kind[0] == "self":
+    while True:
+        item = i - 1
+        chosen.append(item)
+        if j == 1 or (lam[item] is None and mu[item] is None):
             break
-        i, j = kind[1], j - 1
+        i = (lam[item] if via_lam[i][j] else mu[item]) + 1
+        j -= 1
     picked = tuple(sorted(s.order[t] for t in chosen))
     return chi[n][q], picked
 

@@ -147,10 +147,34 @@ class TestCli:
         assert run_cli("instance", str(path)) == 2
         assert "items[0][0]" in capsys.readouterr().err
 
-    def test_usage_error_exit_code(self, tmp_path):
+    def test_usage_error_exit_code(self, tmp_path, capsys):
         # AL adversary with a thresholdless policy config is a usage error
         code = run_cli("run", "--policy", "soa", "--adversary", "al", "--k", "3")
         assert code == 2
+        # an explicit 0 reaches the validators instead of becoming the default
+        code = run_cli(
+            "run", "--policy", "doa", "--adversary", "ul-un-general", "--k", "5",
+            "--theta1", "0.3", "--theta2", "0.6", "--omega", "0",
+        )
+        assert code == 2
+        assert "switch point <= k, got 0" in capsys.readouterr().err
+        code = run_cli(
+            "run", "--policy", "soa", "--theta", "0.5", "--adversary", "al",
+            "--k", "3", "--horizon", "0",
+        )
+        assert code == 2
+        assert "need horizon >= k+1, got 0" in capsys.readouterr().err
+
+    def test_instance_path_is_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli("instance", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+    def test_verify_out_is_existing_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code = run_cli("verify", "--suite", "bounds", "--out", str(path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
 
     def test_verify_small(self, capsys):
         code = run_cli(

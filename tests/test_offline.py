@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -20,6 +21,17 @@ from kcover import (
 from kcover.harness import gen_instance, random_nk
 
 from conftest import al_instance, unit_instance
+
+
+def quarter_grid_instance(rng, unit):
+    """Items on a quarter grid: many duplicates, touching pairs and equal
+    ends, all exact in binary, so every DP tie is a real tie."""
+    n, k = random_nk(rng, 14)
+    pairs = []
+    for _ in range(n):
+        a = rng.randint(0, 12) / 4
+        pairs.append((a, a + (1.0 if unit else rng.randint(1, 6) / 4)))
+    return (unit_instance if unit else al_instance)(pairs, k)
 
 
 class TestSolveOffline:
@@ -45,11 +57,21 @@ class TestSolveOffline:
         assert value == pytest.approx(1.0)
 
     def test_chosen_achieves_value(self, rng):
+        cases = []
         for _ in range(50):
             n, k = random_nk(rng, 9)
-            inst = gen_instance(rng, "AL", n, k)
-            value, chosen = solve_offline(inst)
-            assert len(chosen) <= k
+            cases.append((solve_offline, gen_instance(rng, "AL", n, k)))
+        for _ in range(50):
+            n, k = random_nk(rng, 9)
+            inst = gen_instance(rng, "UL", n, k)
+            cases += [(solve_offline, inst), (solve_offline_unit, inst)]
+        for _ in range(50):
+            cases.append((solve_offline, quarter_grid_instance(rng, unit=False)))
+            inst = quarter_grid_instance(rng, unit=True)
+            cases += [(solve_offline, inst), (solve_offline_unit, inst)]
+        for solve, inst in cases:
+            value, chosen = solve(inst)
+            assert len(chosen) <= inst.quota
             assert union_length([inst.items[i] for i in chosen]) == pytest.approx(
                 value, abs=1e-9
             )
@@ -170,3 +192,32 @@ def test_quota_override_beyond_n():
     inst = al_instance([(0, 1), (2, 3)], 2)
     value, chosen = solve_offline(inst, quota=10)
     assert value == pytest.approx(2.0)
+
+
+# SHA-256 over repr(value) and the picks of both exact DPs on the inputs of
+# test_golden_outputs, recorded before the DPs dropped their parent tables.
+# No input is built with sum(), which is compensated from Python 3.12 on, so
+# the digest does not depend on the Python version.
+GOLDEN_DIGEST = "dea4f76595f1051e784d11001e09a2dbe0a0f3044fc1aaf8544d0f7ce9c34b60"
+
+
+def test_golden_outputs():
+    rng = random.Random(20261018)
+    instances = []
+    for length, m in [("UL", None), ("FL", 2.0), ("AL", None)]:
+        for _ in range(60):
+            n = rng.randint(3, 40)
+            instances.append(gen_instance(rng, length, n, rng.randint(2, n - 1), m))
+    for _ in range(60):
+        instances.append(quarter_grid_instance(rng, unit=False))
+        instances.append(quarter_grid_instance(rng, unit=True))
+    digest = hashlib.sha256()
+    for inst in instances:
+        solvers = [solve_offline]
+        if inst.setting.length == "UL":
+            solvers.append(solve_offline_unit)
+        for solve in solvers:
+            for quota in (inst.quota, rng.randint(1, inst.n + 1)):
+                value, picks = solve(inst, quota)
+                digest.update(f"{value!r} {picks}\n".encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
