@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 from . import numeric
@@ -25,12 +26,12 @@ from .adversaries import (
 from .bounds import bound_table
 from .errors import ConfigError, KcoverError
 from .harness import (
-    plot_script,
+    PLOT_SCRIPT,
     replay_game,
     run_game,
+    run_sweep,
     run_verify,
     sweep_csv,
-    sweep_with_timing,
 )
 from .instance_io import instance_to_dict, read_instance, write_instance
 from .policies import (
@@ -80,9 +81,7 @@ def _build_adversary(args):
     if name == "fl-an":
         horizon = 2 * args.k + 4 if args.horizon is None else args.horizon
         return adv_fl_an(args.k, args.m, horizon)
-    if name == "us-un":
-        return adv_us_un(args.k, args.n, args.parts_per_batch)
-    raise KcoverError(f"unknown adversary {name!r}")
+    return adv_us_un(args.k, args.n, args.parts_per_batch)
 
 
 def _build_policy(args, k, n, setting, m):
@@ -93,9 +92,14 @@ def _build_policy(args, k, n, setting, m):
     if name == "soa-an":
         return AnytimeThresholdPolicy(k, theta=theta, setting=setting, m=m)
     if name == "doa":
+        both = args.theta1 is not None and args.theta2 is not None
+        if not both and (args.theta1, args.theta2, args.omega) != (None, None, None):
+            raise ConfigError(
+                "doa takes --theta1 --theta2 [--omega] together or not at all"
+            )
         if n is None:  # solve_doa and the policy both need the count
             raise ConfigError("doa needs the total release count")
-        if args.theta1 is not None and args.theta2 is not None:
+        if both:
             omega = max(1, round(0.8 * k)) if args.omega is None else args.omega
             return TwoPhaseThresholdPolicy(k, n, omega, args.theta1, args.theta2)
         sol = solve_doa(k, n)
@@ -104,11 +108,9 @@ def _build_policy(args, k, n, setting, m):
         return AcceptAllPolicy(k)
     if name == "reject-until-forced":
         return RejectUntilForcedPolicy(k, n)
-    if name == "multi-threshold":
-        if not args.thresholds:
-            raise KcoverError("--thresholds is required for multi-threshold")
-        return MultiThresholdPolicy(args.thresholds)
-    raise KcoverError(f"unknown policy {name!r}")
+    if not args.thresholds:  # multi-threshold, the last choice
+        raise KcoverError("--thresholds is required for multi-threshold")
+    return MultiThresholdPolicy(args.thresholds)
 
 
 def _print_record(record) -> None:
@@ -128,7 +130,7 @@ def _print_record(record) -> None:
 
 
 def cmd_run(args) -> int:
-    if args.instance:
+    if args.instance is not None:
         inst = read_instance(args.instance)
         m = inst.setting.m
         n = inst.n if inst.setting.count == "UN" else None
@@ -157,20 +159,25 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows, elapsed = sweep_with_timing(args.n, args.k_min, args.k_max, args.step)
+    t0 = time.perf_counter()
+    rows = run_sweep(args.n, args.k_min, args.k_max, args.step)
+    elapsed = time.perf_counter() - t0
     csv_text = sweep_csv(rows)
     out = Path(args.out)
     out.write_text(csv_text, encoding="utf-8")
     print(f"sweep n={args.n} k={args.k_min}..{args.k_max} step={args.step:g} "
           f"rows={len(rows)} elapsed={elapsed:.1f}s -> {out}")
     if args.plot_script:
-        Path(args.plot_script).write_text(plot_script(), encoding="utf-8")
+        Path(args.plot_script).write_text(PLOT_SCRIPT, encoding="utf-8")
         print(f"plot script written to {args.plot_script}")
     return 0
 
 
 def cmd_verify(args) -> int:
     suites = ("oracle", "adversary", "bounds") if args.suite == "all" else (args.suite,)
+    out = Path(args.out) if args.out else None
+    if out is not None:  # a bad path fails now, not after the whole run
+        out.mkdir(parents=True, exist_ok=True)
     report, passed, dumps = run_verify(
         trials=args.trials,
         max_n=args.max_n,
@@ -180,9 +187,7 @@ def cmd_verify(args) -> int:
         n_range=args.n,
     )
     sys.stdout.write(report)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "report.txt").write_text(report, encoding="utf-8")
         for i, (label, payload) in enumerate(dumps):
             path = out / f"counterexample-{i}.json"
@@ -244,9 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", required=True,
                    choices=["soa", "soa-an", "doa", "accept-all",
                             "reject-until-forced", "multi-threshold"])
-    p.add_argument("--adversary",
-                   choices=["al", "ul-un-k2", "ul-un-general", "fl-un", "fl-an", "us-un"])
-    p.add_argument("--instance", help="replay a JSON instance file instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--adversary",
+                        choices=["al", "ul-un-k2", "ul-un-general", "fl-un", "fl-an", "us-un"])
+    source.add_argument("--instance", help="replay a JSON instance file instead")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--m", type=_finite_float, default=2.0)

@@ -9,7 +9,6 @@ seed produce byte-identical reports and CSVs.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -17,7 +16,6 @@ from . import numeric
 from .adversaries import (
     Adversary,
     adv_al,
-    adv_fl_an,
     adv_fl_un,
     adv_ul_un_general,
     adv_ul_un_k2,
@@ -62,7 +60,6 @@ class GameRecord:
     declared_bound: Optional[float]
     accepted: tuple[int, ...]
     trace: list[str]
-    seed: Optional[int] = None
 
     @property
     def ratio_or_inf(self) -> float:
@@ -85,7 +82,6 @@ class GameRecord:
             "declared_bound": self.declared_bound,
             "accepted": list(self.accepted),
             "trace": self.trace,
-            "seed": self.seed,
         }
 
 
@@ -97,7 +93,7 @@ def oracle_value(inst: Instance) -> float:
     return brute_force_offline(inst)[0]
 
 
-def _score(policy, inst, trace, source, source_config, declared_bound, seed):
+def _score(policy, inst, trace, source, source_config, declared_bound):
     """Score the items one played game accepted against the offline optimum
     and build its record; accepting more items than the quota is an error."""
     accepted = tuple(i for i, d in enumerate(trace) if d is Decision.ACCEPT)
@@ -122,11 +118,10 @@ def _score(policy, inst, trace, source, source_config, declared_bound, seed):
         declared_bound=declared_bound,
         accepted=accepted,
         trace=[d.value for d in trace],
-        seed=seed,
     )
 
 
-def run_game(policy: Policy, adversary: Adversary, seed: Optional[int] = None):
+def run_game(policy: Policy, adversary: Adversary):
     """Play policy vs adversary to the horizon; returns (record, instance)."""
     items: list[Batch] = []
     decisions: list[Decision] = []
@@ -143,7 +138,7 @@ def run_game(policy: Policy, adversary: Adversary, seed: Optional[int] = None):
     )
     record = _score(
         policy, inst, decisions, adversary.name, adversary.describe(),
-        adversary.declared_bound, seed,
+        adversary.declared_bound,
     )
     return record, inst
 
@@ -151,7 +146,7 @@ def run_game(policy: Policy, adversary: Adversary, seed: Optional[int] = None):
 def replay_game(policy: Policy, inst: Instance, source: str = "instance"):
     """Run a policy over a fixed instance file and score it."""
     trace = run_policy(policy, inst)[2]
-    return _score(policy, inst, trace, source, {}, None, None)
+    return _score(policy, inst, trace, source, {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +251,22 @@ def verify_oracle(trials: int, max_n: int, seed: int) -> SuiteResult:
             n, k = random_nk(rng, max_n)
             inst = gen_instance(rng, length, n, k, m)
             bf, bf_set = brute_force_offline(inst)
+            # (payload key, value) pairs to compare with the enumeration.
             if all(b.is_singleton for b in inst.items):
-                dp, _ = solve_offline(inst)
-                gap = abs(dp - bf)
-                worst = max(worst, gap)
-                if gap > 1e-9 and bad is None:
-                    bad = {"instance": instance_to_dict(inst), "dp": dp, "brute": bf}
+                checks = [("dp", solve_offline(inst)[0])]
                 if length == "UL":
-                    dpu, _ = solve_offline_unit(inst)
-                    gap = abs(dpu - bf)
-                    worst = max(worst, gap)
-                    if gap > 1e-9 and bad is None:
-                        bad = {
-                            "instance": instance_to_dict(inst),
-                            "unit_dp": dpu,
-                            "brute": bf,
-                        }
+                    checks.append(("unit_dp", solve_offline_unit(inst)[0]))
             else:
                 # Multi-part batches: the DP refuses them; check the
-                # enumeration against itself instead.
-                achieved = union_length([inst.items[i] for i in bf_set])
-                gap = abs(achieved - bf)
+                # enumeration against the union of its own picks, which
+                # the payload leaves out.
+                checks = [(None, union_length([inst.items[i] for i in bf_set]))]
+            for key, value in checks:
+                gap = abs(value - bf)
                 worst = max(worst, gap)
                 if gap > 1e-9 and bad is None:
-                    bad = {"instance": instance_to_dict(inst), "brute": bf}
+                    shown = {} if key is None else {key: value}
+                    bad = {"instance": instance_to_dict(inst), **shown, "brute": bf}
         res.check(
             bad is None,
             label,
@@ -296,48 +283,32 @@ def full_policy_suite(
     m: Optional[float],
     rng: random.Random,
     multis: int = 3,
-    al_theta: float = 0.5,
 ) -> list[tuple[str, Callable[[], Policy]]]:
-    """Factories for the certification test suite, one fresh policy per game."""
+    """Factories for the certification test suite, one fresh policy per game.
+    AL has no sound threshold, so its threshold policies use 0.5."""
     suite: list[tuple[str, Callable[[], Policy]]] = []
     theta_kwargs = {"setting": setting, "m": m}
     if setting == "AL":
-        theta_kwargs = {"theta": al_theta}
+        theta_kwargs = {"theta": 0.5}
     if n is not None:
         suite.append(("soa", lambda: ThresholdPolicy(k, n, **theta_kwargs)))
     suite.append(("soa-an", lambda: AnytimeThresholdPolicy(k, **theta_kwargs)))
     if n is not None:
-        if setting == "AL":
-            omega = max(1, round(0.8 * k))
-            suite.append(
-                (
-                    "doa",
-                    lambda: TwoPhaseThresholdPolicy(k, n, omega, 0.3, 0.6),
-                )
-            )
+        if setting == "AL":  # no program for AL: a fixed two-phase triple
+            params = (max(1, round(0.8 * k)), 0.3, 0.6)
         else:
             try:
                 sol = solve_doa(k, n)
-                suite.append(
-                    (
-                        "doa",
-                        lambda: TwoPhaseThresholdPolicy(
-                            k, n, sol.omega, sol.theta1, sol.theta2
-                        ),
-                    )
-                )
+                params = (sol.omega, sol.theta1, sol.theta2)
             except SolverEmptyError:
-                pass
+                params = None
+        if params is not None:
+            suite.append(("doa", lambda: TwoPhaseThresholdPolicy(k, n, *params)))
     suite.append(("accept-all", lambda: AcceptAllPolicy(k)))
     suite.append(("reject-until-forced", lambda: RejectUntilForcedPolicy(k, n)))
     for i in range(multis):
-        thresholds = random_multi_thresholds(rng, k)
-        suite.append(
-            (
-                f"multi-{i}",
-                lambda t=tuple(thresholds): MultiThresholdPolicy(t),
-            )
-        )
+        t = tuple(random_multi_thresholds(rng, k))
+        suite.append((f"multi-{i}", lambda t=t: MultiThresholdPolicy(t)))
     return suite
 
 
@@ -409,7 +380,7 @@ def verify_adversaries(
     return res
 
 
-def verify_bounds(seed: int, lists: int = 1000) -> SuiteResult:
+def verify_bounds(seed: int) -> SuiteResult:
     """Sandwich consistency and the multi-threshold formula chain."""
     res = SuiteResult("bounds")
     rng = random.Random(seed)
@@ -431,6 +402,7 @@ def verify_bounds(seed: int, lists: int = 1000) -> SuiteResult:
 
     bad = None
     worst = float("inf")
+    lists = 1000
     for _ in range(lists):
         k = rng.randint(2, 50)
         thresholds = random_multi_thresholds(rng, k)
@@ -587,12 +559,3 @@ plt.savefig(out, dpi=150)
 print(f"wrote {out}")
 """
 
-
-def plot_script() -> str:
-    return PLOT_SCRIPT
-
-
-def sweep_with_timing(n, k_min, k_max, step):
-    t0 = time.perf_counter()
-    rows = run_sweep(n, k_min, k_max, step)
-    return rows, time.perf_counter() - t0

@@ -75,10 +75,6 @@ class Batch:
     def is_singleton(self) -> bool:
         return len(self.parts) == 1
 
-    @property
-    def span(self) -> tuple[float, float]:
-        return self.parts[0].start, self.parts[-1].end
-
     def __repr__(self) -> str:
         return "Batch(" + ", ".join(repr(p) for p in self.parts) + ")"
 

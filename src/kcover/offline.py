@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import numeric
 from .errors import SettingError, SizeGuardError
@@ -78,33 +78,6 @@ def sort_instance(inst: Instance) -> SortedInstance:
     return SortedInstance(inst, order, starts, ends)
 
 
-def _sparse_argmin(values: tuple[float, ...]) -> Callable[[int, int], int]:
-    """O(n log n) range-argmin over `values`; ties go to the smaller index."""
-    n = len(values)
-    log = [0] * (n + 1)
-    for i in range(2, n + 1):
-        log[i] = log[i // 2] + 1
-    table = [list(range(n))]
-    j = 1
-    while (1 << j) <= n:
-        prev = table[-1]
-        half = 1 << (j - 1)
-        row = []
-        for i in range(n - (1 << j) + 1):
-            a, b = prev[i], prev[i + half]
-            row.append(a if (values[a], a) <= (values[b], b) else b)
-        table.append(row)
-        j += 1
-
-    def query(lo: int, hi: int) -> int:  # inclusive range, lo <= hi
-        jj = log[hi - lo + 1]
-        a = table[jj][lo]
-        b = table[jj][hi - (1 << jj) + 1]
-        return a if (values[a], a) <= (values[b], b) else b
-
-    return query
-
-
 def _first_equal_end(ends: tuple[float, ...], idx: int) -> int:
     """Smallest index whose end equals ends[idx] (ends are sorted)."""
     return bisect_left(ends, ends[idx], 0, idx)
@@ -113,24 +86,33 @@ def _first_equal_end(ends: tuple[float, ...], idx: int) -> int:
 def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Optional[int]]]:
     """For each sorted item i return (psi, phi), both 0-based or None.
 
-    psi(i): among j < i intersecting item i with a strictly smaller start,
-    the one with the left-most start (ties: smallest index).
+    psi(i): among j < i intersecting item i (end >= start of i) with a
+    strictly smaller start, the one with the left-most start (ties:
+    smallest index).
     phi(i): among j < i disjoint from item i (end < start of i), the one
     ending closest to it (ties: smallest index).
+
+    Ends are sorted, so the intersecting predecessors are a suffix t..i-1
+    of the items before i.  `minima` holds every j < i whose start is
+    strictly below all later starts; its first entry >= t is the suffix's
+    left-most start, the smallest index among equal starts.
     """
     n = len(s.order)
-    argmin_start = _sparse_argmin(s.starts) if n else None
     psi: list[Optional[int]] = [None] * n
     phi: list[Optional[int]] = [None] * n
+    minima: list[int] = []
     for i in range(n):
         o_i = s.starts[i]
         t = bisect_left(s.ends, o_i, 0, i)  # first predecessor with end >= o_i
         if t <= i - 1:
-            q = argmin_start(t, i - 1)
+            q = minima[bisect_left(minima, t)]
             if s.starts[q] < o_i:
                 psi[i] = q
         if t >= 1:
             phi[i] = _first_equal_end(s.ends, t - 1)
+        while minima and s.starts[minima[-1]] > o_i:
+            minima.pop()
+        minima.append(i)
     return psi, phi
 
 
@@ -188,10 +170,10 @@ def _dp_tables(s: SortedInstance, quota: int):
     return ctx, via_psi
 
 
-def dp_context(inst: Instance, quota: Optional[int] = None) -> DpContext:
-    """Run the DP and expose its tables (used by property tests)."""
-    q = inst.quota if quota is None else quota
-    ctx, _ = _dp_tables(sort_instance(inst), q)
+def dp_context(inst: Instance) -> DpContext:
+    """Run the DP at the instance's quota and expose its tables (used by
+    property tests)."""
+    ctx, _ = _dp_tables(sort_instance(inst), inst.quota)
     return ctx
 
 

@@ -97,24 +97,28 @@ class DoaSolution:
     value: float  # worst-case ratio objective C
 
 
-def _objective_terms(k, n, omega, s, q, t1, t2, known_count):
-    c1 = 1.0 + 2.0 * t1
-    c2 = 1.0 + 2.0 * t2 / (1.0 + ((omega - s) / s) * t1)
-    c3 = k / (s + 1.0 + (omega - s - 1.0) * t1)
-    if known_count:
+def _program(k, n, omega, t1, t2, mask=True):
+    """The two-phase program, elementwise over numpy arrays or float64
+    scalars: (C, s, q, feasible), where C is the worst of the four ratio
+    terms and feasible marks where `mask` holds and the component count s
+    lies in [1, omega-1], the only points where C is a certified bound.
+    None when no point is feasible."""
+    s = (k + (1.0 - omega) * t1 - 2.0 * t2) / (1.0 + 2.0 * t2 - t1)
+    feasible = mask & (s >= 1.0 - numeric.EPS) & (s <= omega - 1.0 + numeric.EPS)
+    if not feasible.any():
+        return None
+    q = 1.0 + (omega - 1) * t1 + (k - omega) * t2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c1 = 1.0 + 2.0 * t1
+        c2 = 1.0 + 2.0 * t2 / (1.0 + ((omega - s) / s) * t1)
+        c3 = k / (s + 1.0 + (omega - s - 1.0) * t1)
         c4 = np.minimum(float(k), (n - k) + q) / q
-    else:
-        c4 = k / q
-    return c1, c2, c3, c4
+        c = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
+    return c, s, q, feasible
 
 
 def doa_objective(
-    k: int,
-    n: int,
-    omega: int,
-    theta1: float,
-    theta2: float,
-    known_count: bool = True,
+    k: int, n: int, omega: int, theta1: float, theta2: float
 ) -> Optional[tuple[float, float, float]]:
     """Worst-case ratio of the two-phase policy at one parameter triple.
 
@@ -130,13 +134,11 @@ def doa_objective(
             f"need 0 < theta1 <= theta2 <= 1, got ({theta1}, {theta2})"
         )
     _check_kn(k, n)
-    denom = 1.0 + 2.0 * theta2 - theta1
-    s = (k + (1.0 - omega) * theta1 - 2.0 * theta2) / denom
-    if s < 1.0 - numeric.EPS or s > omega - 1.0 + numeric.EPS:
+    point = _program(k, n, omega, np.float64(theta1), np.float64(theta2))
+    if point is None:
         return None
-    q = 1.0 + (omega - 1) * theta1 + (k - omega) * theta2
-    c1, c2, c3, c4 = _objective_terms(k, n, omega, s, q, theta1, theta2, known_count)
-    return float(max(c1, c2, c3, c4)), float(s), float(q)
+    c, s, q, _ = point
+    return float(c), float(s), float(q)
 
 
 def _theta_grid(step: float) -> np.ndarray:
@@ -149,20 +151,18 @@ def _theta_grid(step: float) -> np.ndarray:
     return grid
 
 
-def solve_doa(
-    k: int, n: int, step: float = 0.01, known_count: bool = True
-) -> DoaSolution:
+def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     """Exhaustive grid search for the best feasible two-phase triple.
 
     omega ranges over [ceil((k+1)/5), k].  The candidates are the grid
     triples, with theta1 < theta2 both multiples of `step` up to 1, plus
-    the single-threshold triple theta1 == theta2 == `soa_theta(k, n)`
-    (`soa_an_theta(k)` when the count is unknown) at every omega where it
-    is feasible.  So the returned triple may have theta1 == theta2; the
-    two-phase policy then plays the single-threshold policy, and the value
-    never exceeds the single-threshold bound where that triple is feasible.
-    Ties break deterministically by (C, theta1, omega, theta2), all
-    minimised, so parallel or refined runs reproduce the same triple.
+    the single-threshold triple theta1 == theta2 == `soa_theta(k, n)` at
+    every omega where it is feasible.  So the returned triple may have
+    theta1 == theta2; the two-phase policy then plays the single-threshold
+    policy, and the value never exceeds the single-threshold bound where
+    that triple is feasible.  Ties break deterministically by (C, theta1,
+    omega, theta2), all minimised, so parallel or refined runs reproduce
+    the same triple.
     """
     _check_kn(k, n)
     grid = _theta_grid(step)
@@ -174,18 +174,11 @@ def solve_doa(
     best: Optional[tuple[float, float, int, float]] = None  # (C, t1, omega, t2)
     omega_lo = max(1, -((-(k + 1)) // 5))
     for omega in range(omega_lo, k + 1):
-        denom = 1.0 + 2.0 * t2 - t1
-        s = (k + (1.0 - omega) * t1 - 2.0 * t2) / denom
-        feas = strict & (s >= 1.0 - numeric.EPS) & (s <= omega - 1.0 + numeric.EPS)
-        if not feas.any():
+        point = _program(k, n, omega, t1, t2, strict)
+        if point is None:
             continue
-        q = 1.0 + (omega - 1) * t1 + (k - omega) * t2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c1, c2, c3, c4 = _objective_terms(
-                k, n, omega, s, q, t1, t2, known_count
-            )
-            cmax = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
-        cmax = np.where(feas, cmax, np.inf)
+        c, _, _, feasible = point
+        cmax = np.where(feasible, c, np.inf)
         cmin = cmax.min()
         if not np.isfinite(cmin):
             continue
@@ -194,13 +187,16 @@ def solve_doa(
         if best is None or cand < best:
             best = cand
     # The family also holds the single-threshold policy (theta1 == theta2),
-    # which the strict grid never reaches; score it at its own threshold.
-    theta = soa_theta(k, n) if known_count else soa_an_theta(k)
-    for omega in range(omega_lo, k + 1):
-        result = doa_objective(k, n, omega, theta, theta, known_count)
-        if result is None:
-            continue
-        cand = (result[0], theta, omega, theta)
+    # which the strict grid never reaches; score it at its own threshold,
+    # at every omega at once.  Its first minimum over omega wins its ties.
+    theta = soa_theta(k, n)
+    omegas = np.arange(omega_lo, k + 1)
+    point = _program(k, n, omegas, theta, theta)
+    if point is not None:
+        c, _, _, feasible = point
+        cmax = np.where(feasible, c, np.inf)
+        i = int(np.argmin(cmax))
+        cand = (float(cmax[i]), theta, int(omegas[i]), theta)
         if best is None or cand < best:
             best = cand
     if best is None:
@@ -208,7 +204,7 @@ def solve_doa(
             f"no feasible two-phase triple for k={k} n={n} step={step}"
         )
     c, th1, omega, th2 = best
-    result = doa_objective(k, n, omega, th1, th2, known_count)
+    result = doa_objective(k, n, omega, th1, th2)
     assert result is not None
     _, s, q = result
     return DoaSolution(omega, th1, th2, s, q, c)

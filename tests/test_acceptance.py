@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Seeds are fixed; everything here is deterministic.
 """
 
+import hashlib
 import json
 import random
 import statistics
@@ -339,6 +340,12 @@ def test_sandwich_and_multi_threshold_floor():
     assert floor_failures == 0
 
 
+# SHA-256 of the verify stdout and the sweep CSV below, pinned so that a
+# refactor which changes either output fails here, not only a rerun.
+VERIFY_DIGEST = "d3019df01393c1fe0033f0e9c607a9ea2aa60d6a73f645c351221133d31c5657"
+SWEEP_DIGEST = "e78e4e067d6450c6a0ca1daac307ae5dfe8d6ad208618300ce8f13084dacbb4f"
+
+
 def test_determinism(tmp_path, sweep_result):
     cmd = [
         sys.executable, "-m", "kcover", "verify",
@@ -366,6 +373,8 @@ def test_determinism(tmp_path, sweep_result):
     )
     assert verify_identical
     assert sweep_identical
+    assert hashlib.sha256(outs[0][0]).hexdigest() == VERIFY_DIGEST
+    assert hashlib.sha256(csv_again.encode()).hexdigest() == SWEEP_DIGEST
 
 
 def test_structural_complexity():

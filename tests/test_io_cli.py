@@ -164,6 +164,35 @@ class TestCli:
         )
         assert code == 2
         assert "need horizon >= k+1, got 0" in capsys.readouterr().err
+        # doa's explicit parameters come as --theta1 --theta2 [--omega] or
+        # not at all; a partial set is refused, not replaced by solve_doa's
+        for partial in (
+            ("--theta1", "0.3"),
+            ("--theta2", "0.6"),
+            ("--omega", "2"),
+            ("--theta1", "0.3", "--omega", "2"),
+        ):
+            code = run_cli(
+                "run", "--policy", "doa", "--adversary", "ul-un-general",
+                "--k", "5", "--n", "12", *partial,
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err == (
+                "error: doa takes --theta1 --theta2 [--omega] together or not at all\n"
+            )
+
+    @pytest.mark.parametrize(
+        "source",
+        [(), ("--adversary", "ul-un-k2", "--instance", "inst.json")],
+        ids=["neither", "both"],
+    )
+    def test_run_needs_exactly_one_source(self, source, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--policy", "soa", *source)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--adversary" in err and "--instance" in err
 
     def test_instance_path_is_directory_exits_2(self, tmp_path, capsys):
         assert run_cli("instance", str(tmp_path)) == 2
@@ -174,7 +203,9 @@ class TestCli:
         path.write_text("")
         code = run_cli("verify", "--suite", "bounds", "--out", str(path))
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 17] File exists")
+        assert "kcover verify report" not in captured.out  # failed before the run
 
     def test_verify_small(self, capsys):
         code = run_cli(

@@ -93,6 +93,18 @@ class TestPredecessors:
         assert psi[1] == 0 and phi[1] is None
         assert psi[0] is None and phi[0] is None
 
+    def test_matches_definitions_by_brute_force(self, rng):
+        # Quarter-grid items repeat starts and ends, so both tie rules
+        # (smallest index) decide many of these predecessors.
+        for _ in range(300):
+            s = sort_instance(quarter_grid_instance(rng, unit=rng.random() < 0.5))
+            psi, phi = build_predecessors(s)
+            for i, o_i in enumerate(s.starts):
+                meets = [j for j in range(i) if s.ends[j] >= o_i and s.starts[j] < o_i]
+                apart = [j for j in range(i) if s.ends[j] < o_i]
+                assert psi[i] == min(meets, key=lambda j: (s.starts[j], j), default=None)
+                assert phi[i] == min(apart, key=lambda j: (-s.ends[j], j), default=None)
+
     def test_deep_overlap_beats_near_end(self):
         # lam-analog in the unit DP: ends 8.2, 8.5, 8.9, 9.2, 9.6, 10 -> the
         # deeper-overlapping predecessor (9.2) is picked over 9.6, and the
