@@ -27,6 +27,7 @@ from .bounds import bound_table
 from .errors import ConfigError, KcoverError
 from .harness import (
     PLOT_SCRIPT,
+    check_verify_args,
     replay_game,
     run_game,
     run_sweep,
@@ -84,8 +85,21 @@ def _build_adversary(args):
     return adv_us_un(args.k, args.n, args.parts_per_batch)
 
 
+# The policies that read each policy flag; any other policy refuses it.
+_POLICY_FLAGS = {
+    "theta": ("soa", "soa-an"),
+    "theta1": ("doa",),
+    "theta2": ("doa",),
+    "omega": ("doa",),
+    "thresholds": ("multi-threshold",),
+}
+
+
 def _build_policy(args, k, n, setting, m):
     name = args.policy
+    for flag, readers in _POLICY_FLAGS.items():
+        if getattr(args, flag) is not None and name not in readers:
+            raise ConfigError(f"--{flag} is read only by {' and '.join(readers)}, not {name}")
     theta = args.theta
     if name == "soa":
         return ThresholdPolicy(k, n, theta=theta, setting=setting, m=m)
@@ -110,6 +124,8 @@ def _build_policy(args, k, n, setting, m):
         return RejectUntilForcedPolicy(k, n)
     if not args.thresholds:  # multi-threshold, the last choice
         raise KcoverError("--thresholds is required for multi-threshold")
+    if len(args.thresholds) != k:
+        raise ConfigError(f"need exactly k={k} thresholds, got {len(args.thresholds)}")
     return MultiThresholdPolicy(args.thresholds)
 
 
@@ -175,6 +191,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = ("oracle", "adversary", "bounds") if args.suite == "all" else (args.suite,)
+    check_verify_args(args.trials, args.max_n, args.k, args.n)
     out = Path(args.out) if args.out else None
     if out is not None:  # a bad path fails now, not after the whole run
         out.mkdir(parents=True, exist_ok=True)

@@ -419,6 +419,19 @@ def verify_bounds(seed: int) -> SuiteResult:
     return res
 
 
+def check_verify_args(
+    trials: int, max_n: int, k_range: tuple[int, int], n_range: tuple[int, int]
+) -> None:
+    """Refuse verify arguments that would make a suite empty or invalid."""
+    if trials < 1:
+        raise ConfigError(f"need trials >= 1, got {trials}")
+    if max_n < 3:
+        raise ConfigError(f"need max-n >= 3, got {max_n}")
+    for flag, (lo, hi) in (("k", k_range), ("n", n_range)):
+        if lo > hi:
+            raise ConfigError(f"empty {flag} range {lo}..{hi}")
+
+
 def run_verify(
     trials: int = 1000,
     max_n: int = 10,
@@ -428,13 +441,7 @@ def run_verify(
     n_range: tuple[int, int] = (8, 12),
 ) -> tuple[str, bool, list[tuple[str, dict]]]:
     """Run the requested suites; returns (report text, passed, dumps)."""
-    if trials < 1:
-        raise ConfigError(f"need trials >= 1, got {trials}")
-    if max_n < 3:
-        raise ConfigError(f"need max-n >= 3, got {max_n}")
-    for flag, (lo, hi) in (("k", k_range), ("n", n_range)):
-        if lo > hi:
-            raise ConfigError(f"empty {flag} range {lo}..{hi}")
+    check_verify_args(trials, max_n, k_range, n_range)
     header = [
         "kcover verify report",
         f"seed={seed} trials={trials} max-n={max_n} "

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -262,3 +265,72 @@ def test_game_over_quota_is_an_error():
     # The policy's own quota (5) exceeds the game's (3).
     with pytest.raises(ProtocolError):
         run_game(AcceptAllPolicy(5), adv_ul_un_general(3, 10))
+
+
+# Every adversary factory over a small parameter grid.  The golden test plays
+# every accept/reject pattern of full length against each, so any change to
+# an item, a rule or a declared figure moves the digest.
+STREAM_GRID = (
+    [lambda n=n: adv_ul_un_k2(n) for n in range(3, 8)]
+    + [lambda k=k, n=n: adv_ul_un_general(k, n)
+       for k, n in [(3, 4), (3, 7), (4, 8), (5, 9), (6, 10)]]
+    + [lambda k=k, n=n, p=p: adv_us_un(k, n, p)
+       for k, n in [(3, 5), (4, 8)] for p in (1, 2, 3)]
+    + [lambda k=k, n=n, m=m: adv_fl_un(k, n, m)
+       for k, n in [(2, 3), (3, 4), (3, 8), (4, 9), (5, 10)] for m in (1.5, 5.0)]
+    + [lambda k=k, m=m, h=h: adv_fl_an(k, m, h)
+       for k, m, h in [(2, 2.0, 4), (3, 3.0, 8), (4, 1.5, 9)]]
+    + [lambda e=e, k=k, h=h: adv_al(e, k, h)
+       for e in (1e-3, 0.5) for k, h in [(2, 5), (3, 8), (4, 9)]]
+)
+STREAM_DIGEST = "b92c92583583ed0f1d81a5e2e3ea61227cbf73f318a4b8217335c82a7ad305c1"
+
+
+def test_item_streams_golden():
+    digest = hashlib.sha256()
+    games = 0
+    for make in STREAM_GRID:
+        total = make().total
+        for pattern in itertools.product((Decision.ACCEPT, Decision.REJECT), repeat=total):
+            adv = make()
+            digest.update(
+                f"{adv.name} {json.dumps(adv.describe())} {adv.setting.label()} "
+                f"{adv.known_count} {adv.target_len.hex()} "
+                f"{adv.declared_bound.hex()}\n".encode()
+            )
+            item = adv.first()
+            for pos, decision in enumerate(pattern, 1):
+                assert item is not None
+                digest.update(
+                    " ".join(f"{p.start.hex()}:{p.end.hex()}" for p in item.parts).encode()
+                    + b"\n"
+                )
+                item = adv.react(decision, pos)
+            assert item is None
+            games += 1
+    assert games == 9064
+    assert digest.hexdigest() == STREAM_DIGEST
+
+
+@pytest.mark.parametrize(
+    "make",
+    [STREAM_GRID[i] for i in (0, 5, 10, 16, 26, 29)],
+    ids=["ul-un-k2", "ul-un-general", "us-un", "fl-un", "fl-an", "al"],
+)
+def test_protocol_violations_raise(make):
+    adv = make()
+    with pytest.raises(ProtocolError, match="react out of turn: expected position 0, got 1"):
+        adv.react(Decision.ACCEPT, 1)
+    item = adv.first()
+    assert item is not None
+    with pytest.raises(ProtocolError, match=r"first\(\) may only be called once"):
+        adv.first()
+    with pytest.raises(ProtocolError, match="expected position 1, got 2"):
+        adv.react(Decision.ACCEPT, 2)
+    for pos in range(1, adv.total):
+        assert adv.react(Decision.REJECT, pos) is not None
+    assert adv.react(Decision.REJECT, adv.total) is None
+    # past the horizon the stream stays empty
+    assert adv.react(Decision.ACCEPT, adv.total + 1) is None
+    with pytest.raises(ProtocolError, match="expected position"):
+        adv.react(Decision.ACCEPT, 1)

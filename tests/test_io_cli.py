@@ -181,6 +181,32 @@ class TestCli:
             assert err == (
                 "error: doa takes --theta1 --theta2 [--omega] together or not at all\n"
             )
+        # a policy flag the chosen policy does not read is refused, not ignored
+        for policy, flags, message in (
+            ("soa", ("--theta1", "0.3", "--thresholds", "0.5"),
+             "--theta1 is read only by doa, not soa"),
+            ("soa-an", ("--omega", "2"), "--omega is read only by doa, not soa-an"),
+            ("doa", ("--theta", "0.2"), "--theta is read only by soa and soa-an, not doa"),
+            ("accept-all", ("--theta2", "0.6"), "--theta2 is read only by doa, not accept-all"),
+            ("reject-until-forced", ("--thresholds", "0.5,0.5,0.5,0.5"),
+             "--thresholds is read only by multi-threshold, not reject-until-forced"),
+            ("multi-threshold", ("--thresholds", "0.5,0.5,0.5,0.5", "--theta", "0.5"),
+             "--theta is read only by soa and soa-an, not multi-threshold"),
+            # the thresholds list must match the game's quota
+            ("multi-threshold", ("--thresholds", "0.5"), "need exactly k=4 thresholds, got 1"),
+        ):
+            code = run_cli(
+                "run", "--policy", policy, "--adversary", "ul-un-general",
+                "--k", "4", "--n", "11", *flags,
+            )
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        code = run_cli(
+            "run", "--policy", "multi-threshold", "--thresholds", "0.6,0.4,0.4,0.2",
+            "--adversary", "ul-un-k2", "--n", "6",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: need exactly k=2 thresholds, got 4\n"
 
     @pytest.mark.parametrize(
         "source",
@@ -206,6 +232,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: [Errno 17] File exists")
         assert "kcover verify report" not in captured.out  # failed before the run
+
+    def test_verify_bad_arguments_create_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "d" / "deep"
+        assert run_cli("verify", "--trials", "0", "--out", str(out)) == 2
+        assert "trials >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_verify_small(self, capsys):
         code = run_cli(
