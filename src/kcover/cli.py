@@ -68,22 +68,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _build_adversary(args):
-    name = args.adversary
-    if name == "al":
-        horizon = 2 * args.k + 2 if args.horizon is None else args.horizon
-        return adv_al(args.epsilon, args.k, horizon)
-    if name == "ul-un-k2":
-        return adv_ul_un_k2(args.n)
-    if name == "ul-un-general":
-        return adv_ul_un_general(args.k, args.n)
-    if name == "fl-un":
-        return adv_fl_un(args.k, args.n, args.m)
-    if name == "fl-an":
-        horizon = 2 * args.k + 4 if args.horizon is None else args.horizon
-        return adv_fl_an(args.k, args.m, horizon)
-    return adv_us_un(args.k, args.n, args.parts_per_batch)
-
+# The constructions that read each adversary flag; any other source refuses it.
+_ADVERSARY_FLAGS = {
+    "k": ("al", "ul-un-general", "fl-un", "fl-an", "us-un"),
+    "n": ("ul-un-k2", "ul-un-general", "fl-un", "us-un"),
+    "m": ("fl-un", "fl-an"),
+    "epsilon": ("al",),
+    "horizon": ("al", "fl-an"),
+    "parts_per_batch": ("us-un",),
+}
 
 # The policies that read each policy flag; any other policy refuses it.
 _POLICY_FLAGS = {
@@ -95,11 +88,43 @@ _POLICY_FLAGS = {
 }
 
 
+def _refuse_unread(args, table, name: str) -> None:
+    """Exit 2 on a flag that `name` does not read, instead of ignoring it."""
+    for flag, readers in table.items():
+        if getattr(args, flag) is not None and name not in readers:
+            *head, last = readers
+            who = f"{', '.join(head)} and {last}" if head else last
+            raise ConfigError(
+                f"--{flag.replace('_', '-')} is read only by {who}, not {name}"
+            )
+
+
+def _build_adversary(args):
+    name = args.adversary
+    _refuse_unread(args, _ADVERSARY_FLAGS, name)
+    k = 2 if args.k is None else args.k
+    n = 10 if args.n is None else args.n
+    m = 2.0 if args.m is None else args.m
+    if name == "al":
+        epsilon = 1e-3 if args.epsilon is None else args.epsilon
+        horizon = 2 * k + 2 if args.horizon is None else args.horizon
+        return adv_al(epsilon, k, horizon)
+    if name == "ul-un-k2":
+        return adv_ul_un_k2(n)
+    if name == "ul-un-general":
+        return adv_ul_un_general(k, n)
+    if name == "fl-un":
+        return adv_fl_un(k, n, m)
+    if name == "fl-an":
+        horizon = 2 * k + 4 if args.horizon is None else args.horizon
+        return adv_fl_an(k, m, horizon)
+    parts = 3 if args.parts_per_batch is None else args.parts_per_batch
+    return adv_us_un(k, n, parts)
+
+
 def _build_policy(args, k, n, setting, m):
     name = args.policy
-    for flag, readers in _POLICY_FLAGS.items():
-        if getattr(args, flag) is not None and name not in readers:
-            raise ConfigError(f"--{flag} is read only by {' and '.join(readers)}, not {name}")
+    _refuse_unread(args, _POLICY_FLAGS, name)
     theta = args.theta
     if name == "soa":
         return ThresholdPolicy(k, n, theta=theta, setting=setting, m=m)
@@ -147,6 +172,7 @@ def _print_record(record) -> None:
 
 def cmd_run(args) -> int:
     if args.instance is not None:
+        _refuse_unread(args, _ADVERSARY_FLAGS, "--instance")
         inst = read_instance(args.instance)
         m = inst.setting.m
         n = inst.n if inst.setting.count == "UN" else None
@@ -270,12 +296,14 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--adversary",
                         choices=["al", "ul-un-k2", "ul-un-general", "fl-un", "fl-an", "us-un"])
     source.add_argument("--instance", help="replay a JSON instance file instead")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--m", type=_finite_float, default=2.0)
-    p.add_argument("--epsilon", type=_finite_float, default=1e-3)
+    # Adversary flags default to None so that a given flag can be told from
+    # an absent one; _build_adversary applies the defaults.
+    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=_finite_float)
+    p.add_argument("--epsilon", type=_finite_float)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--parts-per-batch", type=int, default=3)
+    p.add_argument("--parts-per-batch", type=int)
     p.add_argument("--theta", type=_finite_float)
     p.add_argument("--theta1", type=_finite_float)
     p.add_argument("--theta2", type=_finite_float)

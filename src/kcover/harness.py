@@ -93,16 +93,16 @@ def oracle_value(inst: Instance) -> float:
     return brute_force_offline(inst)[0]
 
 
-def _score(policy, inst, trace, source, source_config, declared_bound):
+def _score(policy, inst, trace, opt, source, source_config, declared_bound):
     """Score the items one played game accepted against the offline optimum
-    and build its record; accepting more items than the quota is an error."""
+    `opt` and build its record; accepting more items than the quota is an
+    error."""
     accepted = tuple(i for i, d in enumerate(trace) if d is Decision.ACCEPT)
     if len(accepted) > inst.quota:
         raise ProtocolError(
             f"{policy.name} accepted {len(accepted)} items with quota {inst.quota}"
         )
     alg = union_length([inst.items[i] for i in accepted])
-    opt = oracle_value(inst)
     return GameRecord(
         setting=inst.setting.label(),
         k=inst.quota,
@@ -121,8 +121,8 @@ def _score(policy, inst, trace, source, source_config, declared_bound):
     )
 
 
-def run_game(policy: Policy, adversary: Adversary):
-    """Play policy vs adversary to the horizon; returns (record, instance)."""
+def _play(policy: Policy, adversary: Adversary):
+    """Play policy vs adversary to the horizon; returns (instance, decisions)."""
     items: list[Batch] = []
     decisions: list[Decision] = []
     item = adversary.first()
@@ -136,9 +136,15 @@ def run_game(policy: Policy, adversary: Adversary):
     inst = Instance(
         adversary.target_len, adversary.quota, adversary.setting, tuple(items)
     )
+    return inst, decisions
+
+
+def run_game(policy: Policy, adversary: Adversary):
+    """Play policy vs adversary to the horizon; returns (record, instance)."""
+    inst, decisions = _play(policy, adversary)
     record = _score(
-        policy, inst, decisions, adversary.name, adversary.describe(),
-        adversary.declared_bound,
+        policy, inst, decisions, oracle_value(inst), adversary.name,
+        adversary.describe(), adversary.declared_bound,
     )
     return record, inst
 
@@ -146,7 +152,7 @@ def run_game(policy: Policy, adversary: Adversary):
 def replay_game(policy: Policy, inst: Instance, source: str = "instance"):
     """Run a policy over a fixed instance file and score it."""
     trace = run_policy(policy, inst)[2]
-    return _score(policy, inst, trace, source, {}, None)
+    return _score(policy, inst, trace, oracle_value(inst), source, {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +330,19 @@ def verify_adversaries(
         worst_slack = float("inf")
         bad = None
         declared = None
+        # Policies that decide alike realise the same instance: score each once.
+        opts: dict[tuple[Batch, ...], float] = {}
         for pname, factory in suite:
             adv = adv_factory()
             declared = adv.declared_bound
-            record, inst = run_game(factory(), adv)
+            policy = factory()
+            inst, decisions = _play(policy, adv)
+            if inst.items not in opts:
+                opts[inst.items] = oracle_value(inst)
+            record = _score(
+                policy, inst, decisions, opts[inst.items], adv.name,
+                adv.describe(), adv.declared_bound,
+            )
             slack = record.ratio_or_inf - adv.declared_bound
             worst_slack = min(worst_slack, slack)
             if slack < -tol and bad is None:

@@ -17,6 +17,12 @@ kappa[i][j])`` once i > j; a tie keeps the rejection.  Besides the two value
 tables the DP stores one byte per cell, set when ``kappa`` took the
 intersecting transition; backtracking re-derives every other choice from
 the tables.
+
+Column j depends only on column j-1, so each table is filled one quota
+column at a time by numpy operations over all n items.  Tables are stored
+``(q+1) x (n+1)``, contiguous per column; ``DpContext`` holds float64 ``.T``
+views indexed ``[i][j]``.  IEEE add and max are exact, so every cell equals
+what a cell-by-cell loop computes.
 """
 
 from __future__ import annotations
@@ -26,13 +32,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import numeric
 from .errors import SettingError, SizeGuardError
 from .intervals import (
     CoverageState,
     Instance,
     absorb,
-    intersection_length,
     union_length,
 )
 
@@ -53,8 +60,8 @@ class DpContext:
 
     psi: list[Optional[int]]        # 0-based sorted indices, None when absent
     phi: list[Optional[int]]
-    chi: list[list[float]]          # (n+1) x (q+1); chi[i][j] over first i items
-    kappa: list[list[float]]
+    chi: np.ndarray                 # (n+1) x (q+1) view; chi[i][j] over first i items
+    kappa: np.ndarray
     cells_filled: int
 
 
@@ -116,63 +123,67 @@ def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Opt
     return psi, phi
 
 
-def _dp_tables(s: SortedInstance, quota: int):
-    """Fill chi/kappa and the flag rows that backtracking needs.
+def _fill_column(out, flags, j, a, ia, base_a, b, ib, base_b) -> None:
+    """Column j of table ``out``: the larger of ``base_a + a[j-1][ia]`` and
+    ``base_b + b[j-1][ib]`` in every row but row 0, with ``flags[j]`` set
+    where the second wins strictly."""
+    col = out[j, 1:]
+    a[j - 1].take(ia, out=col)
+    col += base_a
+    cand = b[j - 1].take(ib)
+    cand += base_b
+    np.greater(cand, col, out=flags[j, 1:])
+    np.maximum(col, cand, out=col)
 
-    ``via_psi[i][j]`` is 1 when ``kappa[i][j]`` took the intersecting
+
+def _index(preds: list[Optional[int]]) -> np.ndarray:
+    """Table rows of the predecessors: p+1, or row 0 when p is absent."""
+    return np.array([0 if p is None else p + 1 for p in preds], dtype=np.intp)
+
+
+def _dp_tables(s: SortedInstance, quota: int):
+    """Fill chi/kappa and the flags that backtracking needs.
+
+    ``via_psi[i][j]`` is True when ``kappa[i][j]`` took the intersecting
     transition through ``kappa[psi+1][j-1]`` (it must beat the disjoint one
-    strictly); otherwise ``kappa`` went through ``chi[phi+1][j-1]``, or, at
-    ``j == 1``, took item i alone.  ``chi`` needs no flags: it rejects item
-    i exactly when ``chi[i-1][j] >= kappa[i][j]``.
+    through ``chi[phi+1][j-1]`` strictly); column 0 is zero, so at j == 1
+    item i stands alone.  ``chi`` needs no flags: it rejects item i exactly
+    when ``chi[i-1][j] >= kappa[i][j]``.
     """
     n = len(s.order)
     psi, phi = build_predecessors(s)
 
     # Prefix union lengths, Len of the first i sorted items.
-    pref = [0.0] * (n + 1)
+    pref = np.zeros(n + 1)
     state = CoverageState.empty()
     for i in range(n):
         state = absorb(state, s.base.items[s.order[i]])
         pref[i + 1] = state.total_len
 
+    starts, ends = np.array(s.starts), np.array(s.ends)
+    sizes = ends - starts
+    phi1, psi1 = _index(phi), _index(psi)
+    # psi ends inside item i, past its start; without psi, -inf never wins.
+    rest = np.where(psi1 > 0, sizes - (ends[psi1 - 1] - starts), -np.inf)
+
     q = quota
-    chi = [[0.0] * (q + 1) for _ in range(n + 1)]
-    kappa = [[0.0] * (q + 1) for _ in range(n + 1)]
-    via_psi = [bytearray(q + 1) for _ in range(n + 1)]
+    chi = np.zeros((q + 1, n + 1))
+    kappa = np.zeros((q + 1, n + 1))
+    via_psi = np.zeros((q + 1, n + 1), dtype=bool)
+    for j in range(1, q + 1):
+        _fill_column(kappa, via_psi, j, chi, phi1, sizes, kappa, psi1, rest)
+        col = chi[j]
+        col[: j + 1] = pref[: j + 1]
+        if j < n:  # max(reject, accept) down the column
+            col[j + 1:] = kappa[j, j + 1:]
+            np.maximum.accumulate(col[j:], out=col[j:])
 
-    for i in range(1, n + 1):
-        item = i - 1  # 0-based sorted index of the newest item
-        size = s.ends[item] - s.starts[item]
-        p, f = psi[item], phi[item]
-        # psi ends inside item i and starts before it: this is their overlap.
-        rest = size - (s.ends[p] - s.starts[item]) if p is not None else 0.0
-        after_phi = chi[0 if f is None else f + 1]
-        kap, flags = kappa[i], via_psi[i]
-        for j in range(1, q + 1):
-            if j == 1:
-                kap[j] = size
-                continue
-            best = size + after_phi[j - 1]
-            if p is not None:
-                cand = rest + kappa[p + 1][j - 1]
-                if cand > best:
-                    best = cand
-                    flags[j] = 1
-            kap[j] = best
-        row, above = chi[i], chi[i - 1]
-        for j in range(1, q + 1):
-            if i <= j:
-                row[j] = pref[i]
-            else:  # max(reject, accept); a tie rejects item i
-                row[j] = above[j] if above[j] >= kap[j] else kap[j]
-
-    ctx = DpContext(psi, phi, chi, kappa, 2 * n * len(chi[0]))
-    return ctx, via_psi
+    ctx = DpContext(psi, phi, chi.T, kappa.T, 2 * n * (q + 1))
+    return ctx, via_psi.T
 
 
 def dp_context(inst: Instance) -> DpContext:
-    """Run the DP at the instance's quota and expose its tables (used by
-    property tests)."""
+    """Run the DP at the instance's quota and expose its tables for tests."""
     ctx, _ = _dp_tables(sort_instance(inst), inst.quota)
     return ctx
 
@@ -204,21 +215,21 @@ def solve_offline(
             if i <= j:
                 chosen.extend(range(i))
                 break
-            if chi[i - 1][j] >= kappa[i][j]:
+            if chi[i - 1, j] >= kappa[i, j]:
                 i -= 1
                 continue
         item = i - 1  # at kappa[i][j]: item i is accepted
         chosen.append(item)
         if j == 1:
             break
-        if via_psi[i][j]:
+        if via_psi[i, j]:
             i, in_chi = ctx.psi[item] + 1, False
         else:
             f = ctx.phi[item]
             i, in_chi = (0 if f is None else f + 1), True
         j -= 1
     picked = tuple(sorted(s.order[t] for t in chosen))
-    return chi[n][q], picked
+    return float(chi[n, q]), picked
 
 
 def _unit_predecessors(s: SortedInstance):
@@ -267,30 +278,20 @@ def solve_offline_unit(
     n = inst.n
     lam, mu = _unit_predecessors(s)
 
-    chi = [[0.0] * (q + 1) for _ in range(n + 1)]
-    via_lam = [bytearray(q + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        item = i - 1
-        size = s.ends[item] - s.starts[item]
-        lt, mt = lam[item], mu[item]
-        rest = 0.0
-        if lt is not None:
-            rest = size - intersection_length(
-                s.base.items[s.order[item]].parts[0],
-                s.base.items[s.order[lt]].parts[0],
-            )
-        row, flags = chi[i], via_lam[i]
-        for j in range(1, q + 1):
-            if j == 1 or (lt is None and mt is None):
-                row[j] = size
-                continue
-            best = None if mt is None else size + chi[mt + 1][j - 1]
-            if lt is not None:
-                cand = rest + chi[lt + 1][j - 1]
-                if best is None or cand > best:
-                    best = cand
-                    flags[j] = 1
-            row[j] = best
+    starts, ends = np.array(s.starts), np.array(s.ends)
+    sizes = ends - starts
+    lam1, mu1 = _index(lam), _index(mu)
+    # A missing predecessor gives -inf, but with neither the item stands alone.
+    base_mu = np.where((mu1 > 0) | (lam1 == 0), sizes, -np.inf)
+    lt = lam1 - 1  # lam ends no later than the item: the overlap ends at lam
+    overlap = np.maximum(0.0, ends[lt] - np.maximum(starts, starts[lt]))
+    rest = np.where(lam1 > 0, sizes - overlap, -np.inf)
+
+    chi = np.zeros((q + 1, n + 1))
+    via_lam = np.zeros((q + 1, n + 1), dtype=bool)
+    chi[1, 1:] = sizes
+    for j in range(2, q + 1):
+        _fill_column(chi, via_lam, j, chi, mu1, base_mu, chi, lam1, rest)
 
     chosen: list[int] = []
     i, j = n, q
@@ -299,10 +300,10 @@ def solve_offline_unit(
         chosen.append(item)
         if j == 1 or (lam[item] is None and mu[item] is None):
             break
-        i = (lam[item] if via_lam[i][j] else mu[item]) + 1
+        i = (lam[item] if via_lam[j, i] else mu[item]) + 1
         j -= 1
     picked = tuple(sorted(s.order[t] for t in chosen))
-    return chi[n][q], picked
+    return float(chi[q, n]), picked
 
 
 def brute_force_offline(

@@ -27,6 +27,7 @@ from kcover import (
     lb_ul_un,
     solve_offline,
 )
+from kcover import harness
 from kcover.harness import full_policy_suite, replay_game, run_game
 
 
@@ -334,3 +335,25 @@ def test_protocol_violations_raise(make):
     assert adv.react(Decision.ACCEPT, adv.total + 1) is None
     with pytest.raises(ProtocolError, match="expected position"):
         adv.react(Decision.ACCEPT, 1)
+
+
+def test_certify_scores_each_distinct_game_once(monkeypatch):
+    # Policies that decide alike realise the same instance; the adversary
+    # suite runs the offline oracle once per distinct game, not per policy.
+    games, solved = [], []
+    score, oracle = harness._score, harness.oracle_value
+
+    def counting_score(policy, inst, *rest):
+        games.append((inst.quota, inst.items))
+        return score(policy, inst, *rest)
+
+    def counting_oracle(inst):
+        solved.append((inst.quota, inst.items))
+        return oracle(inst)
+
+    monkeypatch.setattr(harness, "_score", counting_score)
+    monkeypatch.setattr(harness, "oracle_value", counting_oracle)
+    res = harness.verify_adversaries((2, 4), (5, 7), seed=7)
+    assert res.passed
+    assert len(solved) == len(set(games)) < len(games)
+    assert len(set(solved)) == len(solved)

@@ -207,6 +207,30 @@ class TestCli:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: need exactly k=2 thresholds, got 4\n"
+        # an adversary flag the chosen construction does not read is refused,
+        # and an instance file reads none of them
+        for source, flags, message in (
+            (("--adversary", "ul-un-k2"), ("--k", "7", "--n", "9"),
+             "--k is read only by al, ul-un-general, fl-un, fl-an and us-un, not ul-un-k2"),
+            (("--adversary", "al"), ("--k", "3", "--n", "20", "--parts-per-batch", "5"),
+             "--n is read only by ul-un-k2, ul-un-general, fl-un and us-un, not al"),
+            (("--adversary", "fl-an"), ("--n", "9"),
+             "--n is read only by ul-un-k2, ul-un-general, fl-un and us-un, not fl-an"),
+            (("--adversary", "ul-un-general"), ("--m", "3"),
+             "--m is read only by fl-un and fl-an, not ul-un-general"),
+            (("--adversary", "fl-un"), ("--epsilon", "0.1"),
+             "--epsilon is read only by al, not fl-un"),
+            (("--adversary", "us-un"), ("--horizon", "9"),
+             "--horizon is read only by al and fl-an, not us-un"),
+            (("--adversary", "ul-un-general"), ("--parts-per-batch", "2"),
+             "--parts-per-batch is read only by us-un, not ul-un-general"),
+            (("--instance", "inst.json"), ("--k", "3"),
+             "--k is read only by al, ul-un-general, fl-un, fl-an and us-un, not --instance"),
+            (("--instance", "inst.json"), ("--horizon", "9"),
+             "--horizon is read only by al and fl-an, not --instance"),
+        ):
+            assert run_cli("run", "--policy", "accept-all", *source, *flags) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "source",

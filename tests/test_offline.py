@@ -233,3 +233,34 @@ def test_golden_outputs():
                 value, picks = solve(inst, quota)
                 digest.update(f"{value!r} {picks}\n".encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# SHA-256 over float.hex of every chi and kappa cell of dp_context and over
+# the values and picks of both exact DPs (and of the enumeration at n <= 7),
+# recorded while the tables were still filled one cell at a time.  Quotas
+# run past n on purpose.
+TABLE_DIGEST = "f900180c6540c1d9251278b3824f7c8714c197eae51970e740f92f2f13cfdcb5"
+
+
+def test_golden_tables():
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    for length, m in [("UL", None), ("FL", 2.0), ("AL", None)]:
+        for n, k in [(1, 9), (2, 2), (7, 40), (30, rng.randint(2, 40)),
+                     (120, rng.randint(2, 40)), (300, 40)]:
+            inst = gen_instance(rng, length, n, k, m, count_setting="AN")
+            ctx = dp_context(inst)
+            for table in (ctx.chi, ctx.kappa):
+                assert len(table) == n + 1
+                for row in table:
+                    assert len(row) == k + 1
+                    digest.update(" ".join(float(v).hex() for v in row).encode() + b"\n")
+            solvers = [solve_offline] + ([solve_offline_unit] if length == "UL" else [])
+            if n <= 7:
+                solvers.append(brute_force_offline)
+            for solve in solvers:
+                for quota in (k, rng.randint(1, n + 3)):
+                    value, picks = solve(inst, quota)
+                    assert type(value) is float
+                    digest.update(f"{value.hex()} {picks}\n".encode())
+    assert digest.hexdigest() == TABLE_DIGEST
