@@ -15,7 +15,8 @@ class SettingError(KcoverError, ValueError):
 
 
 class SizeGuardError(KcoverError, ValueError):
-    """Exhaustive enumeration refused because the instance is too large."""
+    """Exhaustive search refused because it is too large: an enumeration
+    over too many items, or a threshold grid with too many points."""
 
 
 class ConfigError(KcoverError, ValueError):

@@ -65,17 +65,14 @@ class DpContext:
     cells_filled: int
 
 
-def _require_singletons(inst: Instance, caller: str) -> None:
+def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
+    """sort_instance, with `caller` named in the multi-part batch error."""
     for i, b in enumerate(inst.items):
         if not b.is_singleton:
             raise SettingError(
                 f"{caller} works on plain sub-intervals; items[{i}] is a "
                 "multi-part batch -- use brute_force_offline for unit-sum input"
             )
-
-
-def sort_instance(inst: Instance) -> SortedInstance:
-    _require_singletons(inst, "sort_instance")
     ivs = [b.parts[0] for b in inst.items]
     order = tuple(
         sorted(range(len(ivs)), key=lambda i: (ivs[i].end, ivs[i].start, i))
@@ -83,6 +80,10 @@ def sort_instance(inst: Instance) -> SortedInstance:
     starts = tuple(ivs[i].start for i in order)
     ends = tuple(ivs[i].end for i in order)
     return SortedInstance(inst, order, starts, ends)
+
+
+def sort_instance(inst: Instance) -> SortedInstance:
+    return _sort_instance(inst, "sort_instance")
 
 
 def _first_equal_end(ends: tuple[float, ...], idx: int) -> int:
@@ -201,8 +202,7 @@ def solve_offline(
         raise SettingError(f"quota must be >= 0, got {q}")
     if q == 0:
         return 0.0, ()
-    _require_singletons(inst, "solve_offline")
-    s = sort_instance(inst)
+    s = _sort_instance(inst, "solve_offline")
     ctx, via_psi = _dp_tables(s, q)
     chi, kappa = ctx.chi, ctx.kappa
     n = inst.n
@@ -267,14 +267,13 @@ def solve_offline_unit(
         raise SettingError(f"quota must be >= 0, got {q}")
     if q == 0:
         return 0.0, ()
-    _require_singletons(inst, "solve_offline_unit")
+    s = _sort_instance(inst, "solve_offline_unit")
     for i, b in enumerate(inst.items):
         if abs(b.parts[0].length - 1.0) > numeric.EPS:
             raise SettingError(
                 f"solve_offline_unit needs unit-length items; items[{i}] has "
                 f"length {b.parts[0].length!r}"
             )
-    s = sort_instance(inst)
     n = inst.n
     lam, mu = _unit_predecessors(s)
 

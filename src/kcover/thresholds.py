@@ -7,7 +7,11 @@ ratio terms over a theta grid, mirroring how the values were originally
 obtained (grid precision rather than continuous optimisation).  The search
 space is the grid triples with theta1 < theta2 plus the single-threshold
 triple theta1 == theta2, which the two-phase family contains; when that
-triple wins, the two-phase policy plays the single-threshold policy.
+triple wins, the two-phase policy plays the single-threshold policy.  The
+search returns the minimum over that whole space, but evaluates only the
+grid cells that can still win: rows whose first term 1 + 2*theta1 already
+exceeds the best value found (C is never below that term), and columns at
+or above the theta2 bound implied by s <= omega - 1.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numeric
-from .errors import ConfigError, SolverEmptyError
+from .errors import ConfigError, SizeGuardError, SolverEmptyError
 
 
 def _check_kn(k: int, n: int) -> None:
@@ -141,10 +145,20 @@ def doa_objective(
     return float(c), float(s), float(q)
 
 
+# Grid points per theta axis.  Step 0.001 needs 1,000; a finer step would
+# need memory quadratic in the count for the grid blocks of solve_doa.
+MAX_GRID_POINTS = 2000
+
+
 def _theta_grid(step: float) -> np.ndarray:
     if not (0.0 < step <= 1.0):
         raise ConfigError(f"step must be in (0, 1], got {step}")
-    count = int(math.floor(1.0 / step + 1e-12))
+    points = 1.0 / step + 1e-12  # inf for a subnormal step
+    if points >= MAX_GRID_POINTS + 1:
+        raise SizeGuardError(
+            f"step={step:g} needs more than {MAX_GRID_POINTS} grid points per axis"
+        )
+    count = int(math.floor(points))
     grid = np.arange(1, count + 1, dtype=np.float64) * step
     # Snap the top of the grid onto 1.0 so theta2 <= 1 survives float drift.
     grid[grid > 1.0 - 1e-12] = 1.0
@@ -152,7 +166,7 @@ def _theta_grid(step: float) -> np.ndarray:
 
 
 def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
-    """Exhaustive grid search for the best feasible two-phase triple.
+    """Grid search for the best feasible two-phase triple.
 
     omega ranges over [ceil((k+1)/5), k].  The candidates are the grid
     triples, with theta1 < theta2 both multiples of `step` up to 1, plus
@@ -163,32 +177,32 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     that triple is feasible.  Ties break deterministically by (C, theta1,
     omega, theta2), all minimised, so parallel or refined runs reproduce
     the same triple.
+
+    The result is the minimum of the full grid, but only cells that can
+    still win are evaluated, with the same float test as `_program`:
+
+    * C >= c1 = 1 + 2*theta1 at every cell, so rows whose c1 exceeds the
+      best C found so far lose strictly.  The single-threshold triple is
+      scored first as that incumbent, and the row cut is renewed at every
+      omega.  Rows with c1 equal to the best C stay for the theta1
+      tie-break.
+    * s is decreasing in theta2, and s <= omega - 1 + EPS means
+      theta2 >= (k - omega + 1 - EPS*(1 - theta1)) / (2*(omega + EPS)),
+      at least (k - omega + 1 - EPS) / (2*(omega + EPS)) on every row.
+      Columns start two grid points below that bound, so float rounding of
+      s cannot move a feasible cell out of the block.
     """
     _check_kn(k, n)
     grid = _theta_grid(step)
-    g = grid.size
-    t1 = grid[:, None]  # rows: theta1
-    t2 = grid[None, :]  # cols: theta2
-    strict = np.triu(np.ones((g, g), dtype=bool), 1)  # theta1 < theta2
-
-    best: Optional[tuple[float, float, int, float]] = None  # (C, t1, omega, t2)
+    c1 = 1.0 + 2.0 * grid  # the first ratio term of each theta1 row
     omega_lo = max(1, -((-(k + 1)) // 5))
-    for omega in range(omega_lo, k + 1):
-        point = _program(k, n, omega, t1, t2, strict)
-        if point is None:
-            continue
-        c, _, _, feasible = point
-        cmax = np.where(feasible, c, np.inf)
-        cmin = cmax.min()
-        if not np.isfinite(cmin):
-            continue
-        i1, i2 = np.argwhere(cmax == cmin)[0]  # row-major: min theta1, then theta2
-        cand = (float(cmin), float(grid[i1]), omega, float(grid[i2]))
-        if best is None or cand < best:
-            best = cand
+
     # The family also holds the single-threshold policy (theta1 == theta2),
     # which the strict grid never reaches; score it at its own threshold,
     # at every omega at once.  Its first minimum over omega wins its ties.
+    # The grid triples have theta1 < theta2, so no grid triple compares
+    # equal to it and the visiting order does not change the minimum.
+    best: Optional[tuple[float, float, int, float]] = None  # (C, t1, omega, t2)
     theta = soa_theta(k, n)
     omegas = np.arange(omega_lo, k + 1)
     point = _program(k, n, omegas, theta, theta)
@@ -196,7 +210,25 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
         c, _, _, feasible = point
         cmax = np.where(feasible, c, np.inf)
         i = int(np.argmin(cmax))
-        cand = (float(cmax[i]), theta, int(omegas[i]), theta)
+        best = (float(cmax[i]), theta, int(omegas[i]), theta)
+
+    eps = numeric.EPS
+    for omega in range(omega_lo, k + 1):
+        rows = grid.size if best is None else int(np.searchsorted(c1, best[0], "right"))
+        bound = (k - omega + 1 - eps) / (2.0 * (omega + eps))
+        lo = max(int(np.searchsorted(grid, bound)) - 2, 0)
+        t1 = grid[:rows, None]
+        t2 = grid[None, lo:]
+        point = _program(k, n, omega, t1, t2, t1 < t2)
+        if point is None:
+            continue
+        c, _, _, feasible = point
+        cmax = np.where(feasible, c, np.inf)
+        i1, i2 = np.unravel_index(np.argmin(cmax), cmax.shape)  # row-major
+        cmin = cmax[i1, i2]
+        if not np.isfinite(cmin):
+            continue
+        cand = (float(cmin), float(grid[i1]), omega, float(grid[lo + i2]))
         if best is None or cand < best:
             best = cand
     if best is None:

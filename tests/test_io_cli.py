@@ -231,6 +231,21 @@ class TestCli:
         ):
             assert run_cli("run", "--policy", "accept-all", *source, *flags) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+        # a grid finer than the size guard admits is refused before any work
+        assert run_cli("solve-doa", "--k", "5", "--n", "10", "--step", "1e-6") == 2
+        assert capsys.readouterr().err == (
+            "error: step=1e-06 needs more than 2000 grid points per axis\n"
+        )
+        csv_path = tmp_path / "fine.csv"
+        code = run_cli(
+            "sweep", "--n", "20", "--k-min", "3", "--k-max", "3", "--step", "1e-5",
+            "--out", str(csv_path),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: step=1e-05 needs more than 2000 grid points per axis\n"
+        )
+        assert not csv_path.exists()
 
     @pytest.mark.parametrize(
         "source",

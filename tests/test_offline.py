@@ -80,8 +80,18 @@ class TestSolveOffline:
         b1 = Batch((Batch.single(0, 0.5).parts[0], Batch.single(1, 1.5).parts[0]))
         b2 = Batch((Batch.single(2, 2.5).parts[0], Batch.single(3, 3.5).parts[0]))
         inst = Instance(5, 2, Setting("US", "AN"), (b1, b2))
-        with pytest.raises(SettingError, match="brute_force_offline"):
-            solve_offline(inst)
+        for solve, name in [
+            (solve_offline, "solve_offline"),
+            (solve_offline_unit, "solve_offline_unit"),
+            (sort_instance, "sort_instance"),
+            (dp_context, "sort_instance"),
+        ]:
+            with pytest.raises(SettingError) as exc:
+                solve(inst)
+            assert str(exc.value) == (
+                f"{name} works on plain sub-intervals; items[0] is a multi-part "
+                "batch -- use brute_force_offline for unit-sum input"
+            )
 
 
 class TestPredecessors:
@@ -132,8 +142,11 @@ class TestUnitSolver:
 
     def test_rejects_non_unit(self):
         inst = al_instance([(0, 1), (0, 2.5)], 2)
-        with pytest.raises(SettingError):
+        with pytest.raises(SettingError) as exc:
             solve_offline_unit(inst)
+        assert str(exc.value) == (
+            "solve_offline_unit needs unit-length items; items[1] has length 2.5"
+        )
 
     def test_matches_general_dp(self, rng):
         for _ in range(200):

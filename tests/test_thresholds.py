@@ -1,9 +1,13 @@
+import hashlib
 import math
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from kcover import (
     ConfigError,
+    DoaSolution,
     SolverEmptyError,
     doa_objective,
     soa_an_theta,
@@ -12,6 +16,7 @@ from kcover import (
     theta_crossover,
     ub_soa,
 )
+from kcover import numeric, thresholds
 from kcover.numeric import EPS
 
 
@@ -182,3 +187,78 @@ class TestSolveDoa:
             solve_doa(1, 10)
         with pytest.raises(ConfigError):
             solve_doa(10, 10)
+
+
+def doa_line(solve, k, n, step):
+    """float.hex of every DoaSolution field, or "empty" when none exists."""
+    try:
+        sol = solve(k, n, step)
+    except SolverEmptyError:
+        return "empty"
+    return " ".join(float(v).hex() for v in astuple(sol))
+
+
+# SHA-256 over doa_line for every k at n in {5, 10, 30, 100} and five steps,
+# plus every 7th k at n = 100, step 0.005; recorded while solve_doa still
+# evaluated the full grid at every omega.
+DOA_DIGEST = "8a7362c2be9c1e4118ee008ca883dab55ac8e1f3f2520f78c67d3fdf630123b7"
+
+
+def test_solve_doa_golden():
+    cases = [
+        (k, n, step)
+        for n in (5, 10, 30, 100)
+        for step in (0.5, 0.25, 0.1, 0.05, 0.01)
+        for k in range(2, n)
+    ]
+    cases += [(k, 100, 0.005) for k in range(2, 100, 7)]
+    digest = hashlib.sha256()
+    for k, n, step in cases:
+        digest.update(f"{k} {n} {step} {doa_line(solve_doa, k, n, step)}\n".encode())
+    assert digest.hexdigest() == DOA_DIGEST
+
+
+def full_grid_solve_doa(k, n, step):
+    """Reference search: every theta1 < theta2 cell of the grid at every
+    omega, then the single-threshold triple, with solve_doa's tie-break."""
+    grid = thresholds._theta_grid(step)
+    strict = np.triu(np.ones((grid.size, grid.size), dtype=bool), 1)
+    best = None
+    omega_lo = max(1, -((-(k + 1)) // 5))
+    for omega in range(omega_lo, k + 1):
+        point = thresholds._program(k, n, omega, grid[:, None], grid[None, :], strict)
+        if point is None:
+            continue
+        cmax = np.where(point[3], point[0], np.inf)
+        cmin = cmax.min()
+        if np.isfinite(cmin):
+            i1, i2 = np.argwhere(cmax == cmin)[0]
+            cand = (float(cmin), float(grid[i1]), omega, float(grid[i2]))
+            best = cand if best is None else min(best, cand)
+    theta = soa_theta(k, n)
+    omegas = np.arange(omega_lo, k + 1)
+    point = thresholds._program(k, n, omegas, theta, theta)
+    if point is not None:
+        cmax = np.where(point[3], point[0], np.inf)
+        i = int(np.argmin(cmax))
+        cand = (float(cmax[i]), theta, int(omegas[i]), theta)
+        best = cand if best is None else min(best, cand)
+    if best is None:
+        raise SolverEmptyError
+    c, th1, omega, th2 = best
+    _, s, q = doa_objective(k, n, omega, th1, th2)
+    return DoaSolution(omega, th1, th2, s, q, c)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-3, 0.5])
+def test_cut_matches_full_grid_under_eps(monkeypatch, eps):
+    # the column bound depends on EPS; the default EPS is covered by
+    # test_solve_doa_golden.  At EPS = 0.5 and step 0.02, k = 3 wins at a
+    # cell that a bound without its EPS terms would skip.
+    monkeypatch.setattr(numeric, "EPS", eps)
+    for n in (5, 10, 30):
+        for step in (0.25, 0.05, 0.02):
+            for k in range(2, n):
+                assert doa_line(solve_doa, k, n, step) == doa_line(
+                    full_grid_solve_doa, k, n, step
+                ), (k, n, step)
