@@ -54,7 +54,6 @@ from .intervals import (
     SubInterval,
     absorb,
     added_length,
-    intersection_length,
     union_length,
 )
 from .offline import (

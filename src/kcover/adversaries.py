@@ -20,6 +20,7 @@ from .bounds import chain_alpha, lb_fl_an, lb_fl_un, lb_ul_un, lb_us_un
 from .errors import ConfigError, ProtocolError
 from .intervals import Batch, Setting, SubInterval
 from .policies import Decision
+from .thresholds import check_quota
 
 Play = Generator[Batch, Decision, None]
 
@@ -115,8 +116,7 @@ def adv_al(epsilon: float, k: int, horizon: int) -> Adversary:
     """Arbitrary lengths: forces ratio >= 1/eps against any deterministic policy."""
     if not (0.0 < epsilon < 1.0):
         raise ConfigError(f"need 0 < epsilon < 1, got {epsilon}")
-    if k < 2:
-        raise ConfigError(f"need k >= 2, got {k}")
+    check_quota(k)
     if horizon < k + 1:
         raise ConfigError(f"need horizon >= k+1, got {horizon}")
     return Adversary("al", k, horizon, Setting("AL", "UN"), 1.0, 1.0 / epsilon,
@@ -230,8 +230,7 @@ def _flex(name: str, k: int, total: int, m: float, tau: int, setting: Setting,
 def adv_fl_un(k: int, n: int, m: float) -> Adversary:
     if m <= 1.0:
         raise ConfigError(f"need m > 1, got {m}")
-    if not (2 <= k <= n - 1):
-        raise ConfigError(f"need 2 <= k <= n-1, got k={k} n={n}")
+    check_quota(k, n)
     return _flex("fl-un", k, n, m, min(k, n - k), Setting("FL", "UN", m), lb_fl_un(k, n, m))
 
 

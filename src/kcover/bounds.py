@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ConfigError
-from .thresholds import check_schedule, soa_an_theta, soa_theta
+from .thresholds import check_quota, check_schedule, soa_an_theta, soa_theta
 
 
 class Unbounded:
@@ -76,10 +76,7 @@ def lb_ul_un(k: int, n: int) -> float:
     n - alpha + k^(alpha/k) - k^((n-k)/k); the chain geometry makes any
     larger cap unforceable.
     """
-    if k < 2:
-        raise ConfigError(f"need k >= 2, got {k}")
-    if n < k + 1:
-        raise ConfigError(f"need n >= k+1, got k={k} n={n}")
+    check_quota(k, n)
     if k == 2:
         return math.sqrt(2.0)
     first, middle, denom = _chain_terms(k)
@@ -94,8 +91,7 @@ def lb_ul_un(k: int, n: int) -> float:
 def lb_ul_an(k: int) -> float:
     """Unit-length, unknown count: the known-count bound without the
     short-horizon correction (the optimum is capped by the quota alone)."""
-    if k < 2:
-        raise ConfigError(f"need k >= 2, got {k}")
+    check_quota(k)
     if k == 2:
         return math.sqrt(2.0)
     first, middle, denom = _chain_terms(k)
@@ -106,8 +102,7 @@ def lb_fl_un(k: int, n: int, m: float) -> float:
     """Flexible-length, known count: 2km / (2km + (1-m) * min(k, n-k))."""
     if m <= 1.0:
         raise ConfigError(f"need m > 1, got {m}")
-    if k < 2 or n < k + 1:
-        raise ConfigError(f"need k >= 2 and n >= k+1, got k={k} n={n}")
+    check_quota(k, n)
     tau = min(k, n - k)
     return (2.0 * k * m) / (2.0 * k * m + (1.0 - m) * tau)
 
@@ -148,13 +143,8 @@ def ub_multi(thresholds: Sequence[float], k: int) -> float:
     constant lists this equals :func:`ub_soa_an`, so no non-increasing
     schedule beats the single count-free threshold.
     """
-    if len(thresholds) != k:
-        raise ConfigError(
-            f"need exactly k={k} thresholds, got {len(thresholds)}"
-        )
-    if k < 2:
-        raise ConfigError(f"need k >= 2, got {k}")
-    thresholds = check_schedule(thresholds)
+    thresholds = check_schedule(thresholds, k)
+    check_quota(k)
     tail = sum(thresholds[1:])
     return max(k / (1.0 + tail), 1.0 + 2.0 * thresholds[1])
 

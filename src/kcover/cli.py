@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -27,6 +28,7 @@ from .bounds import bound_table
 from .errors import ConfigError, KcoverError
 from .harness import (
     PLOT_SCRIPT,
+    SUITES,
     check_verify_args,
     replay_game,
     run_game,
@@ -34,7 +36,7 @@ from .harness import (
     run_verify,
     sweep_csv,
 )
-from .instance_io import instance_to_dict, read_instance, write_instance
+from .instance_io import instance_to_dict, read_instance, write_instance, write_json
 from .policies import (
     AcceptAllPolicy,
     AnytimeThresholdPolicy,
@@ -43,7 +45,7 @@ from .policies import (
     ThresholdPolicy,
     TwoPhaseThresholdPolicy,
 )
-from .thresholds import solve_doa
+from .thresholds import check_schedule, default_switch, solve_doa
 
 CSV_COLUMNS = (
     "k, soa_ub (threshold-policy bound), doa_c (two-phase objective), "
@@ -68,30 +70,59 @@ def _finite_float(text: str) -> float:
     return value
 
 
-# The constructions that read each adversary flag; any other source refuses it.
-_ADVERSARY_FLAGS = {
-    "k": ("al", "ul-un-general", "fl-un", "fl-an", "us-un"),
-    "n": ("ul-un-k2", "ul-un-general", "fl-un", "us-un"),
-    "m": ("fl-un", "fl-an"),
-    "epsilon": ("al",),
-    "horizon": ("al", "fl-an"),
-    "parts_per_batch": ("us-un",),
+# Each `run` name space maps a name to the flags it reads, with their
+# defaults, and to its builder, which takes them as keyword arguments.  A
+# callable default reads the flags resolved before it.
+_ADVERSARIES = {
+    "al": ({"k": 2, "epsilon": 1e-3, "horizon": lambda v: 2 * v["k"] + 2}, adv_al),
+    "ul-un-k2": ({"n": 10}, adv_ul_un_k2),
+    "ul-un-general": ({"k": 2, "n": 10}, adv_ul_un_general),
+    "fl-un": ({"k": 2, "n": 10, "m": 2.0}, adv_fl_un),
+    "fl-an": ({"k": 2, "m": 2.0, "horizon": lambda v: 2 * v["k"] + 4}, adv_fl_an),
+    "us-un": ({"k": 2, "n": 10, "parts_per_batch": 3}, adv_us_un),
 }
 
-# The policies that read each policy flag; any other policy refuses it.
-_POLICY_FLAGS = {
-    "theta": ("soa", "soa-an"),
-    "theta1": ("doa",),
-    "theta2": ("doa",),
-    "omega": ("doa",),
-    "thresholds": ("multi-threshold",),
+
+def _doa(k, n, setting, m, theta1, theta2, omega):
+    if (theta1 is None) != (theta2 is None) or (theta1 is None and omega is not None):
+        raise ConfigError("doa takes --theta1 --theta2 [--omega] together or not at all")
+    if n is None:  # solve_doa and the policy both need the count
+        raise ConfigError("doa needs the total release count")
+    if theta1 is None:
+        sol = solve_doa(k, n)
+        omega, theta1, theta2 = sol.omega, sol.theta1, sol.theta2
+    elif omega is None:
+        omega = default_switch(k)
+    return TwoPhaseThresholdPolicy(k, n, omega, theta1, theta2)
+
+
+def _multi_threshold(k, n, setting, m, thresholds):
+    if not thresholds:
+        raise KcoverError("--thresholds is required for multi-threshold")
+    return MultiThresholdPolicy(check_schedule(thresholds, k))
+
+
+# Policy builders take the game's k, n, length setting and m first; a None
+# default leaves the choice to the policy.
+_POLICIES = {
+    "soa": ({"theta": None},
+            lambda k, n, setting, m, theta: ThresholdPolicy(k, n, theta, setting, m)),
+    "soa-an": ({"theta": None},
+               lambda k, n, setting, m, theta: AnytimeThresholdPolicy(k, theta, setting, m)),
+    "doa": ({"theta1": None, "theta2": None, "omega": None}, _doa),
+    "accept-all": ({}, lambda k, n, setting, m: AcceptAllPolicy(k)),
+    "reject-until-forced": ({}, lambda k, n, setting, m: RejectUntilForcedPolicy(k, n)),
+    "multi-threshold": ({"thresholds": None}, _multi_threshold),
 }
 
 
 def _refuse_unread(args, table, name: str) -> None:
-    """Exit 2 on a flag that `name` does not read, instead of ignoring it."""
-    for flag, readers in table.items():
-        if getattr(args, flag) is not None and name not in readers:
+    """Exit 2 on a flag of `table` that `name` does not read, instead of
+    ignoring it; flags are checked in argparse order."""
+    read = table[name][0] if name in table else {}
+    for flag, value in vars(args).items():
+        readers = [who for who, (flags, _) in table.items() if flag in flags]
+        if value is not None and readers and flag not in read:
             *head, last = readers
             who = f"{', '.join(head)} and {last}" if head else last
             raise ConfigError(
@@ -99,59 +130,30 @@ def _refuse_unread(args, table, name: str) -> None:
             )
 
 
-def _build_adversary(args):
-    name = args.adversary
-    _refuse_unread(args, _ADVERSARY_FLAGS, name)
-    k = 2 if args.k is None else args.k
-    n = 10 if args.n is None else args.n
-    m = 2.0 if args.m is None else args.m
-    if name == "al":
-        epsilon = 1e-3 if args.epsilon is None else args.epsilon
-        horizon = 2 * k + 2 if args.horizon is None else args.horizon
-        return adv_al(epsilon, k, horizon)
-    if name == "ul-un-k2":
-        return adv_ul_un_k2(n)
-    if name == "ul-un-general":
-        return adv_ul_un_general(k, n)
-    if name == "fl-un":
-        return adv_fl_un(k, n, m)
-    if name == "fl-an":
-        horizon = 2 * k + 4 if args.horizon is None else args.horizon
-        return adv_fl_an(k, m, horizon)
-    parts = 3 if args.parts_per_batch is None else args.parts_per_batch
-    return adv_us_un(k, n, parts)
+def _build(args, table, name: str, *context):
+    """Build `name` of `table` from the flags it reads, defaults filled in."""
+    _refuse_unread(args, table, name)
+    flags, build = table[name]
+    values: dict = {}
+    for flag, default in flags.items():
+        value = getattr(args, flag)
+        if value is None:
+            value = default(values) if callable(default) else default
+        values[flag] = value
+    return build(*context, **values)
 
 
-def _build_policy(args, k, n, setting, m):
-    name = args.policy
-    _refuse_unread(args, _POLICY_FLAGS, name)
-    theta = args.theta
-    if name == "soa":
-        return ThresholdPolicy(k, n, theta=theta, setting=setting, m=m)
-    if name == "soa-an":
-        return AnytimeThresholdPolicy(k, theta=theta, setting=setting, m=m)
-    if name == "doa":
-        both = args.theta1 is not None and args.theta2 is not None
-        if not both and (args.theta1, args.theta2, args.omega) != (None, None, None):
-            raise ConfigError(
-                "doa takes --theta1 --theta2 [--omega] together or not at all"
-            )
-        if n is None:  # solve_doa and the policy both need the count
-            raise ConfigError("doa needs the total release count")
-        if both:
-            omega = max(1, round(0.8 * k)) if args.omega is None else args.omega
-            return TwoPhaseThresholdPolicy(k, n, omega, args.theta1, args.theta2)
-        sol = solve_doa(k, n)
-        return TwoPhaseThresholdPolicy(k, n, sol.omega, sol.theta1, sol.theta2)
-    if name == "accept-all":
-        return AcceptAllPolicy(k)
-    if name == "reject-until-forced":
-        return RejectUntilForcedPolicy(k, n)
-    if not args.thresholds:  # multi-threshold, the last choice
-        raise KcoverError("--thresholds is required for multi-threshold")
-    if len(args.thresholds) != k:
-        raise ConfigError(f"need exactly k={k} thresholds, got {len(args.thresholds)}")
-    return MultiThresholdPolicy(args.thresholds)
+def _check_writable(*paths) -> None:
+    """Raise now, not after the work, the OSError that writing any of
+    `paths` would raise.  Opening for append truncates nothing; a file this
+    check creates is removed again."""
+    for path in paths:
+        if path:
+            created = not os.path.lexists(path)
+            with open(path, "a", encoding="utf-8"):
+                pass
+            if created:
+                os.remove(path)
 
 
 def _print_record(record) -> None:
@@ -171,36 +173,33 @@ def _print_record(record) -> None:
 
 
 def cmd_run(args) -> int:
+    _check_writable(args.out, args.save_instance)
     if args.instance is not None:
-        _refuse_unread(args, _ADVERSARY_FLAGS, "--instance")
-        inst = read_instance(args.instance)
-        m = inst.setting.m
-        n = inst.n if inst.setting.count == "UN" else None
-        policy = _build_policy(args, inst.quota, n, inst.setting.length, m)
-        record = replay_game(policy, inst, source=str(args.instance))
+        _refuse_unread(args, _ADVERSARIES, "--instance")
+        game = read_instance(args.instance)
+        total = game.n
     else:
-        adversary = _build_adversary(args)
-        policy = _build_policy(
-            args,
-            adversary.quota,
-            adversary.total if adversary.known_count else None,
-            adversary.setting.length,
-            adversary.setting.m,
-        )
-        record, realized = run_game(policy, adversary)
+        game = _build(args, _ADVERSARIES, args.adversary)
+        total = game.total
+    setting = game.setting
+    n = total if setting.count == "UN" else None
+    policy = _build(args, _POLICIES, args.policy, game.quota, n, setting.length, setting.m)
+    if args.instance is not None:
+        record = replay_game(policy, game, source=str(args.instance))
+    else:
+        record, realized = run_game(policy, game)
         if args.save_instance:
             write_instance(realized, args.save_instance)
             print(f"realized instance written to {args.save_instance}")
     _print_record(record)
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(record.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(record.to_dict(), args.out)
         print(f"record written to {args.out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
+    _check_writable(args.out, args.plot_script)
     t0 = time.perf_counter()
     rows = run_sweep(args.n, args.k_min, args.k_max, args.step)
     elapsed = time.perf_counter() - t0
@@ -216,7 +215,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = ("oracle", "adversary", "bounds") if args.suite == "all" else (args.suite,)
+    suites = SUITES if args.suite == "all" else (args.suite,)
     check_verify_args(args.trials, args.max_n, args.k, args.n)
     out = Path(args.out) if args.out else None
     if out is not None:  # a bad path fails now, not after the whole run
@@ -234,10 +233,7 @@ def cmd_verify(args) -> int:
         (out / "report.txt").write_text(report, encoding="utf-8")
         for i, (label, payload) in enumerate(dumps):
             path = out / f"counterexample-{i}.json"
-            path.write_text(
-                json.dumps({"check": label, **payload}, indent=2) + "\n",
-                encoding="utf-8",
-            )
+            write_json({"check": label, **payload}, path)
             print(f"counterexample for {label} written to {path}")
     return 0 if passed else 1
 
@@ -289,15 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="play one game: policy vs adversary or instance file")
-    p.add_argument("--policy", required=True,
-                   choices=["soa", "soa-an", "doa", "accept-all",
-                            "reject-until-forced", "multi-threshold"])
+    p.add_argument("--policy", required=True, choices=_POLICIES)
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--adversary",
-                        choices=["al", "ul-un-k2", "ul-un-general", "fl-un", "fl-an", "us-un"])
+    source.add_argument("--adversary", choices=_ADVERSARIES)
     source.add_argument("--instance", help="replay a JSON instance file instead")
-    # Adversary flags default to None so that a given flag can be told from
-    # an absent one; _build_adversary applies the defaults.
+    # Table flags default to None so that a given flag can be told from an
+    # absent one; _build applies the table's defaults.
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=_finite_float)
@@ -327,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-n", type=int, default=10)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--suite", default="all",
-                   choices=["all", "oracle", "adversary", "bounds"])
+    p.add_argument("--suite", default="all", choices=("all",) + SUITES)
     p.add_argument("--k", type=_parse_range, default="2..6",
                    help="adversary quota range, e.g. 2..6")
     p.add_argument("--n", type=_parse_range, default="8..12",

@@ -37,9 +37,12 @@ from .policies import (
     TwoPhaseThresholdPolicy,
     run_policy,
 )
-from .thresholds import solve_doa
+from .thresholds import check_quota, default_switch, solve_doa
 
 PRNG_NAME = "python-random-mt19937"
+
+# The verify suites, in the order `--suite all` runs them.
+SUITES = ("oracle", "adversary", "bounds")
 
 
 @dataclass
@@ -301,7 +304,7 @@ def full_policy_suite(
     suite.append(("soa-an", lambda: AnytimeThresholdPolicy(k, **theta_kwargs)))
     if n is not None:
         if setting == "AL":  # no program for AL: a fixed two-phase triple
-            params = (max(1, round(0.8 * k)), 0.3, 0.6)
+            params = (default_switch(k), 0.3, 0.6)
         else:
             try:
                 sol = solve_doa(k, n)
@@ -451,7 +454,7 @@ def run_verify(
     trials: int = 1000,
     max_n: int = 10,
     seed: int = 42,
-    suites: Sequence[str] = ("oracle", "adversary", "bounds"),
+    suites: Sequence[str] = SUITES,
     k_range: tuple[int, int] = (2, 6),
     n_range: tuple[int, int] = (8, 12),
 ) -> tuple[str, bool, list[tuple[str, dict]]]:
@@ -503,6 +506,8 @@ def run_sweep(
 ) -> list[SweepRow]:
     if k_min > k_max:
         raise ConfigError(f"empty quota range k={k_min}..{k_max}")
+    check_quota(k_min, n)
+    check_quota(k_max, n)
     rows = []
     for k in range(k_min, k_max + 1):
         soa = ub_soa(k, n, "UL")

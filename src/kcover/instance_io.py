@@ -100,10 +100,14 @@ def instance_from_dict(doc: dict) -> Instance:
         raise SchemaError(str(exc)) from exc
 
 
+def write_json(doc, path: Union[str, Path]) -> None:
+    """Write `doc` as indented JSON with a final newline: every JSON file
+    kcover writes (instances, game records, counterexamples) goes here."""
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
 def write_instance(inst: Instance, path: Union[str, Path]) -> None:
-    Path(path).write_text(
-        json.dumps(instance_to_dict(inst), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(instance_to_dict(inst), path)
 
 
 def read_instance(path: Union[str, Path]) -> Instance:

@@ -84,11 +84,6 @@ def union_length(batches: Sequence[Batch]) -> float:
     return CoverageState.of(p for b in batches for p in b.parts).total_len
 
 
-def intersection_length(u: SubInterval, v: SubInterval) -> float:
-    """Length of the overlap between two sub-intervals (0 when disjoint)."""
-    return max(0.0, min(u.end, v.end) - max(u.start, v.start))
-
-
 @dataclass(frozen=True)
 class CoverageState:
     """Canonical disjoint-interval union of everything accepted so far.

@@ -16,7 +16,13 @@ from typing import Optional, Sequence
 from . import numeric
 from .errors import ConfigError, ProtocolError
 from .intervals import Batch, CoverageState, Instance, absorb, added_length, union_length
-from .thresholds import check_schedule, soa_an_theta, soa_theta
+from .thresholds import (
+    check_quota,
+    check_schedule,
+    check_two_phase,
+    soa_an_theta,
+    soa_theta,
+)
 
 
 class Decision(str, enum.Enum):
@@ -77,10 +83,6 @@ def _default_theta(k, n, setting, m, theta):
         if theta <= 0.0:
             raise ConfigError(f"theta must be positive, got {theta}")
         return float(theta)
-    if setting == "AL":
-        raise ConfigError(
-            "no default threshold exists for arbitrary lengths; pass theta"
-        )
     if n is None:
         return soa_an_theta(k, setting, m)
     return soa_theta(k, n, setting, m)
@@ -89,8 +91,7 @@ def _default_theta(k, n, setting, m, theta):
 def _check_known_count(quota, total):
     if total is None:
         raise ConfigError("this policy needs the total release count")
-    if not (2 <= quota <= total - 1):
-        raise ConfigError(f"need 2 <= k <= n-1, got k={quota} n={total}")
+    check_quota(quota, total)
 
 
 class SchedulePolicy(Policy):
@@ -140,8 +141,7 @@ class AnytimeThresholdPolicy(SchedulePolicy):
     name = "soa-an"
 
     def __init__(self, quota, theta=None, setting="UL", m=None):
-        if quota < 2:
-            raise ConfigError(f"need k >= 2, got {quota}")
+        check_quota(quota)
         self.theta = _default_theta(quota, None, setting, m, theta)
         super().__init__(quota, (self.theta,) * quota)
 
@@ -161,14 +161,7 @@ class TwoPhaseThresholdPolicy(SchedulePolicy):
 
     def __init__(self, quota, total, switch_after, theta1, theta2):
         _check_known_count(quota, total)
-        if not (1 <= switch_after <= quota):
-            raise ConfigError(
-                f"need 1 <= switch point <= k, got {switch_after}"
-            )
-        if not (0.0 < theta1 <= theta2 <= 1.0):
-            raise ConfigError(
-                f"need 0 < theta1 <= theta2 <= 1, got ({theta1}, {theta2})"
-            )
+        check_two_phase(quota, switch_after, theta1, theta2)
         self.switch_after = switch_after
         self.theta1 = float(theta1)
         self.theta2 = float(theta2)

@@ -26,9 +26,29 @@ from . import numeric
 from .errors import ConfigError, SizeGuardError, SolverEmptyError
 
 
-def _check_kn(k: int, n: int) -> None:
-    if k < 2 or k > n - 1:
+def check_quota(k: int, n: Optional[int] = None) -> None:
+    """The quota range every bound and policy assumes: k >= 2 and, when the
+    release count n is known, k <= n-1."""
+    if n is None:
+        if k < 2:
+            raise ConfigError(f"need k >= 2, got {k}")
+    elif not (2 <= k <= n - 1):
         raise ConfigError(f"need 2 <= k <= n-1, got k={k} n={n}")
+
+
+def check_two_phase(k: int, omega: int, theta1: float, theta2: float) -> None:
+    """A two-phase triple: switch point 1 <= omega <= k, 0 < theta1 <= theta2 <= 1."""
+    if not (1 <= omega <= k):
+        raise ConfigError(f"need 1 <= switch point <= k, got {omega}")
+    if not (0.0 < theta1 <= theta2 <= 1.0):
+        raise ConfigError(
+            f"need 0 < theta1 <= theta2 <= 1, got ({theta1}, {theta2})"
+        )
+
+
+def default_switch(k: int) -> int:
+    """Switch point of a two-phase triple given without one: 0.8k rounded, at least 1."""
+    return max(1, round(0.8 * k))
 
 
 def _length_ratio(setting: str, m: Optional[float]):
@@ -40,6 +60,10 @@ def _length_ratio(setting: str, m: Optional[float]):
         if m is None or m <= 1.0:
             raise ConfigError("FL threshold needs m > 1")
         return m
+    if setting == "AL":
+        raise ConfigError(
+            "no default threshold exists for arbitrary lengths; pass theta"
+        )
     raise ConfigError(f"no default threshold for setting {setting!r}")
 
 
@@ -50,7 +74,7 @@ def soa_theta(k: int, n: int, setting: str = "UL", m: Optional[float] = None) ->
     FL weights both candidates by the maximum item length m.  AL has no
     sound threshold, callers must pick their own.
     """
-    _check_kn(k, n)
+    check_quota(k, n)
     r = _length_ratio(setting, m)
     a = (math.sqrt(1 + 2 * (k - 1) * (n - k) * r) - 1) / (2 * k - 2)
     return min(a, soa_an_theta(k, setting, m))
@@ -58,16 +82,18 @@ def soa_theta(k: int, n: int, setting: str = "UL", m: Optional[float] = None) ->
 
 def soa_an_theta(k: int, setting: str = "UL", m: Optional[float] = None) -> float:
     """Single threshold when the release count is unknown (count-free form)."""
-    if k < 2:
-        raise ConfigError(f"need k >= 2, got {k}")
+    check_quota(k)
     r = _length_ratio(setting, m)
     return (math.sqrt((1 + 8 * r) * k * k - (6 + 8 * r) * k + 9) - k - 1) / (4 * (k - 1))
 
 
-def check_schedule(thresholds: Sequence[float]) -> tuple[float, ...]:
-    """Validate a per-accept threshold list: non-empty, every entry in
-    (0, 1], non-increasing.  Returns the entries as a tuple of floats."""
+def check_schedule(thresholds: Sequence[float], k: Optional[int] = None) -> tuple[float, ...]:
+    """Validate a per-accept threshold list: exactly k entries when k is
+    given, non-empty, every entry in (0, 1], non-increasing.  Returns the
+    entries as a tuple of floats."""
     values = tuple(float(t) for t in thresholds)
+    if k is not None and len(values) != k:
+        raise ConfigError(f"need exactly k={k} thresholds, got {len(values)}")
     if not values:
         raise ConfigError("need at least one threshold")
     for i, t in enumerate(values):
@@ -131,13 +157,8 @@ def doa_objective(
     inside that range, so out-of-range triples are disqualified, never
     clamped.
     """
-    if not (1 <= omega <= k):
-        raise ConfigError(f"need 1 <= omega <= k, got omega={omega} k={k}")
-    if not (0.0 < theta1 <= theta2 <= 1.0):
-        raise ConfigError(
-            f"need 0 < theta1 <= theta2 <= 1, got ({theta1}, {theta2})"
-        )
-    _check_kn(k, n)
+    check_two_phase(k, omega, theta1, theta2)
+    check_quota(k, n)
     point = _program(k, n, omega, np.float64(theta1), np.float64(theta2))
     if point is None:
         return None
@@ -192,7 +213,7 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
       Columns start two grid points below that bound, so float rounding of
       s cannot move a feasible cell out of the block.
     """
-    _check_kn(k, n)
+    check_quota(k, n)
     grid = _theta_grid(step)
     c1 = 1.0 + 2.0 * grid  # the first ratio term of each theta1 row
     omega_lo = max(1, -((-(k + 1)) // 5))

@@ -15,7 +15,6 @@ from kcover import (
     SubInterval,
     absorb,
     added_length,
-    intersection_length,
     union_length,
 )
 
@@ -41,17 +40,6 @@ class TestUnionLength:
     def test_multi_part_batch(self):
         b = Batch((iv(0, 0.5), iv(2, 2.5)))
         assert union_length([b]) == pytest.approx(1.0)
-
-
-class TestIntersectionLength:
-    def test_disjoint(self):
-        assert intersection_length(iv(0, 1), iv(2, 3)) == 0.0
-
-    def test_identity(self):
-        assert intersection_length(iv(0, 1), iv(0, 1)) == pytest.approx(1.0)
-
-    def test_partial(self):
-        assert intersection_length(iv(0, 1), iv(0.6, 1.6)) == pytest.approx(0.4)
 
 
 class TestAddedAbsorb:

@@ -15,6 +15,7 @@ from kcover import (
     read_instance,
     write_instance,
 )
+from kcover import cli, harness
 from kcover.cli import main
 from kcover.harness import run_sweep, sweep_csv
 
@@ -346,6 +347,205 @@ class TestCli:
         assert code == 2
         assert "empty quota range" in capsys.readouterr().err
         assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "k_min, k_max, k", [("2", "40", 40), ("1", "5", 1)], ids=["above", "below"]
+    )
+    def test_sweep_quota_outside_range_refused_before_solving(
+        self, k_min, k_max, k, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(harness, "solve_doa", lambda *args: calls.append(args))
+        csv_path = tmp_path / "s.csv"
+        code = run_cli(
+            "sweep", "--n", "30", "--k-min", k_min, "--k-max", k_max,
+            "--out", str(csv_path),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: need 2 <= k <= n-1, got k={k} n=30\n"
+        assert calls == []
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--step", "0.005", "--out", "MISSING"),
+            ("sweep", "--out", "CSV", "--plot-script", "MISSING"),
+            ("run", "--policy", "doa", "--adversary", "ul-un-general", "--k", "5",
+             "--n", "12", "--out", "MISSING"),
+            ("run", "--policy", "soa", "--adversary", "ul-un-k2", "--save-instance",
+             "MISSING"),
+        ],
+        ids=["sweep-out", "sweep-plot-script", "run-out", "run-save-instance"],
+    )
+    def test_bad_output_path_fails_before_any_work(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        for name in ("run_sweep", "run_game"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        missing = str(tmp_path / "no-such-dir" / "out")
+        csv_path = tmp_path / "s.csv"
+        argv = [{"MISSING": missing, "CSV": str(csv_path)}.get(a, a) for a in argv]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        assert captured.out == ""
+        assert calls == []
+        assert not csv_path.exists()
+
+    def test_quota_range_message_shared(self, capsys):
+        assert run_cli("bounds", "--k", "5", "--n", "5") == 2
+        bounds_err = capsys.readouterr().err
+        assert run_cli("solve-doa", "--k", "5", "--n", "5") == 2
+        assert capsys.readouterr().err == bounds_err
+        assert bounds_err == "error: need 2 <= k <= n-1, got k=5 n=5\n"
+
+
+# The `run` flags each construction and policy reads, with a value that
+# builds a game, and where the record shows that the value was read.
+ADVERSARY_READS = {
+    "al": {"--k": "3", "--epsilon": "0.01", "--horizon": "9"},
+    "ul-un-k2": {"--n": "7"},
+    "ul-un-general": {"--k": "3", "--n": "7"},
+    "fl-un": {"--k": "3", "--n": "7", "--m": "3"},
+    "fl-an": {"--k": "3", "--m": "3", "--horizon": "9"},
+    "us-un": {"--k": "3", "--n": "7", "--parts-per-batch": "2"},
+}
+ADVERSARY_OWNERS = {
+    "--k": "al, ul-un-general, fl-un, fl-an and us-un",
+    "--n": "ul-un-k2, ul-un-general, fl-un and us-un",
+    "--m": "fl-un and fl-an",
+    "--epsilon": "al",
+    "--horizon": "al and fl-an",
+    "--parts-per-batch": "us-un",
+}
+ADVERSARY_SHOWN = {
+    "--k": lambda r: r["k"] == 3,
+    "--n": lambda r: r["n"] == 7,
+    "--m": lambda r: r["m"] == 3.0,
+    "--epsilon": lambda r: r["source_config"]["epsilon"] == 0.01,
+    "--horizon": lambda r: r["n"] == 9,
+    "--parts-per-batch": lambda r: r["source_config"]["parts"] == 2,
+}
+POLICY_READS = {
+    "soa": {"--theta": "0.4"},
+    "soa-an": {"--theta": "0.4"},
+    "doa": {"--theta1": "0.3", "--theta2": "0.6", "--omega": "2"},
+    "accept-all": {},
+    "reject-until-forced": {},
+    "multi-threshold": {"--thresholds": "0.9,0.5,0.2"},
+}
+POLICY_OWNERS = {
+    "--theta": "soa and soa-an",
+    "--theta1": "doa",
+    "--theta2": "doa",
+    "--omega": "doa",
+    "--thresholds": "multi-threshold",
+}
+POLICY_SHOWN = {
+    "--theta": lambda c: c["theta"] == 0.4,
+    "--theta1": lambda c: c["theta1"] == 0.3,
+    "--theta2": lambda c: c["theta2"] == 0.6,
+    "--omega": lambda c: c["omega"] == 2,
+    "--thresholds": lambda c: c["thresholds"] == [0.9, 0.5, 0.2],
+}
+FLAG_VALUES = {
+    flag: value
+    for reads in (*ADVERSARY_READS.values(), *POLICY_READS.values())
+    for flag, value in reads.items()
+}
+GAME = ("--adversary", "ul-un-general", "--k", "3", "--n", "7")
+
+
+def _flags(reads):
+    return [part for flag, value in reads.items() for part in (flag, value)]
+
+
+class TestRunTables:
+    @pytest.mark.parametrize("adversary", ADVERSARY_READS)
+    def test_construction_reads_its_flags(self, adversary, tmp_path, capsys):
+        out = tmp_path / "rec.json"
+        reads = ADVERSARY_READS[adversary]
+        code = run_cli(
+            "run", "--policy", "accept-all", "--adversary", adversary,
+            *_flags(reads), "--out", str(out),
+        )
+        assert code == 0
+        record = json.loads(out.read_text())
+        assert record["source"] == adversary
+        for flag in reads:
+            assert ADVERSARY_SHOWN[flag](record), flag
+
+    @pytest.mark.parametrize(
+        "adversary, flags, expected",
+        [
+            ("al", (), {"k": 2, "n": 6,
+                        "source_config": {"quota": 2, "n": 6, "epsilon": 0.001}}),
+            ("al", ("--k", "3"), {"k": 3, "n": 8}),
+            ("ul-un-k2", (), {"k": 2, "n": 10}),
+            ("ul-un-general", ("--k", "3"), {"k": 3, "n": 10}),
+            ("fl-un", (), {"k": 2, "n": 10, "m": 2.0}),
+            ("fl-an", (), {"k": 2, "n": 8, "m": 2.0}),
+            ("fl-an", ("--k", "3"), {"k": 3, "n": 10}),
+            ("us-un", ("--k", "3"), {"k": 3, "n": 10,
+                                     "source_config": {"quota": 3, "n": 10, "parts": 3}}),
+        ],
+    )
+    def test_construction_defaults(self, adversary, flags, expected, tmp_path, capsys):
+        out = tmp_path / "rec.json"
+        code = run_cli(
+            "run", "--policy", "accept-all", "--adversary", adversary, *flags,
+            "--out", str(out),
+        )
+        assert code == 0
+        record = json.loads(out.read_text())
+        assert {key: record[key] for key in expected} == expected
+
+    @pytest.mark.parametrize("policy", POLICY_READS)
+    def test_policy_reads_its_flags(self, policy, tmp_path, capsys):
+        out = tmp_path / "rec.json"
+        reads = POLICY_READS[policy]
+        code = run_cli("run", "--policy", policy, *GAME, *_flags(reads), "--out", str(out))
+        assert code == 0
+        record = json.loads(out.read_text())
+        assert record["policy"] == policy
+        for flag in reads:
+            assert POLICY_SHOWN[flag](record["policy_config"]), flag
+
+    @pytest.mark.parametrize(
+        "source, flag",
+        [
+            (source, flag)
+            for source in (*ADVERSARY_READS, "--instance")
+            for flag in ADVERSARY_OWNERS
+            if flag not in ADVERSARY_READS.get(source, {})
+        ],
+    )
+    def test_construction_refuses_unread_flag(self, source, flag, capsys):
+        chosen = ("--instance", "inst.json") if source == "--instance" else (
+            "--adversary", source)
+        code = run_cli("run", "--policy", "accept-all", *chosen, flag, FLAG_VALUES[flag])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} is read only by {ADVERSARY_OWNERS[flag]}, not {source}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "policy, flag",
+        [
+            (policy, flag)
+            for policy in POLICY_READS
+            for flag in POLICY_OWNERS
+            if flag not in POLICY_READS[policy]
+        ],
+    )
+    def test_policy_refuses_unread_flag(self, policy, flag, capsys):
+        code = run_cli("run", "--policy", policy, *GAME, flag, FLAG_VALUES[flag])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} is read only by {POLICY_OWNERS[flag]}, not {policy}\n"
+        )
 
 
 class TestSweepRows:
