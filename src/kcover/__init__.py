@@ -9,21 +9,18 @@ realise those bounds, and a CLI harness tying them together.
 
 from .adversaries import (
     Adversary,
-    GeometricGadget,
     adv_al,
     adv_fl_an,
     adv_fl_un,
     adv_ul_un_general,
     adv_ul_un_k2,
     adv_us_un,
-    geometric_gadget,
 )
 from .bounds import (
     UNBOUNDED,
     BoundReport,
     bound_table,
     chain_alpha,
-    chain_alpha_alt,
     lb_al,
     lb_fl_an,
     lb_fl_un,
@@ -57,14 +54,10 @@ from .intervals import (
     union_length,
 )
 from .offline import (
-    DpContext,
-    SortedInstance,
     brute_force_offline,
     build_predecessors,
-    dp_context,
     solve_offline,
     solve_offline_unit,
-    sort_instance,
 )
 from .policies import (
     AcceptAllPolicy,
@@ -83,7 +76,6 @@ from .thresholds import (
     soa_an_theta,
     soa_theta,
     solve_doa,
-    theta_crossover,
 )
 
 __version__ = "0.1.0"

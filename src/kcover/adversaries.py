@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 from .bounds import chain_alpha, lb_fl_an, lb_fl_un, lb_ul_un, lb_us_un
 from .errors import ConfigError, ProtocolError
 from .intervals import Batch, Setting, SubInterval
 from .policies import Decision
-from .thresholds import check_quota
+from .thresholds import check_fl_cap, check_quota
 
 Play = Generator[Batch, Decision, None]
 
@@ -69,34 +68,17 @@ class Adversary:
         return self._play.send(decision)
 
 
-@dataclass(frozen=True)
-class GeometricGadget:
-    """Offsets of the unit-chain construction.
+def _chain_offsets(k: int, n: int) -> list[float]:
+    """Gaps between the starts of consecutive unit-chain items.
 
     offsets[0] = 0; offsets[i] = k^(i/k) - k^((i-1)/k) for i <= alpha, then 1.
     From alpha+1 on, each item ends exactly where the next one starts, so the
     chain covers one growing contiguous region.
     """
-
-    k: int
-    n: int
-    alpha: int
-    offsets: tuple[float, ...]   # theta_0 .. theta_{n-1}
-    starts: tuple[float, ...]    # prefix sums: start of item i (1-based: starts[i-1])
-
-    def item(self, position: int) -> Batch:
-        s = self.starts[position - 1]
-        return Batch.single(s, s + 1.0)
-
-
-def geometric_gadget(k: int, n: int) -> GeometricGadget:
-    if k < 3:
-        raise ConfigError(f"chain gadget needs k >= 3, got {k}")
     alpha = chain_alpha(k)
-    offsets = (0.0,) + tuple(
+    return [0.0] + [
         k ** (i / k) - k ** ((i - 1) / k) if i <= alpha else 1.0 for i in range(1, n)
-    )
-    return GeometricGadget(k, n, alpha, offsets, tuple(itertools.accumulate(offsets)))
+    ]
 
 
 def _al_play(epsilon: float, k: int) -> Play:
@@ -148,26 +130,27 @@ def adv_ul_un_k2(n: int) -> Adversary:
                      _pair_play())
 
 
-def _chain_play(gadget: GeometricGadget, parts: int) -> Play:
-    """Unit chain with geometric, then unit, offsets, each item cut into
-    `parts` pieces.  The first rejection at position j <= k freezes the
-    stream on clones of item j-1 (of [1, 2] when the opening item is
-    rejected); rejections past position k leave the chain running."""
-    for pos in range(1, gadget.n + 1):
-        decision = yield _split_unit(gadget.item(pos), parts)
-        if decision is Decision.REJECT and pos <= gadget.k:
-            clone = Batch.single(1.0, 2.0) if pos == 1 else gadget.item(pos - 1)
+def _chain_play(offsets: list[float], k: int, parts: int) -> Play:
+    """Unit chain with the given start offsets, each item cut into `parts`
+    pieces.  The first rejection at position j <= k freezes the stream on
+    clones of item j-1 (of [1, 2] when the opening item is rejected);
+    rejections past position k leave the chain running."""
+    previous = Batch.single(1.0, 2.0)
+    for pos, start in enumerate(itertools.accumulate(offsets), 1):
+        item = Batch.single(start, start + 1.0)
+        if (yield _split_unit(item, parts)) is Decision.REJECT and pos <= k:
             while True:
-                yield _split_unit(clone, parts)
+                yield _split_unit(previous, parts)
+        previous = item
 
 
 def _chain(name: str, k: int, n: int, parts: int, setting: Setting, config: dict,
            bound: Callable[[int, int], float]) -> Adversary:
     if not (3 <= k <= n - 1):
         raise ConfigError(f"need 3 <= k <= n-1, got k={k} n={n}")
-    gadget = geometric_gadget(k, n)
-    return Adversary(name, k, n, setting, 2.0 + sum(gadget.offsets), bound(k, n), config,
-                     _chain_play(gadget, parts))
+    offsets = _chain_offsets(k, n)
+    return Adversary(name, k, n, setting, 2.0 + sum(offsets), bound(k, n), config,
+                     _chain_play(offsets, k, parts))
 
 
 def adv_ul_un_general(k: int, n: int) -> Adversary:
@@ -228,15 +211,13 @@ def _flex(name: str, k: int, total: int, m: float, tau: int, setting: Setting,
 
 
 def adv_fl_un(k: int, n: int, m: float) -> Adversary:
-    if m <= 1.0:
-        raise ConfigError(f"need m > 1, got {m}")
+    check_fl_cap(m)
     check_quota(k, n)
     return _flex("fl-un", k, n, m, min(k, n - k), Setting("FL", "UN", m), lb_fl_un(k, n, m))
 
 
 def adv_fl_an(k: int, m: float, horizon: int) -> Adversary:
-    if m <= 1.0:
-        raise ConfigError(f"need m > 1, got {m}")
+    check_fl_cap(m)
     if horizon < 2 * k:
         raise ConfigError(f"need horizon >= 2k for the length-m tail, got {horizon}")
     return _flex("fl-an", k, horizon, m, k, Setting("FL", "AN", m), lb_fl_an(m))

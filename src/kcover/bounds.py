@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ConfigError
-from .thresholds import check_quota, check_schedule, soa_an_theta, soa_theta
+from .thresholds import check_fl_cap, check_quota, check_schedule, soa_an_theta, soa_theta
 
 
 class Unbounded:
@@ -47,18 +47,6 @@ def chain_alpha(k: int) -> int:
     return math.floor(1.0 - k * math.log(k ** (1.0 / k) - 1.0) / math.log(k))
 
 
-def chain_alpha_alt(k: int) -> int:
-    """Algebraically equivalent form of :func:`chain_alpha`.
-
-    floor(1 - log(k^(1/k) - 1)/log(k^(1/k))); both variants are exposed for
-    inspection and agree for all k >= 3.
-    """
-    if k < 3:
-        raise ConfigError(f"chain_alpha_alt needs k >= 3, got {k}")
-    r = k ** (1.0 / k)
-    return math.floor(1.0 - math.log(r - 1.0) / math.log(r))
-
-
 def _chain_terms(k: int) -> tuple[float, float, float]:
     """(k^(1/k), middle ratio term, denominator k^(a/k)+k-a-1) for k >= 3."""
     a = chain_alpha(k)
@@ -69,7 +57,9 @@ def _chain_terms(k: int) -> tuple[float, float, float]:
 
 
 def lb_ul_un(k: int, n: int) -> float:
-    """Unit-length, known count: best ratio any deterministic policy allows.
+    """Unit-length, known count: the ratio the unit-chain construction forces
+    on every deterministic policy.  It is a lower bound only: at small n
+    the exact game value can lie above it.
 
     For short horizons (n <= alpha + k) the third term is capped by what the
     last k chain items of the realising construction actually cover,
@@ -100,8 +90,7 @@ def lb_ul_an(k: int) -> float:
 
 def lb_fl_un(k: int, n: int, m: float) -> float:
     """Flexible-length, known count: 2km / (2km + (1-m) * min(k, n-k))."""
-    if m <= 1.0:
-        raise ConfigError(f"need m > 1, got {m}")
+    check_fl_cap(m)
     check_quota(k, n)
     tau = min(k, n - k)
     return (2.0 * k * m) / (2.0 * k * m + (1.0 - m) * tau)
@@ -109,8 +98,7 @@ def lb_fl_un(k: int, n: int, m: float) -> float:
 
 def lb_fl_an(m: float) -> float:
     """Flexible-length, unknown count: 2m / (m+1)."""
-    if m <= 1.0:
-        raise ConfigError(f"need m > 1, got {m}")
+    check_fl_cap(m)
     return 2.0 * m / (m + 1.0)
 
 

@@ -76,10 +76,10 @@ def _finite_float(text: str) -> float:
 _ADVERSARIES = {
     "al": ({"k": 2, "epsilon": 1e-3, "horizon": lambda v: 2 * v["k"] + 2}, adv_al),
     "ul-un-k2": ({"n": 10}, adv_ul_un_k2),
-    "ul-un-general": ({"k": 2, "n": 10}, adv_ul_un_general),
+    "ul-un-general": ({"k": 3, "n": 10}, adv_ul_un_general),
     "fl-un": ({"k": 2, "n": 10, "m": 2.0}, adv_fl_un),
     "fl-an": ({"k": 2, "m": 2.0, "horizon": lambda v: 2 * v["k"] + 4}, adv_fl_an),
-    "us-un": ({"k": 2, "n": 10, "parts_per_batch": 3}, adv_us_un),
+    "us-un": ({"k": 3, "n": 10, "parts_per_batch": 3}, adv_us_un),
 }
 
 
@@ -173,6 +173,8 @@ def _print_record(record) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.instance is not None and args.save_instance is not None:
+        raise ConfigError("--save-instance is read only by --adversary, not --instance")
     _check_writable(args.out, args.save_instance)
     if args.instance is not None:
         _refuse_unread(args, _ADVERSARIES, "--instance")

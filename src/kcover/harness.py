@@ -9,7 +9,7 @@ seed produce byte-identical reports and CSVs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 from . import numeric
@@ -491,6 +491,8 @@ def run_verify(
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One quota of the sweep; the fields are the CSV columns, in order."""
+
     k: int
     soa_ub: float
     doa_c: Optional[float]
@@ -531,22 +533,8 @@ def _fmt(x) -> str:
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    out = ["k,soa_ub,doa_c,lower_bound,doa_omega,doa_theta1,doa_theta2,status"]
-    for r in rows:
-        out.append(
-            ",".join(
-                [
-                    str(r.k),
-                    _fmt(r.soa_ub),
-                    _fmt(r.doa_c),
-                    _fmt(r.lower_bound),
-                    _fmt(r.doa_omega),
-                    _fmt(r.doa_theta1),
-                    _fmt(r.doa_theta2),
-                    r.status,
-                ]
-            )
-        )
+    out = [",".join(f.name for f in fields(SweepRow))]
+    out += [",".join(map(_fmt, astuple(r))) for r in rows]
     return "\n".join(out) + "\n"
 
 

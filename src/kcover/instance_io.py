@@ -82,10 +82,6 @@ def instance_from_dict(doc: dict) -> Instance:
                 raise SchemaError(f"{where}: expected [o, d]")
             o = _number(pair[0], f"{where}[0]")
             d = _number(pair[1], f"{where}[1]")
-            if d <= o:
-                raise SchemaError(
-                    f"{where}: start {o!r} must be strictly below end {d!r}"
-                )
             try:
                 parts.append(SubInterval(o, d))
             except KcoverError as exc:

@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import numeric
 from .errors import SettingError, StructureError
+from .thresholds import check_fl_cap
 
 LENGTH_SETTINGS = ("UL", "FL", "AL", "US")
 COUNT_SETTINGS = ("UN", "AN")
@@ -182,8 +183,7 @@ class Setting:
         if self.count not in COUNT_SETTINGS:
             raise SettingError(f"unknown count setting {self.count!r}")
         if self.length == "FL":
-            if self.m is None or not self.m > 1.0:
-                raise SettingError("FL setting needs m > 1")
+            check_fl_cap(self.m)
         elif self.m is not None:
             raise SettingError(f"m is only meaningful in FL, got m={self.m!r}")
 

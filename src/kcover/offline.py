@@ -62,7 +62,6 @@ class DpContext:
     phi: list[Optional[int]]
     chi: np.ndarray                 # (n+1) x (q+1) view; chi[i][j] over first i items
     kappa: np.ndarray
-    cells_filled: int
 
 
 def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
@@ -179,14 +178,20 @@ def _dp_tables(s: SortedInstance, quota: int):
             col[j + 1:] = kappa[j, j + 1:]
             np.maximum.accumulate(col[j:], out=col[j:])
 
-    ctx = DpContext(psi, phi, chi.T, kappa.T, 2 * n * (q + 1))
-    return ctx, via_psi.T
+    return DpContext(psi, phi, chi.T, kappa.T), via_psi.T
 
 
 def dp_context(inst: Instance) -> DpContext:
     """Run the DP at the instance's quota and expose its tables for tests."""
-    ctx, _ = _dp_tables(sort_instance(inst), inst.quota)
-    return ctx
+    return _dp_tables(sort_instance(inst), inst.quota)[0]
+
+
+def _quota(inst: Instance, quota: Optional[int]) -> int:
+    """The quota a solver runs at: `quota`, or the instance's own when None."""
+    q = inst.quota if quota is None else quota
+    if q < 0:
+        raise SettingError(f"quota must be >= 0, got {q}")
+    return q
 
 
 def solve_offline(
@@ -197,9 +202,7 @@ def solve_offline(
     Works for any singleton-batch instance (UL, FL, AL).  Multi-part
     unit-sum batches are rejected; use :func:`brute_force_offline` there.
     """
-    q = inst.quota if quota is None else quota
-    if q < 0:
-        raise SettingError(f"quota must be >= 0, got {q}")
+    q = _quota(inst, quota)
     if q == 0:
         return 0.0, ()
     s = _sort_instance(inst, "solve_offline")
@@ -262,9 +265,7 @@ def solve_offline_unit(
     the lam/mu predecessors only; ``via_lam`` flags the cells that went
     through lam.
     """
-    q = inst.quota if quota is None else quota
-    if q < 0:
-        raise SettingError(f"quota must be >= 0, got {q}")
+    q = _quota(inst, quota)
     if q == 0:
         return 0.0, ()
     s = _sort_instance(inst, "solve_offline_unit")
@@ -313,9 +314,7 @@ def brute_force_offline(
     Handles unit-sum batches natively.  Coverage is monotone, so only
     subsets of size min(quota, n) need to be checked.
     """
-    q = inst.quota if quota is None else quota
-    if q < 0:
-        raise SettingError(f"quota must be >= 0, got {q}")
+    q = _quota(inst, quota)
     n = inst.n
     if n > max_n:
         raise SizeGuardError(

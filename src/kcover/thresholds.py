@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import numeric
-from .errors import ConfigError, SizeGuardError, SolverEmptyError
+from .errors import ConfigError, SettingError, SizeGuardError, SolverEmptyError
 
 
 def check_quota(k: int, n: Optional[int] = None) -> None:
@@ -34,6 +34,12 @@ def check_quota(k: int, n: Optional[int] = None) -> None:
             raise ConfigError(f"need k >= 2, got {k}")
     elif not (2 <= k <= n - 1):
         raise ConfigError(f"need 2 <= k <= n-1, got k={k} n={n}")
+
+
+def check_fl_cap(m: Optional[float]) -> None:
+    """The FL setting's cap on item lengths: a finite number m > 1."""
+    if m is None or not 1.0 < m < math.inf:
+        raise SettingError(f"FL needs a finite length cap m > 1, got {m!r}")
 
 
 def check_two_phase(k: int, omega: int, theta1: float, theta2: float) -> None:
@@ -57,8 +63,7 @@ def _length_ratio(setting: str, m: Optional[float]):
     if setting in ("UL", "US"):
         return 1
     if setting == "FL":
-        if m is None or m <= 1.0:
-            raise ConfigError("FL threshold needs m > 1")
+        check_fl_cap(m)
         return m
     if setting == "AL":
         raise ConfigError(
@@ -102,17 +107,6 @@ def check_schedule(thresholds: Sequence[float], k: Optional[int] = None) -> tupl
         if i and t > values[i - 1]:
             raise ConfigError("thresholds must be non-increasing")
     return values
-
-
-def theta_crossover(n: int) -> int:
-    """Smallest k at which the count-dependent candidate becomes the minimum.
-
-    Below this k the count-free candidate is smaller; at and above it the
-    count-dependent one is.  Equals ceil(667*n/1000).
-    """
-    if n < 3:
-        raise ConfigError(f"need n >= 3, got {n}")
-    return -((-667 * n) // 1000)
 
 
 @dataclass(frozen=True)

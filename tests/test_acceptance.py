@@ -389,9 +389,9 @@ def test_structural_complexity():
         n, k = random_nk(rng, 12)
         inst = gen_instance(rng, "AL", n, k)
         ctx = dp_context(inst)
-        ok = ok and ctx.cells_filled <= 2 * (n + 1) * (k + 1)
+        ok = ok and ctx.chi.shape == ctx.kappa.shape == (n + 1, k + 1)
         pol = AcceptAllPolicy(k)
         _, _, trace = run_policy(pol, inst)
         ok = ok and len(trace) == n and pol._cursor == n
-    verdict("structural-complexity", ok, "memo cells <= 2(n+1)(k+1); one decision per item")
+    verdict("structural-complexity", ok, "memo tables (n+1) x (k+1); one decision per item")
     assert ok

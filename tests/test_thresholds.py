@@ -13,7 +13,6 @@ from kcover import (
     soa_an_theta,
     soa_theta,
     solve_doa,
-    theta_crossover,
     ub_soa,
 )
 from kcover import numeric, thresholds
@@ -78,14 +77,23 @@ class TestSoaAnTheta:
         )
 
 
+def crossover(n):
+    """ceil(0.667 n) in integers: where the module docstring puts the switch
+    from the count-free to the count-dependent candidate."""
+    return -((-667 * n) // 1000)
+
+
 class TestCrossover:
     @pytest.mark.parametrize("n,expected", [(1000, 667), (10, 7), (3, 3)])
     def test_values(self, n, expected):
-        assert theta_crossover(n) == expected
+        # the first k whose count-dependent candidate is the minimum, or n
+        # when no k <= n-1 is
+        first = next((k for k in range(2, n) if term_count_dep(k, n) <= term_count_free(k)), n)
+        assert first == crossover(n) == expected
 
     @pytest.mark.parametrize("n", [10, 100, 1000])
     def test_candidates_cross_at_breakpoint(self, n):
-        b = theta_crossover(n)
+        b = crossover(n)
         assert term_count_dep(b, n) <= term_count_free(b)
         assert term_count_dep(b - 1, n) >= term_count_free(b - 1)
 
@@ -98,7 +106,7 @@ class TestCrossover:
 
     def test_selection_follows_breakpoint(self):
         n = 100
-        b = theta_crossover(n)
+        b = crossover(n)
         for k in range(2, n):
             want = term_count_dep(k, n) if k >= b else term_count_free(k)
             assert soa_theta(k, n) == pytest.approx(want, abs=1e-12)
