@@ -19,7 +19,7 @@ from .bounds import chain_alpha, lb_fl_an, lb_fl_un, lb_ul_un, lb_us_un
 from .errors import ConfigError, ProtocolError
 from .intervals import Batch, Setting, SubInterval
 from .policies import Decision
-from .thresholds import check_fl_cap, check_quota
+from .thresholds import check_fl_cap, check_fl_finite, check_quota
 
 Play = Generator[Batch, Decision, None]
 
@@ -45,10 +45,6 @@ class Adversary:
 
     def describe(self) -> dict:
         return {"quota": self.quota, "n": self.total, **self._config}
-
-    @property
-    def known_count(self) -> bool:
-        return self.setting.count == "UN"
 
     def first(self) -> Batch:
         if self._pos != 0:
@@ -206,7 +202,8 @@ def _flex_play(k: int, tau: int, m: float) -> Play:
 
 def _flex(name: str, k: int, total: int, m: float, tau: int, setting: Setting,
           bound: float) -> Adversary:
-    return Adversary(name, k, total, setting, tau + (total - tau) * m + 1.0, bound,
+    target_len = check_fl_finite(tau + (total - tau) * m + 1.0, m)
+    return Adversary(name, k, total, setting, target_len, bound,
                      {"m": m, "tau": tau}, _flex_play(k, tau, m))
 
 

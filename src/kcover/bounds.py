@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .errors import ConfigError
-from .thresholds import check_fl_cap, check_quota, check_schedule, soa_an_theta, soa_theta
+from .thresholds import (
+    check_fl_cap,
+    check_fl_finite,
+    check_quota,
+    check_schedule,
+    soa_an_theta,
+    soa_theta,
+)
 
 
 class Unbounded:
@@ -93,13 +100,13 @@ def lb_fl_un(k: int, n: int, m: float) -> float:
     check_fl_cap(m)
     check_quota(k, n)
     tau = min(k, n - k)
-    return (2.0 * k * m) / (2.0 * k * m + (1.0 - m) * tau)
+    return check_fl_finite((2.0 * k * m) / (2.0 * k * m + (1.0 - m) * tau), m)
 
 
 def lb_fl_an(m: float) -> float:
     """Flexible-length, unknown count: 2m / (m+1)."""
     check_fl_cap(m)
-    return 2.0 * m / (m + 1.0)
+    return check_fl_finite(2.0 * m / (m + 1.0), m)
 
 
 def lb_us_un(k: int, n: int) -> float:

@@ -22,7 +22,7 @@ from .adversaries import (
     adv_us_un,
 )
 from .bounds import bound_table, lb_ul_un, ub_multi, ub_soa, ub_soa_an
-from .errors import ConfigError, ProtocolError, SolverEmptyError
+from .errors import ConfigError, SolverEmptyError
 from .instance_io import instance_to_dict
 from .intervals import Batch, Instance, Setting, SubInterval, union_length
 from .offline import brute_force_offline, solve_offline, solve_offline_unit
@@ -36,6 +36,7 @@ from .policies import (
     ThresholdPolicy,
     TwoPhaseThresholdPolicy,
     run_policy,
+    tally,
 )
 from .thresholds import check_quota, default_switch, solve_doa
 
@@ -96,16 +97,10 @@ def oracle_value(inst: Instance) -> float:
     return brute_force_offline(inst)[0]
 
 
-def _score(policy, inst, trace, opt, source, source_config, declared_bound):
-    """Score the items one played game accepted against the offline optimum
-    `opt` and build its record; accepting more items than the quota is an
-    error."""
-    accepted = tuple(i for i, d in enumerate(trace) if d is Decision.ACCEPT)
-    if len(accepted) > inst.quota:
-        raise ProtocolError(
-            f"{policy.name} accepted {len(accepted)} items with quota {inst.quota}"
-        )
-    alg = union_length([inst.items[i] for i in accepted])
+def _score(policy, inst, played, opt, source, source_config, declared_bound):
+    """Build the record of one played game from its :func:`tally`
+    `played` and the offline optimum `opt`."""
+    alg, accepted, trace = played
     return GameRecord(
         setting=inst.setting.label(),
         k=inst.quota,
@@ -125,7 +120,7 @@ def _score(policy, inst, trace, opt, source, source_config, declared_bound):
 
 
 def _play(policy: Policy, adversary: Adversary):
-    """Play policy vs adversary to the horizon; returns (instance, decisions)."""
+    """Play policy vs adversary to the horizon; returns (instance, tally)."""
     items: list[Batch] = []
     decisions: list[Decision] = []
     item = adversary.first()
@@ -139,14 +134,14 @@ def _play(policy: Policy, adversary: Adversary):
     inst = Instance(
         adversary.target_len, adversary.quota, adversary.setting, tuple(items)
     )
-    return inst, decisions
+    return inst, tally(policy, inst, decisions)
 
 
 def run_game(policy: Policy, adversary: Adversary):
     """Play policy vs adversary to the horizon; returns (record, instance)."""
-    inst, decisions = _play(policy, adversary)
+    inst, played = _play(policy, adversary)
     record = _score(
-        policy, inst, decisions, oracle_value(inst), adversary.name,
+        policy, inst, played, oracle_value(inst), adversary.name,
         adversary.describe(), adversary.declared_bound,
     )
     return record, inst
@@ -154,8 +149,7 @@ def run_game(policy: Policy, adversary: Adversary):
 
 def replay_game(policy: Policy, inst: Instance, source: str = "instance"):
     """Run a policy over a fixed instance file and score it."""
-    trace = run_policy(policy, inst)[2]
-    return _score(policy, inst, trace, oracle_value(inst), source, {}, None)
+    return _score(policy, inst, run_policy(policy, inst), oracle_value(inst), source, {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +333,11 @@ def verify_adversaries(
             adv = adv_factory()
             declared = adv.declared_bound
             policy = factory()
-            inst, decisions = _play(policy, adv)
+            inst, played = _play(policy, adv)
             if inst.items not in opts:
                 opts[inst.items] = oracle_value(inst)
             record = _score(
-                policy, inst, decisions, opts[inst.items], adv.name,
+                policy, inst, played, opts[inst.items], adv.name,
                 adv.describe(), adv.declared_bound,
             )
             slack = record.ratio_or_inf - adv.declared_bound

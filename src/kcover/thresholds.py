@@ -42,6 +42,13 @@ def check_fl_cap(m: Optional[float]) -> None:
         raise SettingError(f"FL needs a finite length cap m > 1, got {m!r}")
 
 
+def check_fl_finite(value: float, m: Optional[float]) -> float:
+    """`value`, a figure computed from the FL length cap m, if it is finite."""
+    if not math.isfinite(value):
+        raise SettingError(f"FL length cap m={m!r} overflows the float range")
+    return value
+
+
 def check_two_phase(k: int, omega: int, theta1: float, theta2: float) -> None:
     """A two-phase triple: switch point 1 <= omega <= k, 0 < theta1 <= theta2 <= 1."""
     if not (1 <= omega <= k):
@@ -89,7 +96,8 @@ def soa_an_theta(k: int, setting: str = "UL", m: Optional[float] = None) -> floa
     """Single threshold when the release count is unknown (count-free form)."""
     check_quota(k)
     r = _length_ratio(setting, m)
-    return (math.sqrt((1 + 8 * r) * k * k - (6 + 8 * r) * k + 9) - k - 1) / (4 * (k - 1))
+    theta = (math.sqrt((1 + 8 * r) * k * k - (6 + 8 * r) * k + 9) - k - 1) / (4 * (k - 1))
+    return check_fl_finite(theta, m)
 
 
 def check_schedule(thresholds: Sequence[float], k: Optional[int] = None) -> tuple[float, ...]:

@@ -39,7 +39,7 @@ class RejectAt(Policy):
         super().__init__(quota)
         self.skip = set(skip)
 
-    def _decide(self, item, position):
+    def _decide(self, gain, position):
         return position not in self.skip and self.accepted_count < self.quota
 
 
@@ -298,7 +298,7 @@ def test_item_streams_golden():
             adv = make()
             digest.update(
                 f"{adv.name} {json.dumps(adv.describe())} {adv.setting.label()} "
-                f"{adv.known_count} {adv.target_len.hex()} "
+                f"{adv.setting.count == 'UN'} {adv.target_len.hex()} "
                 f"{adv.declared_bound.hex()}\n".encode()
             )
             item = adv.first()

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -166,24 +167,45 @@ def test_bound_table_shape():
     assert al_row.lower is UNBOUNDED and al_row.upper is None
 
 
+# Everything that takes the FL length cap m.
+FL_CALLS = [
+    lambda m: lb_fl_un(3, 10, m),
+    lambda m: lb_fl_an(m),
+    lambda m: bound_table(3, 10, m),
+    lambda m: soa_theta(3, 10, "FL", m),
+    lambda m: ub_soa_an(3, "FL", m),
+    lambda m: adv_fl_un(3, 10, m),
+    lambda m: adv_fl_an(3, m, 8),
+    lambda m: Setting("FL", "UN", m),
+]
+FL_IDS = ["lb_fl_un", "lb_fl_an", "bound_table", "soa_theta", "ub_soa_an",
+          "adv_fl_un", "adv_fl_an", "Setting"]
+
+
 @pytest.mark.parametrize("m", [1.0, 0.5, math.nan, math.inf])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda m: lb_fl_un(3, 10, m),
-        lambda m: lb_fl_an(m),
-        lambda m: bound_table(3, 10, m),
-        lambda m: soa_theta(3, 10, "FL", m),
-        lambda m: ub_soa_an(3, "FL", m),
-        lambda m: adv_fl_un(3, 10, m),
-        lambda m: adv_fl_an(3, m, 8),
-        lambda m: Setting("FL", "UN", m),
-    ],
-    ids=["lb_fl_un", "lb_fl_an", "bound_table", "soa_theta", "ub_soa_an",
-         "adv_fl_un", "adv_fl_an", "Setting"],
-)
+@pytest.mark.parametrize("call", FL_CALLS, ids=FL_IDS)
 def test_fl_cap_refused_everywhere(call, m):
     # one check, one message: nan and inf are refused like m <= 1
     with pytest.raises(SettingError) as info:
         call(m)
     assert str(info.value) == f"FL needs a finite length cap m > 1, got {m!r}"
+
+
+def _figures(result):
+    if isinstance(result, list):  # bound_table rows
+        return [v for r in result for v in (r.lower, r.upper) if isinstance(v, float)]
+    if hasattr(result, "declared_bound"):  # an adversary
+        return [result.declared_bound, result.target_len]
+    return [] if isinstance(result, Setting) else [result]
+
+
+@pytest.mark.parametrize("m", [1e100, 1e300, 1e307, 5e307, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("call", FL_CALLS, ids=FL_IDS)
+def test_huge_fl_cap_is_finite_or_refused(call, m):
+    # a finite m whose figures overflow is refused, never turned into nan or inf
+    try:
+        result = call(m)
+    except SettingError as exc:
+        assert str(exc) == f"FL length cap m={m!r} overflows the float range"
+        return
+    assert all(math.isfinite(v) for v in _figures(result))

@@ -327,6 +327,20 @@ class TestCli:
         assert exc.value.code == 2
         assert "expected a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--k", "3", "--n", "10", "--m", "1e308"),
+            ("run", "--policy", "soa-an", "--adversary", "fl-un",
+             "--k", "3", "--n", "10", "--m", "1e308"),
+        ],
+    )
+    def test_overflowing_fl_cap_exits_2(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert "FL length cap m=1e+308 overflows the float range" in captured.err
+        assert "nan" not in captured.out and "inf" not in captured.out
+
     def test_verify_inverted_quota_range_exits_2(self, capsys):
         assert run_cli("verify", "--k", "5..2") == 2
         assert "empty k range 5..2" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -18,6 +19,7 @@ from kcover import (
     soa_an_theta,
     soa_theta,
 )
+from kcover import intervals, policies
 from kcover.harness import gen_instance, random_nk
 
 from conftest import unit_instance
@@ -26,7 +28,7 @@ from conftest import unit_instance
 class RejectAllStub(Policy):
     name = "reject-all"
 
-    def _decide(self, item, position):
+    def _decide(self, gain, position):
         return False
 
 
@@ -46,7 +48,7 @@ class TestThresholdPolicy:
         # k=2, n=4: second item below theta is rejected twice, then taken
         # when the remaining quota covers all remaining releases.
         pol = ThresholdPolicy(2, 4)
-        assert pol.theta == pytest.approx((math.sqrt(17) - 3) / 4, abs=1e-12)
+        assert pol.describe()["theta"] == pytest.approx((math.sqrt(17) - 3) / 4, abs=1e-12)
         trace = feed(pol, [(0, 1), (0.1, 1.1), (0.1, 1.1), (0.1, 1.1)])
         assert trace == ["accept", "reject", "reject", "accept"]
 
@@ -187,3 +189,57 @@ class TestRunPolicy:
         inst = gen_instance(rng, "UL", 6, 3, count_setting="AN")
         value, accepted, trace = run_policy(AnytimeThresholdPolicy(3), inst)
         assert len(trace) == 6 and len(accepted) <= 3
+
+
+# The run JSON and the verify report carry each policy's configuration, so
+# its keys, their order and its values are pinned.
+DESCRIBE_GOLDEN = [
+    (lambda: ThresholdPolicy(3, 10),
+     'soa {"quota": 3, "n": 10, "theta": 0.3660254037844386}'),
+    (lambda: ThresholdPolicy(4, 12, theta=0.4),
+     'soa {"quota": 4, "n": 12, "theta": 0.4}'),
+    (lambda: ThresholdPolicy(3, 10, setting="FL", m=2.5),
+     'soa {"quota": 3, "n": 10, "theta": 0.8693063937629153}'),
+    (lambda: AnytimeThresholdPolicy(3),
+     'soa-an {"quota": 3, "theta": 0.3660254037844386}'),
+    (lambda: AnytimeThresholdPolicy(5, theta=0.25),
+     'soa-an {"quota": 5, "theta": 0.25}'),
+    (lambda: TwoPhaseThresholdPolicy(5, 12, 3, 0.2, 0.5),
+     'doa {"quota": 5, "n": 12, "omega": 3, "theta1": 0.2, "theta2": 0.5}'),
+    (lambda: MultiThresholdPolicy([0.9, 0.5, 0.5]),
+     'multi-threshold {"quota": 3, "thresholds": [0.9, 0.5, 0.5]}'),
+    (lambda: AcceptAllPolicy(3), 'accept-all {"quota": 3}'),
+    (lambda: RejectUntilForcedPolicy(3, 8), 'reject-until-forced {"quota": 3, "n": 8}'),
+    (lambda: RejectUntilForcedPolicy(2), 'reject-until-forced {"quota": 2, "n": null}'),
+]
+
+
+@pytest.mark.parametrize("make, expected", DESCRIBE_GOLDEN)
+def test_describe_golden(make, expected):
+    p = make()
+    assert f"{p.name} {json.dumps(p.describe())}" == expected
+
+
+def test_each_item_absorbed_at_most_once(monkeypatch, rng):
+    # Deciding on an item and accepting it share one coverage update: at
+    # most one absorb per item seen before the quota fills, none after.
+    calls = []
+    real = intervals.absorb
+
+    def counting(state, item):
+        calls.append(item)
+        return real(state, item)
+
+    monkeypatch.setattr(intervals, "absorb", counting)
+    monkeypatch.setattr(policies, "absorb", counting)
+    for _ in range(50):
+        n, k = random_nk(rng, 10)
+        inst = gen_instance(rng, "UL", n, k)
+        for pol in (ThresholdPolicy(k, n), AnytimeThresholdPolicy(k),
+                    TwoPhaseThresholdPolicy(k, n, 1, 0.3, 0.6),
+                    MultiThresholdPolicy([0.5] * k), AcceptAllPolicy(k),
+                    RejectUntilForcedPolicy(k, n)):
+            calls.clear()
+            _, accepted, _ = run_policy(pol, inst)
+            seen = accepted[-1] + 1 if len(accepted) == k else n
+            assert len(calls) <= seen, pol.name
