@@ -206,7 +206,10 @@ def _check_item_shape(setting: Setting, batch: Batch, where: str) -> None:
         if abs(length - 1.0) > numeric.EPS:
             raise SettingError(f"{where}: unit-length item has length {length!r}")
     elif setting.length == "FL":
-        if length < 1.0 - numeric.EPS or length > setting.m + numeric.EPS:
+        # relative to m above 1: a length computed from endpoints near t*m
+        # is off by about an ulp of t*m, past 1e-9 once m is in the millions
+        m = setting.m
+        if length < 1.0 - numeric.EPS or length > m + numeric.EPS * max(1.0, m):
             raise SettingError(
                 f"{where}: FL item length {length!r} outside [1, {setting.m}]"
             )

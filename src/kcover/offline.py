@@ -23,11 +23,22 @@ column at a time by numpy operations over all n items.  Tables are stored
 ``(q+1) x (n+1)``, contiguous per column; ``DpContext`` holds float64 ``.T``
 views indexed ``[i][j]``.  IEEE add and max are exact, so every cell equals
 what a cell-by-cell loop computes.
+
+The enumeration oracle sorts all parts of all items once and scores a block
+of subsets at a time: each row replays the sort-and-sweep merge of
+``union_length`` on the parts its subset keeps, with numpy operations over
+all rows.  It adds the component lengths in the same order, so every score
+equals ``union_length`` of that subset bit for bit; the first maximum in
+``itertools.combinations`` order wins, as in a plain loop over subsets.
+Blocks hold at most ``_BLOCK_ROWS`` subsets, so memory does not grow with
+C(n, k).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
@@ -306,13 +317,82 @@ def solve_offline_unit(
     return float(chi[q, n]), picked
 
 
+# Most subsets the enumeration scores in one block: it bounds the scorer's
+# memory at every n up to the guard.
+_BLOCK_ROWS = 1024
+
+
+def _combination_blocks(n: int, r: int):
+    """Every r-subset of range(n) in ``itertools.combinations`` order, as
+    bool masks of shape (n, rows) with at most ``_BLOCK_ROWS`` rows each:
+    ``mask[i, row]`` says whether the row's subset holds item i.  An
+    enumeration that fits in one block is built once and cached."""
+    if math.comb(n, r) <= _BLOCK_ROWS:
+        return _single_block(n, r)
+    return _mask_blocks(n, r, _BLOCK_ROWS)
+
+
+@functools.lru_cache(maxsize=32)
+def _single_block(n: int, r: int) -> tuple[np.ndarray]:
+    (mask,) = _mask_blocks(n, r, _BLOCK_ROWS)
+    mask.setflags(write=False)
+    return (mask,)
+
+
+def _mask_blocks(n: int, r: int, rows: int):
+    combos = itertools.combinations(range(n), r)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
+        picks = np.fromiter(flat, dtype=np.intp).reshape(-1, r)
+        if not len(picks):
+            return
+        mask = np.zeros((n, len(picks)), dtype=bool)
+        mask[picks.T, np.arange(len(picks))] = True
+        yield mask
+
+
+def _block_totals(keep: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Union length of the parts each subset keeps, for every subset.
+
+    Parts are sorted by (start, end), and ``keep[c, row]`` says whether the
+    row's subset keeps part c.  Every row replays the sort-and-sweep merge
+    of :meth:`CoverageState.of` on its own parts: the reach is the running
+    maximum end, a component opens where a kept part starts more than EPS
+    past the reach before it, and a component's length is the reach where
+    the next one opens (or at the end) minus its start.  The lengths are
+    added in order, 0.0 for every part that closes nothing, and adding 0.0
+    is exact, so each total is ``union_length``'s bit for bit.  Running
+    maxima and sums go part by part, each step over all rows at once.
+    """
+    parts, rows = keep.shape
+    reach = np.full((parts + 1, rows), -np.inf)  # row c + 1: reach after part c
+    np.copyto(reach[1:], ends[:, None], where=keep)
+    for c in range(2, parts + 1):
+        np.maximum(reach[c - 1], reach[c], out=reach[c])
+    before, reach = reach[:-1], reach[1:]
+    opens = keep & (starts[:, None] > before + numeric.EPS)
+    # start of each part's component; starts[0], the least, before any opens
+    first = np.where(opens, starts[:, None], starts[0])
+    for c in range(1, parts):
+        np.maximum(first[c - 1], first[c], out=first[c])
+    closes = opens[1:] & (before[1:] > -np.inf)
+    total = np.zeros(rows)
+    for length in np.where(closes, before[1:] - first[:-1], 0.0):
+        total += length
+    total += reach[-1] - first[-1]
+    return total
+
+
 def brute_force_offline(
     inst: Instance, quota: Optional[int] = None, max_n: int = 20
 ) -> tuple[float, tuple[int, ...]]:
     """Exact optimum by enumerating all quota-sized subsets.
 
     Handles unit-sum batches natively.  Coverage is monotone, so only
-    subsets of size min(quota, n) need to be checked.
+    subsets of size min(quota, n) need to be checked.  The subsets are
+    scored a block at a time by :func:`_block_totals`, whose totals equal
+    ``union_length`` bit for bit; the first maximum in enumeration order
+    wins, and its value is ``union_length`` of the picks.
     """
     q = _quota(inst, quota)
     n = inst.n
@@ -323,10 +403,16 @@ def brute_force_offline(
     r = min(q, n)
     if r == 0:
         return 0.0, ()
-    best_val = -1.0
+    parts = sorted(
+        (p.start, p.end, i) for i, b in enumerate(inst.items) for p in b.parts
+    )
+    starts, ends, owner = (np.array(col) for col in zip(*parts))
+    best_val = -np.inf
     best_set: tuple[int, ...] = ()
-    for combo in itertools.combinations(range(n), r):
-        val = union_length([inst.items[i] for i in combo])
-        if val > best_val:
-            best_val, best_set = val, combo
-    return best_val, best_set
+    for mask in _combination_blocks(n, r):
+        totals = _block_totals(mask[owner], starts, ends)
+        row = int(np.argmax(totals))
+        if totals[row] > best_val:
+            best_val = totals[row]
+            best_set = tuple(np.flatnonzero(mask[:, row]).tolist())
+    return union_length([inst.items[i] for i in best_set]), best_set

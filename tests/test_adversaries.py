@@ -13,6 +13,7 @@ from kcover import (
     Policy,
     ProtocolError,
     RejectUntilForcedPolicy,
+    SettingError,
     ThresholdPolicy,
     adv_al,
     adv_fl_an,
@@ -176,6 +177,24 @@ class TestFlexAdversary:
                 adv = adv_fl_un(k, n, m)
                 r, _, _ = ratio_of(factory(), adv)
                 assert r >= adv.declared_bound - 1e-6, (name, k, n, m)
+
+    # the largest cap adv_fl_un(3, 10, m) takes before its target length overflows
+    LARGEST_M = 2.568133049803308e307
+
+    def test_length_m_items_pass_the_fl_check(self):
+        # the tail items [tau + (t-1)m, tau + tm] round by about an ulp of tm;
+        # the FL length check allows that relative to m, so every game plays
+        caps = [7860520.742121479, self.LARGEST_M] + [
+            f * 10.0 ** e for e in range(1, 307) for f in (1.5, 4.2, 8.7)
+        ]
+        for m in caps:
+            for adv in (adv_fl_un(3, 10, m), adv_fl_an(3, m, 8)):
+                _, inst = run_game(AcceptAllPolicy(3), adv)
+                assert max(b.parts[0].length for b in inst.items) > 0.99 * m
+
+    def test_largest_m_is_the_edge(self):
+        with pytest.raises(SettingError, match="overflows"):
+            adv_fl_un(3, 10, 1.01 * self.LARGEST_M)
 
 
 class TestUnitSumAdversary:

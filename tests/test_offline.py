@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -16,10 +17,11 @@ from kcover import (
     solve_offline_unit,
     union_length,
 )
+from kcover import numeric, offline
 from kcover.harness import gen_instance, random_nk
 from kcover.offline import dp_context, sort_instance
 
-from conftest import al_instance, unit_instance
+from conftest import al_instance, batch, unit_instance
 
 
 def quarter_grid_instance(rng, unit):
@@ -176,6 +178,103 @@ class TestBruteForce:
         with pytest.raises(SizeGuardError):
             brute_force_offline(inst)
         brute_force_offline(inst, quota=1, max_n=30)
+
+
+def reference_brute_force(inst, quota):
+    """The enumeration as a plain loop: ``union_length`` of every subset in
+    ``itertools.combinations`` order, the first maximum kept."""
+    r = min(quota, inst.n)
+    if r == 0:
+        return 0.0, ()
+    best_val, best_set = -1.0, ()
+    for combo in itertools.combinations(range(inst.n), r):
+        val = union_length([inst.items[i] for i in combo])
+        if val > best_val:
+            best_val, best_set = val, combo
+    return best_val, best_set
+
+
+def assert_matches_reference(inst, quota):
+    got, want = brute_force_offline(inst, quota), reference_brute_force(inst, quota)
+    assert got == want, (inst, quota)
+    assert type(got[0]) is type(want[0])
+    return got
+
+
+def random_instances(rng, count=12, max_n=9):
+    for length, m in [("UL", None), ("FL", 2.0), ("AL", None), ("US", None)]:
+        for _ in range(count):
+            n, k = random_nk(rng, max_n)
+            yield gen_instance(rng, length, n, k, m, count_setting="AN")
+
+
+def touching_instances(rng, count=12):
+    """Half-unit pieces whose gaps sit on either side of the default EPS,
+    as AL items and as US batches of two pieces each."""
+    gaps = [0.0, 0.5e-9, 1e-9, 1.5e-9, 3e-9, 0.25]
+    for _ in range(count):
+        pieces, cursor = [], 0.0
+        for _ in range(2 * rng.randint(2, 5)):
+            start = cursor + rng.choice(gaps)
+            cursor = start + 0.5
+            pieces.append((start, cursor))
+        rng.shuffle(pieces)
+        yield al_instance(pieces, 2)
+        items = tuple(batch(*sorted(pieces[i:i + 2])) for i in range(0, len(pieces), 2))
+        yield Instance(cursor, 2, Setting("US", "AN"), items)
+
+
+def tie_instances(rng, count=12):
+    """Nested and duplicated items on a quarter grid: exact ties everywhere."""
+    yield al_instance([(0, 4), (1, 2), (1, 2), (0.5, 3), (0, 4), (3, 4)], 2)
+    yield al_instance([(0, 1)] * 8, 2)
+    for _ in range(count):
+        yield quarter_grid_instance(rng, unit=rng.random() < 0.5)
+
+
+def all_cases(rng):
+    yield from random_instances(rng)
+    yield from touching_instances(rng)
+    yield from tie_instances(rng)
+
+
+@pytest.mark.parametrize("eps", [None, 0.0, 0.5])
+def test_enumeration_matches_reference_loop(monkeypatch, rng, eps):
+    cases = list(all_cases(rng))  # built under the default EPS
+    if eps is not None:
+        monkeypatch.setattr(numeric, "EPS", eps)
+    for inst in cases:
+        for quota in range(1, inst.n + 3):
+            assert_matches_reference(inst, quota)
+
+
+def test_enumeration_block_boundaries(monkeypatch, rng):
+    # a cap of 7 rows puts maxima and exact ties on both sides of a block edge
+    cases = [(inst, q) for inst in all_cases(rng) for q in range(1, inst.n + 3)]
+    # a maximum first reached late in the enumeration, and all subsets tied
+    cases.append((al_instance([(0, 1)] * 7 + [(2, 3), (4, 5)], 3), 3))
+    cases.append((al_instance([(0, 1)] * 10, 4), 4))
+    default = [brute_force_offline(inst, q) for inst, q in cases]
+    monkeypatch.setattr(offline, "_BLOCK_ROWS", 7)
+    for (inst, q), want in zip(cases, default):
+        assert assert_matches_reference(inst, q) == want
+    assert default[-2] == (3.0, (0, 7, 8))
+    assert default[-1] == (1.0, (0, 1, 2, 3))
+
+
+def test_enumeration_many_blocks(rng):
+    # C(16, 8) = 12,870 subsets: several blocks at the default cap
+    for length in ("AL", "US"):
+        inst = gen_instance(rng, length, 16, 8, count_setting="AN")
+        assert_matches_reference(inst, 8)
+
+
+def test_combination_blocks_are_bounded():
+    for n, r in [(5, 2), (12, 6), (16, 8), (20, 1)]:
+        masks = list(offline._combination_blocks(n, r))
+        assert all(m.shape[0] == n and m.shape[1] <= offline._BLOCK_ROWS for m in masks)
+        rows = [tuple(map(int, c.nonzero()[0])) for m in masks for c in m.T]
+        assert rows == list(itertools.combinations(range(n), r))
 
 
 def test_oracle_equivalence_sample(rng):
