@@ -18,8 +18,13 @@ tables the DP stores one byte per cell, set when ``kappa`` took the
 intersecting transition; backtracking re-derives every other choice from
 the tables.
 
-Column j depends only on column j-1, so each table is filled one quota
-column at a time by numpy operations over all n items.  Tables are stored
+In column j, rows i <= j accept all of the first i items, so they hold the
+prefix unions: the union length of the first i sorted items.  One pass
+with a stack of components gives them all in O(n): every item ends at or
+after all earlier ones, so it can only merge the components on top of the
+stack.  Column j depends only on column j-1, so each table is filled one
+quota column at a time by numpy operations over all n items.  Columns past
+n would repeat column n, so the solvers stop there.  Tables are stored
 ``(q+1) x (n+1)``, contiguous per column; ``DpContext`` holds float64 ``.T``
 views indexed ``[i][j]``.  IEEE add and max are exact, so every cell equals
 what a cell-by-cell loop computes.
@@ -47,12 +52,7 @@ import numpy as np
 
 from . import numeric
 from .errors import SettingError, SizeGuardError
-from .intervals import (
-    CoverageState,
-    Instance,
-    absorb,
-    union_length,
-)
+from .intervals import Instance, union_length
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,32 @@ def _index(preds: list[Optional[int]]) -> np.ndarray:
     return np.array([0 if p is None else p + 1 for p in preds], dtype=np.intp)
 
 
+def _prefix_unions(starts, ends) -> np.ndarray:
+    """Union length of the first i end-sorted items, for i = 0..n.
+
+    Every item ends at or after every earlier one, so it touches exactly
+    the trailing components whose end + EPS >= its start, and no component
+    ends past it.  A stack holds the components as (start, end, length of
+    the components before it); the item pops the ones it touches, takes the
+    least start, and pushes one component.  These are the comparisons,
+    splice and running sum of :func:`absorb`, so every total is the one
+    ``absorb`` gives, bit for bit, and each item is pushed and popped once.
+    """
+    eps = numeric.EPS
+    pref = np.zeros(len(starts) + 1)
+    stack: list[tuple[float, float, float]] = []
+    total = 0.0
+    for i, (a, b) in enumerate(zip(starts, ends), 1):
+        before = total
+        while stack and stack[-1][1] + eps >= a:
+            a0, _, before = stack.pop()
+            a = min(a, a0)
+        stack.append((a, b, before))
+        total = before + (b - a)
+        pref[i] = total
+    return pref
+
+
 def _dp_tables(s: SortedInstance, quota: int):
     """Fill chi/kappa and the flags that backtracking needs.
 
@@ -159,17 +185,12 @@ def _dp_tables(s: SortedInstance, quota: int):
     transition through ``kappa[psi+1][j-1]`` (it must beat the disjoint one
     through ``chi[phi+1][j-1]`` strictly); column 0 is zero, so at j == 1
     item i stands alone.  ``chi`` needs no flags: it rejects item i exactly
-    when ``chi[i-1][j] >= kappa[i][j]``.
+    when ``chi[i-1][j] >= kappa[i][j]``.  Rows up to j of column j are the
+    prefix unions, from :func:`_prefix_unions` in O(n).
     """
     n = len(s.order)
     psi, phi = build_predecessors(s)
-
-    # Prefix union lengths, Len of the first i sorted items.
-    pref = np.zeros(n + 1)
-    state = CoverageState.empty()
-    for i in range(n):
-        state = absorb(state, s.base.items[s.order[i]])
-        pref[i + 1] = state.total_len
+    pref = _prefix_unions(s.starts, s.ends)
 
     starts, ends = np.array(s.starts), np.array(s.ends)
     sizes = ends - starts
@@ -198,11 +219,13 @@ def dp_context(inst: Instance) -> DpContext:
 
 
 def _quota(inst: Instance, quota: Optional[int]) -> int:
-    """The quota a solver runs at: `quota`, or the instance's own when None."""
+    """The quota a solver runs at: `quota`, or the instance's own when None,
+    capped at n.  Coverage is monotone, so n accepts take every item: a DP
+    column past n repeats column n, and no subset is larger than n."""
     q = inst.quota if quota is None else quota
     if q < 0:
         raise SettingError(f"quota must be >= 0, got {q}")
-    return q
+    return min(q, inst.n)
 
 
 def solve_offline(
@@ -400,8 +423,7 @@ def brute_force_offline(
         raise SizeGuardError(
             f"n={n} exceeds the enumeration guard max_n={max_n}"
         )
-    r = min(q, n)
-    if r == 0:
+    if q == 0:
         return 0.0, ()
     parts = sorted(
         (p.start, p.end, i) for i, b in enumerate(inst.items) for p in b.parts
@@ -409,7 +431,7 @@ def brute_force_offline(
     starts, ends, owner = (np.array(col) for col in zip(*parts))
     best_val = -np.inf
     best_set: tuple[int, ...] = ()
-    for mask in _combination_blocks(n, r):
+    for mask in _combination_blocks(n, q):
         totals = _block_totals(mask[owner], starts, ends)
         row = int(np.argmax(totals))
         if totals[row] > best_val:

@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from kcover import (
@@ -19,6 +21,7 @@ from kcover import (
 )
 from kcover import numeric, offline
 from kcover.harness import gen_instance, random_nk
+from kcover.intervals import CoverageState, absorb
 from kcover.offline import dp_context, sort_instance
 
 from conftest import al_instance, batch, unit_instance
@@ -315,6 +318,85 @@ def test_quota_override_beyond_n():
     inst = al_instance([(0, 1), (2, 3)], 2)
     value, chosen = solve_offline(inst, quota=10)
     assert value == pytest.approx(2.0)
+
+
+def reference_prefix_unions(s):
+    """Union length of the first i sorted items as one ``absorb`` call per
+    item: the loop that ``offline._prefix_unions`` replaces."""
+    pref = np.zeros(len(s.order) + 1)
+    state = CoverageState.empty()
+    for i, t in enumerate(s.order, 1):
+        state = absorb(state, s.base.items[t])
+        pref[i] = state.total_len
+    return pref
+
+
+def singleton_cases(rng):
+    """Random UL/FL/AL instances, chains touching within EPS, and nested,
+    duplicated and equal-end items."""
+    for length, m in [("UL", None), ("FL", 2.0), ("AL", None)]:
+        for _ in range(12):
+            n = rng.randint(1, 40)
+            yield gen_instance(rng, length, n, 2, m, count_setting="AN")
+    for inst in itertools.chain(touching_instances(rng), tie_instances(rng)):
+        if inst.setting.length != "US":
+            yield inst
+
+
+def disjoint_instance(rng, n):
+    """n pairwise-disjoint items in shuffled order; some gaps equal 1e-3 or
+    0.5 exactly, so a patched EPS merges pieces on both sides of its edge."""
+    pairs, cursor = [], 0.0
+    for _ in range(n):
+        start = cursor + rng.choice([5e-4, 1e-3, 2e-3, 0.25, 0.5, 0.75])
+        cursor = start + rng.uniform(0.05, 2.0)
+        pairs.append((start, cursor))
+    rng.shuffle(pairs)
+    return al_instance(pairs, 2)
+
+
+@pytest.mark.parametrize("eps", [None, 0.0, 1e-3, 0.5])
+def test_prefix_unions_match_absorb_loop(monkeypatch, rng, eps):
+    cases = [sort_instance(inst) for inst in singleton_cases(rng)]
+    cases.append(sort_instance(disjoint_instance(rng, 4000)))
+    if eps is not None:
+        monkeypatch.setattr(numeric, "EPS", eps)
+    for s in cases:
+        got = offline._prefix_unions(s.starts, s.ends)
+        assert got.tobytes() == reference_prefix_unions(s).tobytes()
+
+
+def with_quota(inst, quota):
+    """The instance at another quota; AN, so the quota may pass n."""
+    return replace(inst, quota=quota, setting=replace(inst.setting, count="AN"))
+
+
+def test_dp_diagonal_is_union_of_sorted_prefix(rng):
+    # chi[i][i] accepts all of the first i sorted items: an independent
+    # check of the prefix unions through union_length's sort-and-sweep
+    for inst in singleton_cases(rng):
+        s = sort_instance(inst)
+        chi = dp_context(with_quota(inst, max(2, inst.n))).chi
+        for i in range(inst.n + 1):
+            assert chi[i][i] == union_length([inst.items[t] for t in s.order[:i]])
+
+
+def test_quota_past_n_fills_n_columns(rng):
+    # Columns past n repeat column n.  Filling all `quota` columns made a
+    # quota of 10**12 ask numpy for terabytes.
+    for inst in singleton_cases(rng):
+        n = inst.n
+        solvers = [solve_offline]
+        if inst.setting.length == "UL":
+            solvers.append(solve_offline_unit)
+        for solve in solvers:
+            want = solve(inst, n)
+            for q in (n + 1, n + 3, 3 * n, 10**12):
+                got = solve(inst, q)
+                assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+        chi = dp_context(with_quota(inst, 3 * n + 2)).chi
+        assert chi[n][n:].tobytes() == np.full(2 * n + 3, chi[n][n]).tobytes()
+        assert chi[n][n] == solve_offline(inst, n)[0]
 
 
 # SHA-256 over repr(value) and the picks of both exact DPs on the inputs of
