@@ -80,9 +80,43 @@ class Batch:
         return "Batch(" + ", ".join(repr(p) for p in self.parts) + ")"
 
 
+def prefix_unions(pieces: Iterable[tuple[float, float]]) -> list[float]:
+    """Union length of the first i pieces, for i = 0 up to the piece count.
+
+    `pieces` are (end, start) pairs in non-decreasing end order, as sorting
+    them gives.  Each piece ends last so far, so it merges exactly the
+    trailing components whose end + EPS >= its start, into one component
+    from their least start to its end.  The top component is held in locals
+    as (start, end + EPS, length of the components left of it), the rest on
+    a stack above a sentinel no piece reaches; each is pushed and popped at
+    most once.  These are the comparisons and running sums of
+    :func:`absorb`, so each total is the one ``absorb`` gives, bit for bit.
+    The first total is the int 0, like ``CoverageState.sums[0]``.
+    """
+    eps = numeric.EPS
+    totals = [0]
+    stack: list[tuple[float, float, float]] = []
+    push, pop, put = stack.append, stack.pop, totals.append
+    top, reach, before = 0.0, float("-inf"), 0  # pushed first: the sentinel
+    for b, a in pieces:
+        if reach >= a:
+            if top < a:
+                a = top
+            while stack[-1][1] >= a:
+                a0, _, before = pop()
+                if a0 < a:
+                    a = a0
+        else:
+            push((top, reach, before))
+            before = totals[-1]
+        top, reach = a, b + eps
+        put(before + (b - a))
+    return totals
+
+
 def union_length(batches: Sequence[Batch]) -> float:
     """Total covered length of the union of all parts of all batches."""
-    return CoverageState.of(p for b in batches for p in b.parts).total_len
+    return prefix_unions(sorted((p.end, p.start) for b in batches for p in b.parts))[-1]
 
 
 @dataclass(frozen=True)
@@ -105,22 +139,6 @@ class CoverageState:
     def empty(cls) -> "CoverageState":
         return cls((), (), (0,))
 
-    @classmethod
-    def of(cls, parts: Iterable[SubInterval]) -> "CoverageState":
-        """Sort-and-sweep merge; pieces whose gap is within EPS become one."""
-        eps = numeric.EPS
-        starts: list[float] = []
-        ends: list[float] = []
-        for a, b in sorted((p.start, p.end) for p in parts):
-            if ends and a <= ends[-1] + eps:
-                if b > ends[-1]:
-                    ends[-1] = b
-            else:
-                starts.append(a)
-                ends.append(b)
-        sums = tuple(accumulate(map(sub, ends, starts), initial=0))
-        return cls(tuple(starts), tuple(ends), sums)
-
     @property
     def total_len(self) -> float:
         return self.sums[-1]
@@ -129,10 +147,6 @@ class CoverageState:
     def component_count(self) -> int:
         return len(self.starts)
 
-    @property
-    def components(self) -> tuple[SubInterval, ...]:
-        return tuple(SubInterval(a, b) for a, b in zip(self.starts, self.ends))
-
 
 def absorb(state: CoverageState, batch: Batch) -> CoverageState:
     """New canonical state after accepting `batch`; `state` is untouched.
@@ -140,9 +154,10 @@ def absorb(state: CoverageState, batch: Batch) -> CoverageState:
     Each part [a, b] touches the run of components from the first whose
     end + EPS >= a up to, not including, the first whose start > b + EPS;
     both ends are found by bisection, and the run is spliced out for one
-    component spanning it and the part.  These are the comparisons the
-    sort-and-sweep merge of :meth:`CoverageState.of` makes, so the result
-    is the same, bit for bit.  Running sums are recomputed only from the
+    component spanning it and the part.  A merge of all the parts at once
+    makes the same comparisons, so the state does not depend on the order
+    batches arrive in, and its total is ``union_length`` of everything
+    absorbed, bit for bit.  Running sums are recomputed only from the
     leftmost splice onward: for parts arriving left to right that is the
     tail alone.
     """

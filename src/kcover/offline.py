@@ -19,22 +19,22 @@ intersecting transition; backtracking re-derives every other choice from
 the tables.
 
 In column j, rows i <= j accept all of the first i items, so they hold the
-prefix unions: the union length of the first i sorted items.  One pass
-with a stack of components gives them all in O(n): every item ends at or
-after all earlier ones, so it can only merge the components on top of the
-stack.  Column j depends only on column j-1, so each table is filled one
-quota column at a time by numpy operations over all n items.  Columns past
-n would repeat column n, so the solvers stop there.  Tables are stored
-``(q+1) x (n+1)``, contiguous per column; ``DpContext`` holds float64 ``.T``
-views indexed ``[i][j]``.  IEEE add and max are exact, so every cell equals
-what a cell-by-cell loop computes.
+prefix unions: the union length of the first i sorted items, which
+:func:`~kcover.intervals.prefix_unions` gives in one O(n) pass.  Column j
+depends only on column j-1, so each table is filled one quota column at a
+time by numpy operations over all n items.  Columns past n would repeat
+column n, so the solvers stop there.  Tables are stored ``(q+1) x (n+1)``,
+contiguous per column, and handed out as float64 ``.T`` views indexed
+``[i][j]``.  IEEE add and max are exact, so every cell equals what a
+cell-by-cell loop computes.
 
 The enumeration oracle sorts all parts of all items once and scores a block
-of subsets at a time: each row replays the sort-and-sweep merge of
-``union_length`` on the parts its subset keeps, with numpy operations over
-all rows.  It adds the component lengths in the same order, so every score
-equals ``union_length`` of that subset bit for bit; the first maximum in
-``itertools.combinations`` order wins, as in a plain loop over subsets.
+of subsets at a time: each row merges the parts its subset keeps with
+numpy operations over all rows.  It finds the components ``union_length``
+finds and adds their lengths in the same left-to-right order, so every
+score equals ``union_length`` of that subset bit for bit; the first
+maximum in ``itertools.combinations`` order wins, as in a plain loop over
+subsets.
 Blocks hold at most ``_BLOCK_ROWS`` subsets, so memory does not grow with
 C(n, k).
 """
@@ -52,31 +52,20 @@ import numpy as np
 
 from . import numeric
 from .errors import SettingError, SizeGuardError
-from .intervals import Instance, union_length
+from .intervals import Instance, prefix_unions, union_length
 
 
 @dataclass(frozen=True)
 class SortedInstance:
     """Items of a singleton-batch instance, sorted by (end, start, index)."""
 
-    base: Instance
     order: tuple[int, ...]          # sorted position -> original index
     starts: tuple[float, ...]       # in sorted order
     ends: tuple[float, ...]
 
 
-@dataclass
-class DpContext:
-    """Predecessor maps and filled value tables, exposed for inspection."""
-
-    psi: list[Optional[int]]        # 0-based sorted indices, None when absent
-    phi: list[Optional[int]]
-    chi: np.ndarray                 # (n+1) x (q+1) view; chi[i][j] over first i items
-    kappa: np.ndarray
-
-
 def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
-    """sort_instance, with `caller` named in the multi-part batch error."""
+    """The sorted items; `caller` is named in the multi-part batch error."""
     for i, b in enumerate(inst.items):
         if not b.is_singleton:
             raise SettingError(
@@ -89,11 +78,7 @@ def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
     )
     starts = tuple(ivs[i].start for i in order)
     ends = tuple(ivs[i].end for i in order)
-    return SortedInstance(inst, order, starts, ends)
-
-
-def sort_instance(inst: Instance) -> SortedInstance:
-    return _sort_instance(inst, "sort_instance")
+    return SortedInstance(order, starts, ends)
 
 
 def _first_equal_end(ends: tuple[float, ...], idx: int) -> int:
@@ -152,45 +137,20 @@ def _index(preds: list[Optional[int]]) -> np.ndarray:
     return np.array([0 if p is None else p + 1 for p in preds], dtype=np.intp)
 
 
-def _prefix_unions(starts, ends) -> np.ndarray:
-    """Union length of the first i end-sorted items, for i = 0..n.
-
-    Every item ends at or after every earlier one, so it touches exactly
-    the trailing components whose end + EPS >= its start, and no component
-    ends past it.  A stack holds the components as (start, end, length of
-    the components before it); the item pops the ones it touches, takes the
-    least start, and pushes one component.  These are the comparisons,
-    splice and running sum of :func:`absorb`, so every total is the one
-    ``absorb`` gives, bit for bit, and each item is pushed and popped once.
-    """
-    eps = numeric.EPS
-    pref = np.zeros(len(starts) + 1)
-    stack: list[tuple[float, float, float]] = []
-    total = 0.0
-    for i, (a, b) in enumerate(zip(starts, ends), 1):
-        before = total
-        while stack and stack[-1][1] + eps >= a:
-            a0, _, before = stack.pop()
-            a = min(a, a0)
-        stack.append((a, b, before))
-        total = before + (b - a)
-        pref[i] = total
-    return pref
-
-
-def _dp_tables(s: SortedInstance, quota: int):
-    """Fill chi/kappa and the flags that backtracking needs.
+def _dp_tables(s: SortedInstance, q: int):
+    """Fill chi/kappa and the flags that backtracking needs; return the
+    predecessor rows and the ``[i][j]`` views of chi, kappa and the flags.
 
     ``via_psi[i][j]`` is True when ``kappa[i][j]`` took the intersecting
     transition through ``kappa[psi+1][j-1]`` (it must beat the disjoint one
     through ``chi[phi+1][j-1]`` strictly); column 0 is zero, so at j == 1
     item i stands alone.  ``chi`` needs no flags: it rejects item i exactly
     when ``chi[i-1][j] >= kappa[i][j]``.  Rows up to j of column j are the
-    prefix unions, from :func:`_prefix_unions` in O(n).
+    prefix unions.  The row of predecessor p is p+1, or 0 when p is absent.
     """
     n = len(s.order)
     psi, phi = build_predecessors(s)
-    pref = _prefix_unions(s.starts, s.ends)
+    pref = np.array(prefix_unions(zip(s.ends, s.starts)), dtype=float)
 
     starts, ends = np.array(s.starts), np.array(s.ends)
     sizes = ends - starts
@@ -198,7 +158,6 @@ def _dp_tables(s: SortedInstance, quota: int):
     # psi ends inside item i, past its start; without psi, -inf never wins.
     rest = np.where(psi1 > 0, sizes - (ends[psi1 - 1] - starts), -np.inf)
 
-    q = quota
     chi = np.zeros((q + 1, n + 1))
     kappa = np.zeros((q + 1, n + 1))
     via_psi = np.zeros((q + 1, n + 1), dtype=bool)
@@ -210,12 +169,7 @@ def _dp_tables(s: SortedInstance, quota: int):
             col[j + 1:] = kappa[j, j + 1:]
             np.maximum.accumulate(col[j:], out=col[j:])
 
-    return DpContext(psi, phi, chi.T, kappa.T), via_psi.T
-
-
-def dp_context(inst: Instance) -> DpContext:
-    """Run the DP at the instance's quota and expose its tables for tests."""
-    return _dp_tables(sort_instance(inst), inst.quota)[0]
+    return psi1, phi1, chi.T, kappa.T, via_psi.T
 
 
 def _quota(inst: Instance, quota: Optional[int]) -> int:
@@ -240,8 +194,7 @@ def solve_offline(
     if q == 0:
         return 0.0, ()
     s = _sort_instance(inst, "solve_offline")
-    ctx, via_psi = _dp_tables(s, q)
-    chi, kappa = ctx.chi, ctx.kappa
+    psi1, phi1, chi, kappa, via_psi = _dp_tables(s, q)
     n = inst.n
 
     # Walk back from chi[n][q]; in_chi says which table the cell is in.
@@ -259,11 +212,8 @@ def solve_offline(
         chosen.append(item)
         if j == 1:
             break
-        if via_psi[i, j]:
-            i, in_chi = ctx.psi[item] + 1, False
-        else:
-            f = ctx.phi[item]
-            i, in_chi = (0 if f is None else f + 1), True
+        in_chi = not via_psi[i, j]  # the disjoint transition recurses through chi
+        i = int((phi1 if in_chi else psi1)[item])
         j -= 1
     picked = tuple(sorted(s.order[t] for t in chosen))
     return float(chi[n, q]), picked
@@ -340,6 +290,9 @@ def solve_offline_unit(
     return float(chi[q, n]), picked
 
 
+# Most items the enumeration takes; C(20, 10) is 184,756 subsets.
+_MAX_N = 20
+
 # Most subsets the enumeration scores in one block: it bounds the scorer's
 # memory at every n up to the guard.
 _BLOCK_ROWS = 1024
@@ -378,14 +331,16 @@ def _block_totals(keep: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
     """Union length of the parts each subset keeps, for every subset.
 
     Parts are sorted by (start, end), and ``keep[c, row]`` says whether the
-    row's subset keeps part c.  Every row replays the sort-and-sweep merge
-    of :meth:`CoverageState.of` on its own parts: the reach is the running
-    maximum end, a component opens where a kept part starts more than EPS
-    past the reach before it, and a component's length is the reach where
-    the next one opens (or at the end) minus its start.  The lengths are
-    added in order, 0.0 for every part that closes nothing, and adding 0.0
-    is exact, so each total is ``union_length``'s bit for bit.  Running
-    maxima and sums go part by part, each step over all rows at once.
+    row's subset keeps part c.  Every row merges its own parts in start
+    order: the reach is the running maximum end, a component opens where a
+    kept part starts more than EPS past the reach before it, and a
+    component's length is the reach where the next one opens (or at the
+    end) minus its start.  These are the components that
+    :func:`~kcover.intervals.prefix_unions` builds from the same parts in
+    end order, and their lengths are added left to right as there, 0.0 for
+    every part that closes nothing; adding 0.0 is exact, so each total is
+    ``union_length``'s bit for bit.  Running maxima and sums go part by
+    part, each step over all rows at once.
     """
     parts, rows = keep.shape
     reach = np.full((parts + 1, rows), -np.inf)  # row c + 1: reach after part c
@@ -407,22 +362,21 @@ def _block_totals(keep: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
 
 
 def brute_force_offline(
-    inst: Instance, quota: Optional[int] = None, max_n: int = 20
+    inst: Instance, quota: Optional[int] = None
 ) -> tuple[float, tuple[int, ...]]:
     """Exact optimum by enumerating all quota-sized subsets.
 
-    Handles unit-sum batches natively.  Coverage is monotone, so only
-    subsets of size min(quota, n) need to be checked.  The subsets are
-    scored a block at a time by :func:`_block_totals`, whose totals equal
-    ``union_length`` bit for bit; the first maximum in enumeration order
-    wins, and its value is ``union_length`` of the picks.
+    Handles unit-sum batches natively; more than ``_MAX_N`` items raise
+    :class:`SizeGuardError`.  Coverage is monotone, so only subsets of size
+    min(quota, n) need to be checked.  The subsets are scored a block at a
+    time by :func:`_block_totals`, whose totals equal ``union_length`` bit
+    for bit; the first maximum in enumeration order wins, and its value is
+    ``union_length`` of the picks.
     """
     q = _quota(inst, quota)
     n = inst.n
-    if n > max_n:
-        raise SizeGuardError(
-            f"n={n} exceeds the enumeration guard max_n={max_n}"
-        )
+    if n > _MAX_N:
+        raise SizeGuardError(f"n={n} exceeds the enumeration guard max_n={_MAX_N}")
     if q == 0:
         return 0.0, ()
     parts = sorted(

@@ -31,9 +31,9 @@ class Policy:
     `free_first` is set; accept when the release count `total` is known
     (None means unknown) and the remaining quota covers every remaining
     release; otherwise accept exactly when the marginal length reaches
-    schedule[accepted_count].  `schedule` has one threshold per accept; a
-    subclass that overrides :meth:`_decide` may leave it empty.  `config`
-    holds what :meth:`describe` reports after the quota.
+    ``schedule[min(accepted_count, last)]``, so the last threshold repeats;
+    a subclass that overrides :meth:`_decide` may leave `schedule` empty.
+    `config` holds what :meth:`describe` reports after the quota.
     """
 
     name = "policy"
@@ -79,7 +79,8 @@ class Policy:
         left = self.quota - self.accepted_count
         if self.total is not None and left >= self.total - position + 1:
             return True
-        return gain >= self.schedule[self.accepted_count] - numeric.EPS
+        i = min(self.accepted_count, len(self.schedule) - 1)
+        return gain >= self.schedule[i] - numeric.EPS
 
 
 def _default_theta(k, n, setting, m, theta):
@@ -105,7 +106,7 @@ class ThresholdPolicy(Policy):
     def __init__(self, quota, total, theta=None, setting="UL", m=None):
         _check_known_count(quota, total)
         theta = _default_theta(quota, total, setting, m, theta)
-        super().__init__(quota, (theta,) * quota, total, n=total, theta=theta)
+        super().__init__(quota, (theta,), total, n=total, theta=theta)
 
 
 class AnytimeThresholdPolicy(Policy):
@@ -117,7 +118,7 @@ class AnytimeThresholdPolicy(Policy):
     def __init__(self, quota, theta=None, setting="UL", m=None):
         check_quota(quota)
         theta = _default_theta(quota, None, setting, m, theta)
-        super().__init__(quota, (theta,) * quota, theta=theta)
+        super().__init__(quota, (theta,), theta=theta)
 
 
 class TwoPhaseThresholdPolicy(Policy):
@@ -134,7 +135,7 @@ class TwoPhaseThresholdPolicy(Policy):
         _check_known_count(quota, total)
         check_two_phase(quota, switch_after, theta1, theta2)
         theta1, theta2 = float(theta1), float(theta2)
-        schedule = (theta1,) * switch_after + (theta2,) * (quota - switch_after)
+        schedule = (theta1,) * switch_after + (theta2,)
         super().__init__(quota, schedule, total, n=total, omega=switch_after,
                          theta1=theta1, theta2=theta2)
 
@@ -159,7 +160,7 @@ class AcceptAllPolicy(Policy):
     name = "accept-all"
 
     def __init__(self, quota):
-        super().__init__(quota, (-math.inf,) * quota)
+        super().__init__(quota, (-math.inf,))
 
 
 class RejectUntilForcedPolicy(Policy):
@@ -172,7 +173,7 @@ class RejectUntilForcedPolicy(Policy):
     free_first = False
 
     def __init__(self, quota, total=None):
-        super().__init__(quota, (math.inf,) * quota, total, n=total)
+        super().__init__(quota, (math.inf,), total, n=total)
 
 
 def tally(

@@ -380,16 +380,17 @@ def test_determinism(tmp_path, sweep_result):
 def test_structural_complexity():
     # asymptotics are checked by counting, not timing: the offline memo
     # holds O(kn) cells and the online loop makes one decision per item
-    from kcover.offline import dp_context
     from kcover.policies import AcceptAllPolicy
+
+    from conftest import dp_tables
 
     rng = random.Random(SEED + 6)
     ok = True
     for _ in range(40):
         n, k = random_nk(rng, 12)
         inst = gen_instance(rng, "AL", n, k)
-        ctx = dp_context(inst)
-        ok = ok and ctx.chi.shape == ctx.kappa.shape == (n + 1, k + 1)
+        chi, kappa = dp_tables(inst)
+        ok = ok and chi.shape == kappa.shape == (n + 1, k + 1)
         pol = AcceptAllPolicy(k)
         _, _, trace = run_policy(pol, inst)
         ok = ok and len(trace) == n and pol._cursor == n

@@ -1,4 +1,6 @@
 import math
+from itertools import accumulate
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from kcover import (
     added_length,
     union_length,
 )
+from kcover.intervals import prefix_unions
 
 
 def iv(a, b):
@@ -27,9 +30,25 @@ def single(a, b):
     return Batch.single(a, b)
 
 
+def sweep(parts):
+    """Reference merge: sort the parts by start and sweep left to right,
+    joining a part to the last component when it starts at most EPS past
+    that component's end."""
+    eps = numeric.EPS
+    starts, ends = [], []
+    for a, b in sorted((p.start, p.end) for p in parts):
+        if ends and a <= ends[-1] + eps:
+            ends[-1] = max(ends[-1], b)
+        else:
+            starts.append(a)
+            ends.append(b)
+    sums = tuple(accumulate(map(sub, ends, starts), initial=0))
+    return CoverageState(tuple(starts), tuple(ends), sums)
+
+
 class TestUnionLength:
     def test_empty(self):
-        assert union_length([]) == 0.0
+        assert union_length([]) == 0 and type(union_length([])) is int
 
     def test_half_overlap(self):
         assert union_length([single(0, 1), single(0.5, 1.5)]) == pytest.approx(1.5)
@@ -44,14 +63,14 @@ class TestUnionLength:
 
 class TestAddedAbsorb:
     def test_duplicate_adds_nothing(self):
-        st_ = CoverageState.of([iv(0, 1)])
+        st_ = sweep([iv(0, 1)])
         assert added_length(st_, single(0, 1)) == pytest.approx(0.0)
 
     def test_fresh_interval(self):
         assert added_length(CoverageState.empty(), single(2, 3)) == pytest.approx(1.0)
 
     def test_bridging_gap(self):
-        st_ = CoverageState.of([iv(0, 1), iv(2, 3)])
+        st_ = sweep([iv(0, 1), iv(2, 3)])
         assert added_length(st_, single(0.5, 2.5)) == pytest.approx(1.0)
 
     def test_absorb_counts(self):
@@ -66,7 +85,7 @@ class TestAddedAbsorb:
         assert s2.component_count == 2
 
     def test_added_matches_absorb(self):
-        s = CoverageState.of([iv(1, 2)])
+        s = sweep([iv(1, 2)])
         b = single(1.5, 3)
         assert added_length(s, b) == pytest.approx(absorb(s, b).total_len - s.total_len)
 
@@ -161,9 +180,9 @@ def test_absorb_order_irrelevant(bs, rnd):
         s2 = absorb(s2, b)
     assert s1.component_count == s2.component_count
     assert s1.total_len == pytest.approx(s2.total_len, abs=1e-9)
-    for p, q in zip(s1.components, s2.components):
-        assert p.start == pytest.approx(q.start, abs=1e-9)
-        assert p.end == pytest.approx(q.end, abs=1e-9)
+    for a, b, c, d in zip(s1.starts, s1.ends, s2.starts, s2.ends):
+        assert a == pytest.approx(c, abs=1e-9)
+        assert b == pytest.approx(d, abs=1e-9)
 
 
 @settings(max_examples=120, deadline=None)
@@ -214,10 +233,9 @@ def bits(state):
     return [float(x).hex() for x in floats]
 
 
-@settings(max_examples=400, deadline=None)
-@given(edge_batches(), st.randoms(use_true_random=False))
-def test_absorb_matches_sort_and_sweep_bit_for_bit(bs, rnd):
-    rnd.shuffle(bs)
+def check_against_sweep(bs):
+    """absorb (every component), prefix_unions (every prefix) and
+    union_length against the reference merge, bit for bit."""
     state = CoverageState.empty()
     for b in bs:
         before = bits(state)
@@ -225,11 +243,28 @@ def test_absorb_matches_sort_and_sweep_bit_for_bit(bs, rnd):
         assert added_length(state, b) == new.total_len - state.total_len
         assert bits(state) == before  # the input state is untouched
         state = new
-    ref = CoverageState.of(p for b in bs for p in b.parts)
-    assert bits(state) == bits(ref)
-    assert float(union_length(bs)).hex() == float(state.total_len).hex()
+    parts = [p for b in bs for p in b.parts]
+    assert bits(state) == bits(sweep(parts))
     for end, start in zip(state.ends, state.starts[1:]):
-        assert start > end + EPS  # canonical: no two components touch
+        assert start > end + numeric.EPS  # canonical: no two components touch
+    parts.sort(key=lambda p: (p.end, p.start))
+    totals = prefix_unions((p.end, p.start) for p in parts)
+    assert len(totals) == len(parts) + 1
+    for i, total in enumerate(totals):
+        assert float(total).hex() == float(sweep(parts[:i]).total_len).hex()
+    assert float(union_length(bs)).hex() == float(state.total_len).hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_batches(), st.randoms(use_true_random=False))
+def test_absorb_matches_sort_and_sweep_bit_for_bit(bs, rnd):
+    # the batches are built under the default EPS, then merged under each
+    rnd.shuffle(bs)
+    for eps in (None, 0.0, 1e-3, 0.5):
+        with pytest.MonkeyPatch.context() as mp:
+            if eps is not None:
+                mp.setattr(numeric, "EPS", eps)
+            check_against_sweep(bs)
 
 
 def test_many_disjoint_items():

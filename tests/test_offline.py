@@ -21,10 +21,9 @@ from kcover import (
 )
 from kcover import numeric, offline
 from kcover.harness import gen_instance, random_nk
-from kcover.intervals import CoverageState, absorb
-from kcover.offline import dp_context, sort_instance
+from kcover.intervals import CoverageState, absorb, prefix_unions
 
-from conftest import al_instance, batch, unit_instance
+from conftest import al_instance, batch, dp_tables, sorted_items, unit_instance
 
 
 def quarter_grid_instance(rng, unit):
@@ -87,8 +86,6 @@ class TestSolveOffline:
         for solve, name in [
             (solve_offline, "solve_offline"),
             (solve_offline_unit, "solve_offline_unit"),
-            (sort_instance, "sort_instance"),
-            (dp_context, "sort_instance"),
         ]:
             with pytest.raises(SettingError) as exc:
                 solve(inst)
@@ -101,7 +98,7 @@ class TestSolveOffline:
 class TestPredecessors:
     def test_reference_configuration(self):
         inst = al_instance([(0, 1), (0.5, 1.5), (2, 3)], 2)
-        s = sort_instance(inst)
+        s = sorted_items(inst)
         psi, phi = build_predecessors(s)
         assert psi[2] is None and phi[2] == 1
         assert psi[1] == 0 and phi[1] is None
@@ -111,7 +108,7 @@ class TestPredecessors:
         # Quarter-grid items repeat starts and ends, so both tie rules
         # (smallest index) decide many of these predecessors.
         for _ in range(300):
-            s = sort_instance(quarter_grid_instance(rng, unit=rng.random() < 0.5))
+            s = sorted_items(quarter_grid_instance(rng, unit=rng.random() < 0.5))
             psi, phi = build_predecessors(s)
             for i, o_i in enumerate(s.starts):
                 meets = [j for j in range(i) if s.ends[j] >= o_i and s.starts[j] < o_i]
@@ -127,7 +124,7 @@ class TestPredecessors:
 
         ends = [8.2, 8.5, 8.9, 9.2, 9.6, 10.0]
         inst = unit_instance([(e - 1, e) for e in ends], 3, count="AN", target=10)
-        lam, mu = _unit_predecessors(sort_instance(inst))
+        lam, mu = _unit_predecessors(sorted_items(inst))
         assert lam[5] == 3
         assert mu[5] == 2
 
@@ -176,11 +173,13 @@ class TestBruteForce:
         inst = Instance(5, 2, Setting("US", "AN"), (b1, b2))
         assert brute_force_offline(inst, quota=1)[0] == pytest.approx(1.0)
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         inst = unit_instance([(i * 0.1, i * 0.1 + 1) for i in range(25)], 3, count="AN")
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError) as exc:
             brute_force_offline(inst)
-        brute_force_offline(inst, quota=1, max_n=30)
+        assert str(exc.value) == "n=25 exceeds the enumeration guard max_n=20"
+        monkeypatch.setattr(offline, "_MAX_N", 30)
+        brute_force_offline(inst, quota=1)
 
 
 def reference_brute_force(inst, quota):
@@ -294,8 +293,7 @@ def test_value_table_monotonicity(rng):
     for _ in range(60):
         n, k = random_nk(rng, 9)
         inst = gen_instance(rng, "AL", n, k)
-        ctx = dp_context(inst)
-        chi, kappa = ctx.chi, ctx.kappa
+        chi, kappa = dp_tables(inst)
         for i in range(n + 1):
             for j in range(k + 1):
                 if j + 1 <= k:
@@ -310,8 +308,8 @@ def test_dp_cell_budget(rng):
     for _ in range(20):
         n, k = random_nk(rng, 10)
         inst = gen_instance(rng, "AL", n, k)
-        ctx = dp_context(inst)
-        assert ctx.chi.shape == ctx.kappa.shape == (n + 1, k + 1)
+        chi, kappa = dp_tables(inst)
+        assert chi.shape == kappa.shape == (n + 1, k + 1)
 
 
 def test_quota_override_beyond_n():
@@ -320,14 +318,14 @@ def test_quota_override_beyond_n():
     assert value == pytest.approx(2.0)
 
 
-def reference_prefix_unions(s):
+def reference_prefix_unions(inst, s):
     """Union length of the first i sorted items as one ``absorb`` call per
-    item: the loop that ``offline._prefix_unions`` replaces."""
-    pref = np.zeros(len(s.order) + 1)
+    item: the loop that ``prefix_unions`` replaced in the DP."""
+    pref = [0]
     state = CoverageState.empty()
-    for i, t in enumerate(s.order, 1):
-        state = absorb(state, s.base.items[t])
-        pref[i] = state.total_len
+    for t in s.order:
+        state = absorb(state, inst.items[t])
+        pref.append(state.total_len)
     return pref
 
 
@@ -357,13 +355,14 @@ def disjoint_instance(rng, n):
 
 @pytest.mark.parametrize("eps", [None, 0.0, 1e-3, 0.5])
 def test_prefix_unions_match_absorb_loop(monkeypatch, rng, eps):
-    cases = [sort_instance(inst) for inst in singleton_cases(rng)]
-    cases.append(sort_instance(disjoint_instance(rng, 4000)))
+    cases = list(singleton_cases(rng)) + [disjoint_instance(rng, 4000)]
     if eps is not None:
         monkeypatch.setattr(numeric, "EPS", eps)
-    for s in cases:
-        got = offline._prefix_unions(s.starts, s.ends)
-        assert got.tobytes() == reference_prefix_unions(s).tobytes()
+    for inst in cases:
+        s = sorted_items(inst)
+        got = prefix_unions(zip(s.ends, s.starts))
+        want = reference_prefix_unions(inst, s)
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
 def with_quota(inst, quota):
@@ -372,11 +371,12 @@ def with_quota(inst, quota):
 
 
 def test_dp_diagonal_is_union_of_sorted_prefix(rng):
-    # chi[i][i] accepts all of the first i sorted items: an independent
-    # check of the prefix unions through union_length's sort-and-sweep
+    # chi[i][i] accepts all of the first i sorted items, so it is the union
+    # length of that prefix; the prefix unions themselves are checked
+    # against absorb in test_prefix_unions_match_absorb_loop
     for inst in singleton_cases(rng):
-        s = sort_instance(inst)
-        chi = dp_context(with_quota(inst, max(2, inst.n))).chi
+        s = sorted_items(inst)
+        chi, _ = dp_tables(with_quota(inst, max(2, inst.n)))
         for i in range(inst.n + 1):
             assert chi[i][i] == union_length([inst.items[t] for t in s.order[:i]])
 
@@ -394,7 +394,7 @@ def test_quota_past_n_fills_n_columns(rng):
             for q in (n + 1, n + 3, 3 * n, 10**12):
                 got = solve(inst, q)
                 assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
-        chi = dp_context(with_quota(inst, 3 * n + 2)).chi
+        chi, _ = dp_tables(with_quota(inst, 3 * n + 2))
         assert chi[n][n:].tobytes() == np.full(2 * n + 3, chi[n][n]).tobytes()
         assert chi[n][n] == solve_offline(inst, n)[0]
 
@@ -428,7 +428,7 @@ def test_golden_outputs():
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
-# SHA-256 over float.hex of every chi and kappa cell of dp_context and over
+# SHA-256 over float.hex of every chi and kappa cell of the DP and over
 # the values and picks of both exact DPs (and of the enumeration at n <= 7),
 # recorded while the tables were still filled one cell at a time.  Quotas
 # run past n on purpose.
@@ -442,8 +442,7 @@ def test_golden_tables():
         for n, k in [(1, 9), (2, 2), (7, 40), (30, rng.randint(2, 40)),
                      (120, rng.randint(2, 40)), (300, 40)]:
             inst = gen_instance(rng, length, n, k, m, count_setting="AN")
-            ctx = dp_context(inst)
-            for table in (ctx.chi, ctx.kappa):
+            for table in dp_tables(inst):
                 assert len(table) == n + 1
                 for row in table:
                     assert len(row) == k + 1

@@ -243,3 +243,21 @@ def test_each_item_absorbed_at_most_once(monkeypatch, rng):
             _, accepted, _ = run_policy(pol, inst)
             seen = accepted[-1] + 1 if len(accepted) == k else n
             assert len(calls) <= seen, pol.name
+
+
+def test_schedules_stop_at_their_last_threshold(rng):
+    # The last threshold repeats for every later accept, so a huge quota
+    # stores one threshold, and the short two-phase schedule plays like the
+    # one spelled out per accept.
+    assert len(AcceptAllPolicy(10**9).schedule) == 1
+    assert len(AnytimeThresholdPolicy(10**9, theta=0.5).schedule) == 1
+    assert len(ThresholdPolicy(10**9, 10**9 + 1, theta=0.5).schedule) == 1
+    assert len(RejectUntilForcedPolicy(10**9).schedule) == 1
+    assert TwoPhaseThresholdPolicy(5, 9, 2, 0.3, 0.6).schedule == (0.3, 0.3, 0.6)
+    for _ in range(100):
+        n, k = random_nk(rng, 10)
+        inst = gen_instance(rng, "UL", n, k)
+        omega = rng.randint(1, k)
+        short = TwoPhaseThresholdPolicy(k, n, omega, 0.3, 0.6)
+        full = Policy(k, (0.3,) * omega + (0.6,) * (k - omega), n)
+        assert run_policy(short, inst)[2] == run_policy(full, inst)[2]
