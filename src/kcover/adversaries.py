@@ -120,8 +120,7 @@ def _pair_play() -> Play:
 
 def adv_ul_un_k2(n: int) -> Adversary:
     """Quota-2 unit construction: forces ratio >= sqrt(2)."""
-    if n < 3:
-        raise ConfigError(f"need n >= 3, got {n}")
+    check_quota(2, n)
     return Adversary("ul-un-k2", 2, n, Setting("UL", "UN"), 2.0, lb_ul_un(2, n), {},
                      _pair_play())
 
@@ -142,8 +141,9 @@ def _chain_play(offsets: list[float], k: int, parts: int) -> Play:
 
 def _chain(name: str, k: int, n: int, parts: int, setting: Setting, config: dict,
            bound: Callable[[int, int], float]) -> Adversary:
-    if not (3 <= k <= n - 1):
-        raise ConfigError(f"need 3 <= k <= n-1, got k={k} n={n}")
+    if k < 3:
+        raise ConfigError(f"{name} needs k >= 3, got {k}")
+    check_quota(k, n)
     offsets = _chain_offsets(k, n)
     return Adversary(name, k, n, setting, 2.0 + sum(offsets), bound(k, n), config,
                      _chain_play(offsets, k, parts))

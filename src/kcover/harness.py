@@ -9,7 +9,7 @@ seed produce byte-identical reports and CSVs.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 from . import numeric
@@ -61,6 +61,7 @@ class GameRecord:
     alg_value: float
     opt_value: float
     ratio: Optional[float]      # None when alg_value is 0 (infinite ratio)
+    ratio_infinite: bool
     declared_bound: Optional[float]
     accepted: tuple[int, ...]
     trace: list[str]
@@ -70,23 +71,8 @@ class GameRecord:
         return float("inf") if self.ratio is None else self.ratio
 
     def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "k": self.k,
-            "n": self.n,
-            "m": self.m,
-            "policy": self.policy,
-            "policy_config": self.policy_config,
-            "source": self.source,
-            "source_config": self.source_config,
-            "alg_value": self.alg_value,
-            "opt_value": self.opt_value,
-            "ratio": self.ratio,
-            "ratio_infinite": self.ratio is None,
-            "declared_bound": self.declared_bound,
-            "accepted": list(self.accepted),
-            "trace": self.trace,
-        }
+        """The record as JSON: one key per field, in field order."""
+        return asdict(self)
 
 
 def oracle_value(inst: Instance) -> float:
@@ -113,6 +99,7 @@ def _score(policy, inst, played, opt, source, source_config, declared_bound):
         alg_value=alg,
         opt_value=opt,
         ratio=None if alg == 0.0 else opt / alg,
+        ratio_infinite=alg == 0.0,
         declared_bound=declared_bound,
         accepted=accepted,
         trace=[d.value for d in trace],
@@ -402,7 +389,7 @@ def verify_bounds(seed: int) -> SuiteResult:
             for row in bound_table(k, n, 2.0):
                 if row.upper is None or not isinstance(row.lower, float):
                     continue
-                if row.lower > row.upper + 1e-9:
+                if row.lower > row.upper + 1e-9 and bad is None:
                     bad = {
                         "setting": row.setting,
                         "k": k,

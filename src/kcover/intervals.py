@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import numeric
 from .errors import SettingError, StructureError
-from .thresholds import check_fl_cap
+from .thresholds import check_fl_cap, check_quota
 
 LENGTH_SETTINGS = ("UL", "FL", "AL", "US")
 COUNT_SETTINGS = ("UN", "AN")
@@ -243,10 +243,9 @@ class Instance:
     def __post_init__(self):
         if not self.target_len > 0.0:
             raise SettingError("target_len must be positive")
-        if self.quota < 2:
-            raise SettingError(f"quota must be >= 2, got {self.quota}")
         if not self.items:
             raise SettingError("instance needs at least one item")
+        check_quota(self.quota, self.n if self.setting.count == "UN" else None)
         for i, batch in enumerate(self.items):
             for p in batch.parts:
                 if p.start < -numeric.EPS or p.end > self.target_len + numeric.EPS:
@@ -254,10 +253,6 @@ class Instance:
                         f"items[{i}]: part {p} outside [0, {self.target_len}]"
                     )
             _check_item_shape(self.setting, batch, f"items[{i}]")
-        if self.setting.count == "UN" and len(self.items) < self.quota + 1:
-            raise SettingError(
-                f"UN instance needs n >= k+1, got n={len(self.items)} k={self.quota}"
-            )
 
     @property
     def n(self) -> int:

@@ -308,7 +308,7 @@ def _combination_blocks(n: int, r: int):
     return _mask_blocks(n, r, _BLOCK_ROWS)
 
 
-@functools.lru_cache(maxsize=32)
+@functools.cache
 def _single_block(n: int, r: int) -> tuple[np.ndarray]:
     (mask,) = _mask_blocks(n, r, _BLOCK_ROWS)
     mask.setflags(write=False)

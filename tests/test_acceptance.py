@@ -22,20 +22,15 @@ from kcover import (
     adv_ul_un_general,
     adv_ul_un_k2,
     adv_us_un,
-    brute_force_offline,
     bound_table,
     doa_objective,
     lb_fl_un,
     lb_ul_un,
     lb_us_un,
-    solve_offline,
-    solve_offline_unit,
     ub_multi,
     ub_soa,
     ub_soa_an,
-    union_length,
 )
-from kcover.errors import SettingError
 from kcover.harness import (
     full_policy_suite,
     gen_instance,
@@ -45,6 +40,7 @@ from kcover.harness import (
     run_game,
     run_sweep,
     sweep_csv,
+    verify_oracle,
 )
 from kcover.numeric import EPS
 from kcover.policies import MultiThresholdPolicy, run_policy
@@ -66,40 +62,18 @@ def sweep_result():
 
 
 def test_oracle_equivalence():
-    rng = random.Random(SEED)
+    # the oracle suite draws 1000 instances per setting at n <= 10
     t0 = time.perf_counter()
-    combos = [("UL", None), ("FL", 1.5), ("FL", 2.0), ("FL", 5.0), ("AL", None), ("US", None)]
-    worst = 0.0
-    count = 0
-    for length, m in combos:
-        for _ in range(1000):
-            n, k = random_nk(rng, 10)
-            inst = gen_instance(rng, length, n, k, m)
-            bf, chosen = brute_force_offline(inst)
-            count += 1
-            if all(b.is_singleton for b in inst.items):
-                dp, _ = solve_offline(inst)
-                worst = max(worst, abs(dp - bf))
-                if length == "UL":
-                    dpu, _ = solve_offline_unit(inst)
-                    worst = max(worst, abs(dpu - bf))
-            else:
-                # multi-part unit-sum batches: the DP declines them by
-                # contract; hold the enumeration to its own outputs instead
-                with pytest.raises(SettingError):
-                    solve_offline(inst)
-                achieved = union_length([inst.items[i] for i in chosen])
-                worst = max(worst, abs(achieved - bf))
-                prev, _ = brute_force_offline(inst, quota=k - 1)
-                assert prev <= bf + 1e-12
+    res = verify_oracle(1000, 10, SEED)
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-9 and elapsed < 60.0
+    ok = res.passed and elapsed < 60.0
     verdict(
         "oracle-equivalence",
         ok,
-        f"{count} instances, max|gap|={worst:.3g}, elapsed={elapsed:.1f}s",
+        f"{len(res.lines)} settings x 1000 instances, {len(res.failures)} failed, "
+        f"elapsed={elapsed:.1f}s",
     )
-    assert worst <= 1e-9
+    assert len(res.lines) == 6 and all(line.startswith("PASS ") for line in res.lines)
     assert elapsed < 60.0
 
 

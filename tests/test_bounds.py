@@ -24,6 +24,8 @@ from kcover import (
     ub_soa,
     ub_soa_an,
 )
+from kcover import harness
+from kcover.bounds import BoundReport
 
 
 class TestAlpha:
@@ -157,6 +159,19 @@ def test_sandwich_all_settings():
                     if row.upper is None or not isinstance(row.lower, float):
                         continue
                     assert row.lower <= row.upper + 1e-9, (row.setting, k, n, m)
+
+
+def test_verify_bounds_reports_first_sandwich_violation(monkeypatch):
+    # the dumped counterexample is the first violating row, as in every
+    # other verify check, not the last one the grid reaches
+    def two_violations(k, n, m):
+        return [BoundReport(s, k, n, m, 2.0, 1.0, "test") for s in ("first", "second")]
+
+    monkeypatch.setattr(harness, "bound_table", two_violations)
+    res = harness.verify_bounds(seed=1)
+    assert dict(res.counterexamples)["bound-sandwich"] == {
+        "setting": "first", "k": 2, "n": 3, "lower": 2.0, "upper": 1.0,
+    }
 
 
 def test_bound_table_shape():

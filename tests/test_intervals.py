@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from kcover import numeric
 from kcover import (
     Batch,
+    ConfigError,
     CoverageState,
     Instance,
     Setting,
@@ -114,7 +115,7 @@ class TestValidation:
 
     def test_un_count_floor(self):
         items = (single(0, 1), single(1, 2))
-        with pytest.raises(SettingError):
+        with pytest.raises(ConfigError, match="need 2 <= k <= n-1, got k=2 n=2"):
             Instance(3, 2, Setting("UL", "UN"), items)
 
     def test_item_outside_target(self):

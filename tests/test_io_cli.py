@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -55,7 +56,7 @@ class TestInstanceIO:
             "setting": {"length": "UL", "count": "UN"},
             "items": [[[0.0, 1.0]], [[1.0, 2.0]]],
         }
-        with pytest.raises(SchemaError, match="n >= k\\+1"):
+        with pytest.raises(SchemaError, match="need 2 <= k <= n-1, got k=2 n=2"):
             instance_from_dict(doc)
 
     def test_missing_field(self):
@@ -409,12 +410,27 @@ class TestCli:
         assert calls == []
         assert not csv_path.exists()
 
-    def test_quota_range_message_shared(self, capsys):
-        assert run_cli("bounds", "--k", "5", "--n", "5") == 2
-        bounds_err = capsys.readouterr().err
-        assert run_cli("solve-doa", "--k", "5", "--n", "5") == 2
-        assert capsys.readouterr().err == bounds_err
-        assert bounds_err == "error: need 2 <= k <= n-1, got k=5 n=5\n"
+    def test_quota_range_message_shared(self, tmp_path, capsys):
+        path = tmp_path / "k-is-n.json"
+        doc = instance_to_dict(make_instance())
+        doc["quota"] = 3
+        path.write_text(json.dumps(doc))
+        game = ("run", "--policy", "soa", "--adversary")
+        for argv, prefix, got in [
+            (("bounds", "--k", "5", "--n", "5"), "", "k=5 n=5"),
+            (("solve-doa", "--k", "5", "--n", "5"), "", "k=5 n=5"),
+            ((*game, "ul-un-k2", "--n", "2"), "", "k=2 n=2"),
+            ((*game, "ul-un-general", "--k", "5", "--n", "5"), "", "k=5 n=5"),
+            ((*game, "us-un", "--k", "5", "--n", "5"), "", "k=5 n=5"),
+            (("run", "--policy", "soa", "--instance", str(path)), f"{path}: ", "k=3 n=3"),
+            (("instance", str(path)), f"{path}: ", "k=3 n=3"),
+        ]:
+            assert run_cli(*argv) == 2, argv
+            assert capsys.readouterr().err == f"error: {prefix}need 2 <= k <= n-1, got {got}\n"
+        # the chain constructions add their own floor
+        for name in ("ul-un-general", "us-un"):
+            assert run_cli(*game, name, "--k", "2", "--n", "5") == 2
+            assert capsys.readouterr().err == f"error: {name} needs k >= 3, got 2\n"
 
 
 # The `run` flags each construction and policy reads, with a value that
@@ -596,6 +612,32 @@ class TestSweepRows:
         a = sweep_csv(run_sweep(30, 2, 8, 0.05))
         b = sweep_csv(run_sweep(30, 2, 8, 0.05))
         assert a == b
+
+
+# SHA-256 over the `run --out` files of these games, in this order, recorded
+# while `GameRecord.to_dict` still listed its keys by hand.  It pins the key
+# order, the JSON shape of every field and each float's repr.  The games
+# sum no floats with sum(), so the digest does not depend on the Python
+# version.
+RECORD_GAMES = [
+    ("--policy", "soa", "--adversary", "ul-un-k2", "--n", "10"),
+    ("--policy", "doa", "--adversary", "fl-un", "--k", "3", "--n", "10"),
+    ("--policy", "accept-all", "--adversary", "al", "--k", "3"),
+    ("--policy", "reject-until-forced", "--adversary", "us-un", "--k", "3", "--n", "8"),
+    ("--policy", "multi-threshold", "--adversary", "ul-un-general", "--k", "3",
+     "--n", "9", "--thresholds", "0.9,0.5,0.4"),
+]
+RECORD_DIGEST = "0c1d87bcc63ad7c67514775555826cb533f71cbbc2453d6398c8ca3ddfd37ae8"
+
+
+def test_run_records_golden(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for i, game in enumerate(RECORD_GAMES):
+        out = tmp_path / f"record{i}.json"
+        assert run_cli("run", *game, "--out", str(out)) == 0
+        digest.update(out.read_bytes())
+    capsys.readouterr()
+    assert digest.hexdigest() == RECORD_DIGEST
 
 
 def test_cli_subprocess_entry():

@@ -279,6 +279,17 @@ def test_combination_blocks_are_bounded():
         assert rows == list(itertools.combinations(range(n), r))
 
 
+def test_single_blocks_stay_cached():
+    # every one-block enumeration the guard allows stays cached: a verify
+    # run touches dozens of them, and none is rebuilt
+    pairs = [(n, r) for n in range(1, offline._MAX_N + 1) for r in range(1, n + 1)
+             if math.comb(n, r) <= offline._BLOCK_ROWS]
+    (first,) = offline._combination_blocks(*pairs[0])
+    for n, r in pairs:
+        offline._combination_blocks(n, r)
+    assert offline._combination_blocks(*pairs[0])[0] is first
+
+
 def test_oracle_equivalence_sample(rng):
     for length, m in [("UL", None), ("FL", 2.0), ("AL", None)]:
         for _ in range(150):
