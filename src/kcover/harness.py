@@ -8,11 +8,12 @@ seed produce byte-identical reports and CSVs.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import asdict, astuple, dataclass, field, fields
-from typing import Callable, Optional, Sequence
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import Callable, Iterator, Optional, Sequence
 
-from . import numeric
+from . import numeric, offline
 from .adversaries import (
     Adversary,
     adv_al,
@@ -205,32 +206,26 @@ def random_multi_thresholds(rng: random.Random, k: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Verification suites.
+# Verification suites.  Each is a generator of rows
+# (ok, label, detail, counterexample), one per check; the counterexample is
+# None when the check passes.  :func:`run_verify` formats them.
+
+Row = tuple[bool, str, str, Optional[dict]]
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    lines: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-    counterexamples: list[tuple[str, dict]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def check(self, ok: bool, label: str, detail: str, payload: Optional[dict] = None):
-        status = "PASS" if ok else "FAIL"
-        self.lines.append(f"{status} {label}: {detail}")
-        if not ok:
-            self.failures.append(f"{label}: {detail}")
-            if payload is not None:
-                self.counterexamples.append((label, payload))
+def _reference_optimum(inst: Instance) -> float:
+    """The enumeration as a plain loop: the best ``union_length`` over every
+    min(k, n)-subset.  It shares no code with the block scorer of
+    :func:`brute_force_offline`."""
+    return max(
+        union_length([inst.items[i] for i in combo])
+        for combo in itertools.combinations(range(inst.n), min(inst.quota, inst.n))
+    )
 
 
-def verify_oracle(trials: int, max_n: int, seed: int) -> SuiteResult:
-    """DP vs enumeration on random instances of every setting."""
-    res = SuiteResult("oracle")
+def verify_oracle(trials: int, max_n: int, seed: int) -> Iterator[Row]:
+    """DP vs enumeration on random instances of every setting; multi-part
+    instances, which the DPs refuse, against :func:`_reference_optimum`."""
     rng = random.Random(seed)
     settings = [("UL", None), ("FL", 1.5), ("FL", 2.0), ("FL", 5.0), ("AL", None), ("US", None)]
     for length, m in settings:
@@ -240,30 +235,20 @@ def verify_oracle(trials: int, max_n: int, seed: int) -> SuiteResult:
         for _ in range(trials):
             n, k = random_nk(rng, max_n)
             inst = gen_instance(rng, length, n, k, m)
-            bf, bf_set = brute_force_offline(inst)
+            bf = brute_force_offline(inst)[0]
             # (payload key, value) pairs to compare with the enumeration.
             if all(b.is_singleton for b in inst.items):
                 checks = [("dp", solve_offline(inst)[0])]
                 if length == "UL":
                     checks.append(("unit_dp", solve_offline_unit(inst)[0]))
             else:
-                # Multi-part batches: the DP refuses them; check the
-                # enumeration against the union of its own picks, which
-                # the payload leaves out.
-                checks = [(None, union_length([inst.items[i] for i in bf_set]))]
+                checks = [("reference", _reference_optimum(inst))]
             for key, value in checks:
                 gap = abs(value - bf)
                 worst = max(worst, gap)
                 if gap > 1e-9 and bad is None:
-                    shown = {} if key is None else {key: value}
-                    bad = {"instance": instance_to_dict(inst), **shown, "brute": bf}
-        res.check(
-            bad is None,
-            label,
-            f"trials={trials} max|gap|={worst:.3g}",
-            bad,
-        )
-    return res
+                    bad = {"instance": instance_to_dict(inst), key: value, "brute": bf}
+        yield bad is None, label, f"trials={trials} max|gap|={worst:.3g}", bad
 
 
 def full_policy_suite(
@@ -302,86 +287,64 @@ def full_policy_suite(
     return suite
 
 
+def _certify(make_adversary: Callable[[], Adversary], label: str,
+             rng: random.Random) -> Row:
+    """Play a fresh copy of one construction against the certification
+    suite built for its own setting, quota and release count: does every
+    policy's ratio reach the declared bound?"""
+    adv = make_adversary()
+    declared = adv.declared_bound
+    suite = full_policy_suite(adv.setting.length, adv.quota, adv.total, adv.setting.m, rng)
+    worst_slack = float("inf")
+    bad = None
+    # Policies that decide alike realise the same instance: score each once.
+    opts: dict[tuple[Batch, ...], float] = {}
+    for pname, factory in suite:
+        adv = make_adversary()
+        policy = factory()
+        inst, played = _play(policy, adv)
+        if inst.items not in opts:
+            opts[inst.items] = oracle_value(inst)
+        record = _score(
+            policy, inst, played, opts[inst.items], adv.name,
+            adv.describe(), declared,
+        )
+        slack = record.ratio_or_inf - declared
+        worst_slack = min(worst_slack, slack)
+        if slack < -1e-6 and bad is None:
+            bad = {
+                "policy": pname,
+                "declared_bound": declared,
+                "ratio": record.ratio,
+                "instance": instance_to_dict(inst),
+                "trace": record.trace,
+            }
+    return bad is None, label, f"declared={declared:.9g} min-slack={worst_slack:.3g}", bad
+
+
 def verify_adversaries(
     k_range: tuple[int, int], n_range: tuple[int, int], seed: int
-) -> SuiteResult:
+) -> Iterator[Row]:
     """Every bound construction forces its declared ratio on the test suite."""
-    res = SuiteResult("adversary")
     rng = random.Random(seed)
-    tol = 1e-6
-
-    def certify(adv_factory, suite, label):
-        worst_slack = float("inf")
-        bad = None
-        declared = None
-        # Policies that decide alike realise the same instance: score each once.
-        opts: dict[tuple[Batch, ...], float] = {}
-        for pname, factory in suite:
-            adv = adv_factory()
-            declared = adv.declared_bound
-            policy = factory()
-            inst, played = _play(policy, adv)
-            if inst.items not in opts:
-                opts[inst.items] = oracle_value(inst)
-            record = _score(
-                policy, inst, played, opts[inst.items], adv.name,
-                adv.describe(), adv.declared_bound,
-            )
-            slack = record.ratio_or_inf - adv.declared_bound
-            worst_slack = min(worst_slack, slack)
-            if slack < -tol and bad is None:
-                bad = {
-                    "policy": pname,
-                    "declared_bound": adv.declared_bound,
-                    "ratio": record.ratio,
-                    "instance": instance_to_dict(inst),
-                    "trace": record.trace,
-                }
-        res.check(
-            bad is None,
-            label,
-            f"declared={declared:.9g} min-slack={worst_slack:.3g}",
-            bad,
-        )
-
     klo, khi = k_range
     nlo, nhi = n_range
     for n in range(max(nlo, 3), nhi + 1):
-        suite = full_policy_suite("UL", 2, n, None, rng)
-        certify(lambda: adv_ul_un_k2(n), suite, f"k2-adversary n={n}")
+        yield _certify(lambda: adv_ul_un_k2(n), f"k2-adversary n={n}", rng)
     for k in range(max(klo, 3), khi + 1):
         for n in range(max(nlo, k + 1), nhi + 1):
-            suite = full_policy_suite("UL", k, n, None, rng)
-            certify(lambda: adv_ul_un_general(k, n), suite, f"chain-adversary k={k} n={n}")
-            for m in (2.0,):
-                fl_suite = full_policy_suite("FL", k, n, m, rng)
-                certify(
-                    lambda: adv_fl_un(k, n, m),
-                    fl_suite,
-                    f"flex-adversary k={k} n={n} m={m:g}",
-                )
-            us_suite = full_policy_suite("US", k, n, None, rng)
-            certify(
-                lambda: adv_us_un(k, n, 3),
-                us_suite,
-                f"unit-sum-adversary k={k} n={n} parts=3",
+            yield _certify(lambda: adv_ul_un_general(k, n), f"chain-adversary k={k} n={n}", rng)
+            yield _certify(lambda: adv_fl_un(k, n, 2.0), f"flex-adversary k={k} n={n} m=2", rng)
+            yield _certify(
+                lambda: adv_us_un(k, n, 3), f"unit-sum-adversary k={k} n={n} parts=3", rng
             )
     # Arbitrary lengths: a fixed epsilon must already force a huge ratio.
-    eps_adv = 1e-3
     for k in (2, 3):
-        horizon = 2 * k + 2
-        suite = full_policy_suite("AL", k, horizon, None, rng)
-        certify(
-            lambda: adv_al(eps_adv, k, horizon),
-            suite,
-            f"al-adversary k={k} eps={eps_adv:g}",
-        )
-    return res
+        yield _certify(lambda: adv_al(1e-3, k, 2 * k + 2), f"al-adversary k={k} eps=0.001", rng)
 
 
-def verify_bounds(seed: int) -> SuiteResult:
+def verify_bounds(seed: int) -> Iterator[Row]:
     """Sandwich consistency and the multi-threshold formula chain."""
-    res = SuiteResult("bounds")
     rng = random.Random(seed)
     bad = None
     for k in range(2, 21):
@@ -397,7 +360,7 @@ def verify_bounds(seed: int) -> SuiteResult:
                         "lower": row.lower,
                         "upper": row.upper,
                     }
-    res.check(bad is None, "bound-sandwich", "grid k=2..20", bad)
+    yield bad is None, "bound-sandwich", "grid k=2..20", bad
 
     bad = None
     worst = float("inf")
@@ -409,13 +372,7 @@ def verify_bounds(seed: int) -> SuiteResult:
         worst = min(worst, gap)
         if gap < -1e-9 and bad is None:
             bad = {"k": k, "thresholds": thresholds, "gap": gap}
-    res.check(
-        bad is None,
-        "multi-threshold-floor",
-        f"lists={lists} min-gap={worst:.3g}",
-        bad,
-    )
-    return res
+    yield bad is None, "multi-threshold-floor", f"lists={lists} min-gap={worst:.3g}", bad
 
 
 def check_verify_args(
@@ -424,8 +381,8 @@ def check_verify_args(
     """Refuse verify arguments that would make a suite empty or invalid."""
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got {trials}")
-    if max_n < 3:
-        raise ConfigError(f"need max-n >= 3, got {max_n}")
+    if not 3 <= max_n <= offline._MAX_N:
+        raise ConfigError(f"need 3 <= max-n <= {offline._MAX_N}, got {max_n}")
     for flag, (lo, hi) in (("k", k_range), ("n", n_range)):
         if lo > hi:
             raise ConfigError(f"empty {flag} range {lo}..{hi}")
@@ -439,29 +396,32 @@ def run_verify(
     k_range: tuple[int, int] = (2, 6),
     n_range: tuple[int, int] = (8, 12),
 ) -> tuple[str, bool, list[tuple[str, dict]]]:
-    """Run the requested suites; returns (report text, passed, dumps)."""
+    """Run the requested suites; returns (report text, passed, dumps), one
+    ``PASS|FAIL label: detail`` report line and at most one dumped
+    counterexample per check."""
     check_verify_args(trials, max_n, k_range, n_range)
-    header = [
+    calls: dict[str, Callable[[], Iterator[Row]]] = {
+        "oracle": lambda: verify_oracle(trials, max_n, seed),
+        "adversary": lambda: verify_adversaries(k_range, n_range, seed),
+        "bounds": lambda: verify_bounds(seed),
+    }
+    for name in suites:
+        if name not in calls:
+            raise ConfigError(f"unknown suite {name!r}, choose from {', '.join(SUITES)}")
+    lines = [
         "kcover verify report",
         f"seed={seed} trials={trials} max-n={max_n} "
         f"k={k_range[0]}..{k_range[1]} n={n_range[0]}..{n_range[1]} "
         f"eps={numeric.EPS:g} prng={PRNG_NAME}",
     ]
-    lines = list(header)
     passed = True
     dumps: list[tuple[str, dict]] = []
     for name in suites:
-        if name == "oracle":
-            result = verify_oracle(trials, max_n, seed)
-        elif name == "adversary":
-            result = verify_adversaries(k_range, n_range, seed)
-        elif name == "bounds":
-            result = verify_bounds(seed)
-        else:
-            raise ValueError(f"unknown suite {name!r}")
-        lines.extend(result.lines)
-        passed = passed and result.passed
-        dumps.extend(result.counterexamples)
+        for ok, label, detail, bad in calls[name]():
+            lines.append(f"{'PASS' if ok else 'FAIL'} {label}: {detail}")
+            passed = passed and ok
+            if bad is not None:
+                dumps.append((label, bad))
     lines.append(f"RESULT {'pass' if passed else 'fail'}")
     return "\n".join(lines) + "\n", passed, dumps
 

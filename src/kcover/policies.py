@@ -31,18 +31,19 @@ class Policy:
     `free_first` is set; accept when the release count `total` is known
     (None means unknown) and the remaining quota covers every remaining
     release; otherwise accept exactly when the marginal length reaches
-    ``schedule[min(accepted_count, last)]``, so the last threshold repeats;
-    a subclass that overrides :meth:`_decide` may leave `schedule` empty.
+    ``schedule[min(accepted_count, last)]``, so the last threshold repeats.
     `config` holds what :meth:`describe` reports after the quota.
     """
 
     name = "policy"
     free_first = True
 
-    def __init__(self, quota: int, schedule: Sequence[float] = (),
+    def __init__(self, quota: int, schedule: Sequence[float],
                  total: Optional[int] = None, **config):
         if quota < 1:
             raise ConfigError(f"quota must be >= 1, got {quota}")
+        if not schedule:
+            raise ConfigError("a policy needs at least one threshold")
         self.quota = quota
         self.schedule = tuple(schedule)
         self.total = total
@@ -86,8 +87,8 @@ class Policy:
 def _default_theta(k, n, setting, m, theta):
     if theta is None:
         return soa_an_theta(k, setting, m) if n is None else soa_theta(k, n, setting, m)
-    if theta <= 0.0:
-        raise ConfigError(f"theta must be positive, got {theta}")
+    if not (0.0 < theta < math.inf):
+        raise ConfigError(f"theta must be a finite number > 0, got {theta}")
     return float(theta)
 
 

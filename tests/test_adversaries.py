@@ -37,7 +37,7 @@ class RejectAt(Policy):
     name = "reject-at"
 
     def __init__(self, quota, skip):
-        super().__init__(quota)
+        super().__init__(quota, (-math.inf,))
         self.skip = set(skip)
 
     def _decide(self, gain, position):
@@ -374,7 +374,7 @@ def test_certify_scores_each_distinct_game_once(monkeypatch):
 
     monkeypatch.setattr(harness, "_score", counting_score)
     monkeypatch.setattr(harness, "oracle_value", counting_oracle)
-    res = harness.verify_adversaries((2, 4), (5, 7), seed=7)
-    assert res.passed
+    rows = list(harness.verify_adversaries((2, 4), (5, 7), seed=7))
+    assert all(ok for ok, *_ in rows)
     assert len(solved) == len(set(games)) < len(games)
     assert len(set(solved)) == len(solved)

@@ -168,8 +168,8 @@ def test_verify_bounds_reports_first_sandwich_violation(monkeypatch):
         return [BoundReport(s, k, n, m, 2.0, 1.0, "test") for s in ("first", "second")]
 
     monkeypatch.setattr(harness, "bound_table", two_violations)
-    res = harness.verify_bounds(seed=1)
-    assert dict(res.counterexamples)["bound-sandwich"] == {
+    dumps = {label: bad for _, label, _, bad in harness.verify_bounds(seed=1)}
+    assert dumps["bound-sandwich"] == {
         "setting": "first", "k": 2, "n": 3, "lower": 2.0, "upper": 1.0,
     }
 

@@ -9,6 +9,7 @@ import pytest
 
 from kcover import (
     Batch,
+    ConfigError,
     Instance,
     SchemaError,
     Setting,
@@ -350,10 +351,20 @@ class TestCli:
         assert run_cli("verify", "--trials", "0") == 2
         assert "trials >= 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("max_n", ["2", "0", "-5"])
-    def test_verify_max_n_below_3_exits_2(self, max_n, capsys):
+    @pytest.mark.parametrize("max_n", ["2", "0", "-5", "21"])
+    def test_verify_max_n_outside_guard_exits_2(self, max_n, capsys):
+        # 21 is past the enumeration guard: refused before any suite runs
         assert run_cli("verify", "--max-n", max_n, "--suite", "oracle") == 2
-        assert f"need max-n >= 3, got {max_n}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"need 3 <= max-n <= 20, got {max_n}" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_suite_refused_before_any_suite_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(harness, "verify_oracle", lambda *args: ran.append(args) or iter(()))
+        with pytest.raises(ConfigError, match="unknown suite 'nope'"):
+            harness.run_verify(trials=1, suites=("oracle", "nope"))
+        assert ran == []
 
     def test_sweep_inverted_quota_range_exits_2(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"

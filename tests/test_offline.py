@@ -19,7 +19,7 @@ from kcover import (
     solve_offline_unit,
     union_length,
 )
-from kcover import numeric, offline
+from kcover import harness, numeric, offline
 from kcover.harness import gen_instance, random_nk
 from kcover.intervals import CoverageState, absorb, prefix_unions
 
@@ -248,6 +248,31 @@ def test_enumeration_matches_reference_loop(monkeypatch, rng, eps):
     for inst in cases:
         for quota in range(1, inst.n + 3):
             assert_matches_reference(inst, quota)
+
+
+def test_verify_oracle_us_row_catches_a_wrong_enumeration(monkeypatch):
+    # An enumeration that returns the worst subset on multi-part instances,
+    # with the value of its own picks, must fail the US row: the reference
+    # is an independent loop, not the union of the enumeration's picks.
+    right = harness.brute_force_offline
+
+    def worst_subset(inst):
+        if all(b.is_singleton for b in inst.items):
+            return right(inst)
+        return min(
+            (union_length([inst.items[i] for i in combo]), combo)
+            for combo in itertools.combinations(range(inst.n), min(inst.quota, inst.n))
+        )
+
+    monkeypatch.setattr(harness, "brute_force_offline", worst_subset)
+    report, passed, dumps = harness.run_verify(trials=20, seed=3, suites=("oracle",))
+    assert not passed
+    assert "FAIL oracle-equivalence US: trials=20 max|gap|=2.65\n" in report
+    assert report.count("FAIL") == 1
+    ((label, payload),) = dumps
+    assert label == "oracle-equivalence US"
+    assert list(payload) == ["instance", "reference", "brute"]
+    assert payload["reference"] > payload["brute"]
 
 
 def test_enumeration_block_boundaries(monkeypatch, rng):

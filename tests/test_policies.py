@@ -78,6 +78,24 @@ class TestThresholdPolicy:
         ThresholdPolicy(2, 10, setting="AL", theta=0.5)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "make",
+    [lambda t: ThresholdPolicy(3, 10, theta=t), lambda t: AnytimeThresholdPolicy(3, theta=t)],
+    ids=["soa", "soa-an"],
+)
+def test_theta_must_be_finite_and_positive(make, theta):
+    # a nan theta would play and then reach describe() and the JSON record
+    with pytest.raises(ConfigError, match=f"theta must be a finite number > 0, got {theta}"):
+        make(theta)
+
+
+def test_empty_schedule_refused():
+    # with no threshold the second item would index an empty schedule
+    with pytest.raises(ConfigError, match="at least one threshold"):
+        Policy(3, ())
+
+
 class TestAnytimePolicy:
     def test_k3_boundary(self):
         theta = soa_an_theta(3)
@@ -170,7 +188,7 @@ class TestRunPolicy:
 
     def test_reject_stub_scores_zero(self):
         inst = unit_instance([(0, 1), (1, 2), (2, 3)], 2)
-        value, accepted, _ = run_policy(RejectAllStub(2), inst)
+        value, accepted, _ = run_policy(RejectAllStub(2, (math.inf,)), inst)
         assert value == 0.0 and accepted == ()
 
     def test_reject_until_forced_takes_tail(self):
