@@ -1,16 +1,17 @@
 """Interval geometry: sub-intervals, batches, instances and coverage state.
 
-Everything here is immutable and pure; the other modules build on these
-primitives.  Lengths are plain doubles; touching pieces (gap within the
-global tolerance) merge into one covered component.
+Everything here but the coverage state is immutable and pure; the other
+modules build on these primitives.  Lengths are plain doubles; touching
+pieces (gap within the global tolerance) merge into one covered component.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from . import numeric
@@ -90,7 +91,7 @@ def prefix_unions(pieces: Iterable[tuple[float, float]]) -> list[float]:
     as (start, end + EPS, length of the components left of it), the rest on
     a stack above a sentinel no piece reaches; each is pushed and popped at
     most once.  These are the comparisons and running sums of
-    :func:`absorb`, so each total is the one ``absorb`` gives, bit for bit.
+    :meth:`CoverageState.add`, so each total is the one it gives, bit for bit.
     The first total is the int 0, like ``CoverageState.sums[0]``.
     """
     eps = numeric.EPS
@@ -119,21 +120,25 @@ def union_length(batches: Sequence[Batch]) -> float:
     return prefix_unions(sorted((p.end, p.start) for b in batches for p in b.parts))[-1]
 
 
-@dataclass(frozen=True)
 class CoverageState:
-    """Canonical disjoint-interval union of everything accepted so far.
+    """Canonical disjoint-interval union of everything accepted so far,
+    updated in place by :meth:`add`.
 
     Component i is [starts[i], ends[i]]; components are sorted left to right
-    and each starts more than EPS after the previous one ends.  `sums` holds
-    the left-to-right running sums of the component lengths (``sums[i]`` is
-    the length of the first i components), so `total_len` is ``sums[-1]``.
-    ``sums[0]`` is the int 0, like ``sum()`` of nothing: a game that
-    accepts nothing records its value as ``0`` in JSON, not ``0.0``.
+    and each starts more than EPS after the previous one ends.  ``reach[i]``
+    is ``ends[i] + EPS`` under the EPS in force when the component was made.
+    `sums` holds the left-to-right running sums of the component lengths
+    (``sums[i]`` is the length of the first i components), so `total_len` is
+    ``sums[-1]``.  ``sums[0]`` is the int 0, like ``sum()`` of nothing: a
+    game that accepts nothing records its value as ``0`` in JSON, not ``0.0``.
     """
 
-    starts: tuple[float, ...]
-    ends: tuple[float, ...]
-    sums: tuple[float, ...]
+    __slots__ = ("starts", "ends", "reach", "sums")
+
+    def __init__(self, starts: Iterable[float], ends: Iterable[float],
+                 sums: Iterable[float]):
+        self.starts, self.ends, self.sums = list(starts), list(ends), list(sums)
+        self.reach = [end + numeric.EPS for end in self.ends]
 
     @classmethod
     def empty(cls) -> "CoverageState":
@@ -147,40 +152,71 @@ class CoverageState:
     def component_count(self) -> int:
         return len(self.starts)
 
+    def copy(self) -> "CoverageState":
+        new = CoverageState.__new__(CoverageState)
+        for name in self.__slots__:
+            setattr(new, name, getattr(self, name)[:])
+        return new
 
-def absorb(state: CoverageState, batch: Batch) -> CoverageState:
-    """New canonical state after accepting `batch`; `state` is untouched.
-
-    Each part [a, b] touches the run of components from the first whose
-    end + EPS >= a up to, not including, the first whose start > b + EPS;
-    both ends are found by bisection, and the run is spliced out for one
-    component spanning it and the part.  A merge of all the parts at once
-    makes the same comparisons, so the state does not depend on the order
-    batches arrive in, and its total is ``union_length`` of everything
-    absorbed, bit for bit.  Running sums are recomputed only from the
-    leftmost splice onward: for parts arriving left to right that is the
-    tail alone.
-    """
-    eps = numeric.EPS
-    starts, ends = state.starts, state.ends
-    first = len(starts)
-    for p in batch.parts:
-        a, b = p.start, p.end
-        lo = bisect_left(ends, a, key=lambda end: end + eps)
-        hi = bisect_right(starts, b + eps, lo)
+    def _place(self, a: float, b: float) -> tuple[int, int, float, float]:
+        """The run [lo, hi) of components that part [a, b] touches, and the
+        one component spanning that run and the part."""
+        starts = self.starts
+        lo = bisect_left(self.reach, a)
+        hi = bisect_right(starts, b + numeric.EPS, lo)
         if lo < hi:
             a = min(a, starts[lo])
-            b = max(b, ends[hi - 1])
-        starts = starts[:lo] + (a,) + starts[hi:]
-        ends = ends[:lo] + (b,) + ends[hi:]
-        first = min(first, lo)
-    tail = accumulate(map(sub, ends[first:], starts[first:]), initial=state.sums[first])
-    return CoverageState(starts, ends, state.sums[:first] + tuple(tail))
+            b = max(b, self.ends[hi - 1])
+        return lo, hi, a, b
+
+    def add(self, batch: Batch) -> None:
+        """Accept `batch`: absorb its parts into this state, in place.
+
+        Each part [a, b] touches the run of components from the first whose
+        end + EPS >= a up to, not including, the first whose start > b + EPS;
+        both ends are found by bisection, and the run is spliced out for one
+        component spanning it and the part.  A merge of all the parts at once
+        makes the same comparisons, so the state does not depend on the order
+        batches arrive in, and its total is ``union_length`` of everything
+        absorbed, bit for bit.  Running sums are recomputed only from the
+        leftmost splice onward: for parts arriving left to right that is the
+        tail alone, so a left-to-right run costs O(log c) per part.
+        """
+        eps = numeric.EPS
+        starts, ends, reach, sums = self.starts, self.ends, self.reach, self.sums
+        first = len(starts)
+        for p in batch.parts:
+            lo, hi, a, b = self._place(p.start, p.end)
+            starts[lo:hi] = (a,)
+            ends[lo:hi] = (b,)
+            reach[lo:hi] = (b + eps,)
+            first = min(first, lo)
+        sums[first:] = accumulate(map(sub, ends[first:], starts[first:]),
+                                  initial=sums[first])
+
+
+def absorb(state: CoverageState, batch: Batch) -> CoverageState:
+    """New state after accepting `batch`; `state` is untouched."""
+    new = state.copy()
+    new.add(batch)
+    return new
 
 
 def added_length(state: CoverageState, batch: Batch) -> float:
-    """Marginal covered length the batch would contribute to `state`."""
-    return absorb(state, batch).total_len - state.total_len
+    """Marginal covered length the batch would contribute to `state`.
+
+    A one-part batch builds no state: the new total is summed from the
+    splice point with the additions :meth:`CoverageState.add` makes, so the
+    gain is ``absorb(state, batch).total_len - state.total_len`` bit for
+    bit, in O(log c) plus a C-level sum over the components right of the
+    part.  A multi-part batch takes that difference itself.
+    """
+    if not batch.is_singleton:
+        return absorb(state, batch).total_len - state.total_len
+    (p,) = batch.parts
+    lo, hi, a, b = state._place(p.start, p.end)
+    tail = map(sub, state.ends[hi:], state.starts[hi:])
+    return reduce(add, tail, state.sums[lo] + (b - a)) - state.sums[-1]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import numeric
 from .errors import ConfigError, ProtocolError
-from .intervals import Batch, CoverageState, Instance, absorb, union_length
+from .intervals import Batch, CoverageState, Instance, added_length, union_length
 from .thresholds import check_quota, check_schedule, check_two_phase, soa_an_theta, soa_theta
 
 
@@ -57,7 +57,8 @@ class Policy:
 
     def next(self, item: Batch, position: int) -> Decision:
         """Decide on the item released at `position` (1-based, in order);
-        the item is absorbed into the coverage state at most once."""
+        the coverage state is read for the item's gain and updated in place
+        only when the item is accepted."""
         if position != self._cursor + 1:
             raise ProtocolError(
                 f"decision out of turn: expected position {self._cursor + 1}, "
@@ -66,11 +67,10 @@ class Policy:
         self._cursor = position
         if self.accepted_count >= self.quota:
             return Decision.REJECT
-        after = absorb(self.state, item)
-        if not self._decide(after.total_len - self.state.total_len, position):
+        if not self._decide(added_length(self.state, item), position):
             return Decision.REJECT
         self.accepted_count += 1
-        self.state = after
+        self.state.add(item)
         return Decision.ACCEPT
 
     def _decide(self, gain: float, position: int) -> bool:

@@ -85,6 +85,14 @@ class TestAddedAbsorb:
         # absorbed inputs stayed frozen
         assert s2.component_count == 2
 
+    def test_add_on_a_copy_leaves_the_original(self):
+        s = sweep([iv(0, 1), iv(2, 3), iv(4, 5)])
+        before = bits(s)
+        c = s.copy()
+        c.add(Batch((iv(0.5, 2.5), iv(6, 6.5))))
+        assert bits(s) == before
+        assert (c.starts, c.ends, c.sums) == ([0, 4, 6], [3, 5, 6.5], [0, 3, 4, 4.5])
+
     def test_added_matches_absorb(self):
         s = sweep([iv(1, 2)])
         b = single(1.5, 3)
@@ -230,20 +238,25 @@ def edge_batches(draw):
 
 
 def bits(state):
-    floats = state.starts + state.ends + state.sums
+    floats = state.starts + state.ends + state.reach + state.sums
     return [float(x).hex() for x in floats]
 
 
 def check_against_sweep(bs):
-    """absorb (every component), prefix_unions (every prefix) and
-    union_length against the reference merge, bit for bit."""
-    state = CoverageState.empty()
-    for b in bs:
+    """absorb (every component), in-place add (every component after every
+    batch), added_length, prefix_unions (every prefix) and union_length
+    against the reference merge, bit for bit."""
+    state, live = CoverageState.empty(), CoverageState.empty()
+    for i, b in enumerate(bs):
         before = bits(state)
         new = absorb(state, b)
         assert added_length(state, b) == new.total_len - state.total_len
         assert bits(state) == before  # the input state is untouched
         state = new
+        gain = union_length(bs[: i + 1]) - union_length(bs[:i])
+        assert float(added_length(live, b)).hex() == float(gain).hex()
+        live.add(b)
+        assert bits(live) == bits(sweep([p for c in bs[: i + 1] for p in c.parts]))
     parts = [p for b in bs for p in b.parts]
     assert bits(state) == bits(sweep(parts))
     for end, start in zip(state.ends, state.starts[1:]):

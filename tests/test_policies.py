@@ -8,6 +8,7 @@ from kcover import (
     AnytimeThresholdPolicy,
     Batch,
     ConfigError,
+    CoverageState,
     Decision,
     MultiThresholdPolicy,
     Policy,
@@ -19,7 +20,7 @@ from kcover import (
     soa_an_theta,
     soa_theta,
 )
-from kcover import intervals, policies
+from kcover import policies
 from kcover.harness import gen_instance, random_nk
 
 from conftest import unit_instance
@@ -239,28 +240,38 @@ def test_describe_golden(make, expected):
 
 
 def test_each_item_absorbed_at_most_once(monkeypatch, rng):
-    # Deciding on an item and accepting it share one coverage update: at
-    # most one absorb per item seen before the quota fills, none after.
-    calls = []
-    real = intervals.absorb
+    # Deciding on an item reads its gain without building a state, and only
+    # an accept updates the state: at most one gain per item seen before the
+    # quota fills, none after, and exactly one in-place add per accept.
+    gains, adds = [], []
+    real_gain, real_add = policies.added_length, CoverageState.add
 
-    def counting(state, item):
-        calls.append(item)
-        return real(state, item)
+    def counting_gain(state, item):
+        gains.append(item)
+        return real_gain(state, item)
 
-    monkeypatch.setattr(intervals, "absorb", counting)
-    monkeypatch.setattr(policies, "absorb", counting)
+    def counting_add(state, item):
+        adds.append(item)
+        real_add(state, item)
+
+    monkeypatch.setattr(policies, "added_length", counting_gain)
+    monkeypatch.setattr(CoverageState, "add", counting_add)
     for _ in range(50):
         n, k = random_nk(rng, 10)
         inst = gen_instance(rng, "UL", n, k)
+        index = {id(item): i for i, item in enumerate(inst.items)}
         for pol in (ThresholdPolicy(k, n), AnytimeThresholdPolicy(k),
                     TwoPhaseThresholdPolicy(k, n, 1, 0.3, 0.6),
                     MultiThresholdPolicy([0.5] * k), AcceptAllPolicy(k),
                     RejectUntilForcedPolicy(k, n)):
-            calls.clear()
+            gains.clear()
+            adds.clear()
             _, accepted, _ = run_policy(pol, inst)
             seen = accepted[-1] + 1 if len(accepted) == k else n
-            assert len(calls) <= seen, pol.name
+            positions = [index[id(item)] for item in gains]
+            assert len(set(positions)) == len(positions), pol.name
+            assert all(i < seen for i in positions), pol.name
+            assert [index[id(item)] for item in adds] == list(accepted), pol.name
 
 
 def test_schedules_stop_at_their_last_threshold(rng):
