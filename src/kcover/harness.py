@@ -8,6 +8,7 @@ seed produce byte-identical reports and CSVs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import asdict, astuple, dataclass, fields
@@ -258,9 +259,11 @@ def full_policy_suite(
     m: Optional[float],
     rng: random.Random,
     multis: int = 3,
+    solved: Optional[dict] = None,
 ) -> list[tuple[str, Callable[[], Policy]]]:
     """Factories for the certification test suite, one fresh policy per game.
-    AL has no sound threshold, so its threshold policies use 0.5."""
+    AL has no sound threshold, so its threshold policies use 0.5.  `solved`
+    memoises the two-phase triple per (k, n), None when none is feasible."""
     suite: list[tuple[str, Callable[[], Policy]]] = []
     theta_kwargs = {"setting": setting, "m": m}
     if setting == "AL":
@@ -272,11 +275,14 @@ def full_policy_suite(
         if setting == "AL":  # no program for AL: a fixed two-phase triple
             params = (default_switch(k), 0.3, 0.6)
         else:
-            try:
-                sol = solve_doa(k, n)
-                params = (sol.omega, sol.theta1, sol.theta2)
-            except SolverEmptyError:
-                params = None
+            solved = {} if solved is None else solved
+            if (k, n) not in solved:
+                try:
+                    sol = solve_doa(k, n)
+                    solved[k, n] = (sol.omega, sol.theta1, sol.theta2)
+                except SolverEmptyError:
+                    solved[k, n] = None
+            params = solved[k, n]
         if params is not None:
             suite.append(("doa", lambda: TwoPhaseThresholdPolicy(k, n, *params)))
     suite.append(("accept-all", lambda: AcceptAllPolicy(k)))
@@ -288,13 +294,15 @@ def full_policy_suite(
 
 
 def _certify(make_adversary: Callable[[], Adversary], label: str,
-             rng: random.Random) -> Row:
+             rng: random.Random, solved: dict) -> Row:
     """Play a fresh copy of one construction against the certification
     suite built for its own setting, quota and release count: does every
     policy's ratio reach the declared bound?"""
     adv = make_adversary()
     declared = adv.declared_bound
-    suite = full_policy_suite(adv.setting.length, adv.quota, adv.total, adv.setting.m, rng)
+    suite = full_policy_suite(
+        adv.setting.length, adv.quota, adv.total, adv.setting.m, rng, solved=solved
+    )
     worst_slack = float("inf")
     bad = None
     # Policies that decide alike realise the same instance: score each once.
@@ -326,21 +334,22 @@ def verify_adversaries(
     k_range: tuple[int, int], n_range: tuple[int, int], seed: int
 ) -> Iterator[Row]:
     """Every bound construction forces its declared ratio on the test suite."""
-    rng = random.Random(seed)
+    # one solve_doa per (k, n): the chain, flex and unit-sum rows share it
+    certify = functools.partial(_certify, rng=random.Random(seed), solved={})
     klo, khi = k_range
     nlo, nhi = n_range
     for n in range(max(nlo, 3), nhi + 1):
-        yield _certify(lambda: adv_ul_un_k2(n), f"k2-adversary n={n}", rng)
+        yield certify(lambda: adv_ul_un_k2(n), f"k2-adversary n={n}")
     for k in range(max(klo, 3), khi + 1):
         for n in range(max(nlo, k + 1), nhi + 1):
-            yield _certify(lambda: adv_ul_un_general(k, n), f"chain-adversary k={k} n={n}", rng)
-            yield _certify(lambda: adv_fl_un(k, n, 2.0), f"flex-adversary k={k} n={n} m=2", rng)
-            yield _certify(
-                lambda: adv_us_un(k, n, 3), f"unit-sum-adversary k={k} n={n} parts=3", rng
+            yield certify(lambda: adv_ul_un_general(k, n), f"chain-adversary k={k} n={n}")
+            yield certify(lambda: adv_fl_un(k, n, 2.0), f"flex-adversary k={k} n={n} m=2")
+            yield certify(
+                lambda: adv_us_un(k, n, 3), f"unit-sum-adversary k={k} n={n} parts=3"
             )
     # Arbitrary lengths: a fixed epsilon must already force a huge ratio.
     for k in (2, 3):
-        yield _certify(lambda: adv_al(1e-3, k, 2 * k + 2), f"al-adversary k={k} eps=0.001", rng)
+        yield certify(lambda: adv_al(1e-3, k, 2 * k + 2), f"al-adversary k={k} eps=0.001")
 
 
 def verify_bounds(seed: int) -> Iterator[Row]:

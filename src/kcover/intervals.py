@@ -7,6 +7,7 @@ pieces (gap within the global tolerance) merge into one covered component.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
@@ -242,9 +243,23 @@ class Setting:
         return f"{self.length}-{self.count}"
 
 
+def end_rounding(end: float) -> float:
+    """A few ulps of `end`: how far a length computed from endpoints that
+    reach `end` may miss the length they were built from ([s, s + 1.0] has
+    float length 1 only up to the rounding of s + 1.0)."""
+    return 8 * math.ulp(end)
+
+
+def off_unit_length(length: float, end: float) -> bool:
+    """Whether a length computed from endpoints that reach `end` misses 1
+    by more than EPS and by more than `end_rounding(end)`."""
+    miss = abs(length - 1.0)
+    return miss > numeric.EPS and miss > end_rounding(end)
+
+
 def _check_item_shape(setting: Setting, batch: Batch, where: str) -> None:
     if setting.length == "US":
-        if abs(batch.total_part_length - 1.0) > numeric.EPS:
+        if off_unit_length(batch.total_part_length, batch.parts[-1].end):
             raise SettingError(
                 f"{where}: unit-sum batch has total length "
                 f"{batch.total_part_length!r}"
@@ -254,16 +269,18 @@ def _check_item_shape(setting: Setting, batch: Batch, where: str) -> None:
         raise SettingError(f"{where}: multi-part batch outside the US setting")
     length = batch.parts[0].length
     if setting.length == "UL":
-        if abs(length - 1.0) > numeric.EPS:
+        if off_unit_length(length, batch.parts[0].end):
             raise SettingError(f"{where}: unit-length item has length {length!r}")
     elif setting.length == "FL":
         # relative to m above 1: a length computed from endpoints near t*m
         # is off by about an ulp of t*m, past 1e-9 once m is in the millions
         m = setting.m
         if length < 1.0 - numeric.EPS or length > m + numeric.EPS * max(1.0, m):
-            raise SettingError(
-                f"{where}: FL item length {length!r} outside [1, {setting.m}]"
-            )
+            slack = end_rounding(batch.parts[0].end)
+            if length < 1.0 - slack or length > m + slack:
+                raise SettingError(
+                    f"{where}: FL item length {length!r} outside [1, {setting.m}]"
+                )
     # AL: any positive length.
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import numeric
 from .errors import SettingError, SizeGuardError
-from .intervals import Instance, prefix_unions, union_length
+from .intervals import Instance, off_unit_length, prefix_unions, union_length
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,7 @@ def solve_offline_unit(
         return 0.0, ()
     s = _sort_instance(inst, "solve_offline_unit")
     for i, b in enumerate(inst.items):
-        if abs(b.parts[0].length - 1.0) > numeric.EPS:
+        if off_unit_length(b.parts[0].length, b.parts[0].end):
             raise SettingError(
                 f"solve_offline_unit needs unit-length items; items[{i}] has "
                 f"length {b.parts[0].length!r}"

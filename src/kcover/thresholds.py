@@ -9,9 +9,12 @@ space is the grid triples with theta1 < theta2 plus the single-threshold
 triple theta1 == theta2, which the two-phase family contains; when that
 triple wins, the two-phase policy plays the single-threshold policy.  The
 search returns the minimum over that whole space, but evaluates only the
-grid cells that can still win: rows whose first term 1 + 2*theta1 already
-exceeds the best value found (C is never below that term), and columns at
-or above the theta2 bound implied by s <= omega - 1.
+grid cells that can still win: rows whose first term 1 + 2*theta1 does not
+exceed the best value found (C is never below that term), and on each row
+one theta2 band.  For theta1 < 1 the component count s falls as theta2
+rises, so the third term rises and the fourth falls with theta2: the cells
+where both stay at or below the best value, and s lies in [1, omega-1],
+form one interval of theta2.
 """
 
 from __future__ import annotations
@@ -129,14 +132,14 @@ class DoaSolution:
     value: float  # worst-case ratio objective C
 
 
-def _program(k, n, omega, t1, t2, mask=True):
+def _program(k, n, omega, t1, t2):
     """The two-phase program, elementwise over numpy arrays or float64
     scalars: (C, s, q, feasible), where C is the worst of the four ratio
-    terms and feasible marks where `mask` holds and the component count s
-    lies in [1, omega-1], the only points where C is a certified bound.
-    None when no point is feasible."""
+    terms and feasible marks where the component count s lies in
+    [1, omega-1], the only points where C is a certified bound.  None when
+    no point is feasible."""
     s = (k + (1.0 - omega) * t1 - 2.0 * t2) / (1.0 + 2.0 * t2 - t1)
-    feasible = mask & (s >= 1.0 - numeric.EPS) & (s <= omega - 1.0 + numeric.EPS)
+    feasible = (s >= 1.0 - numeric.EPS) & (s <= omega - 1.0 + numeric.EPS)
     if not feasible.any():
         return None
     q = 1.0 + (omega - 1) * t1 + (k - omega) * t2
@@ -188,6 +191,60 @@ def _theta_grid(step: float) -> np.ndarray:
     return grid
 
 
+def _band(k, n, omega, t1, c, grid):
+    """Grid columns [first, last), broadcast over switch points omega and
+    theta1 rows t1, outside which a cell has c4 > c (left) or c3 > c or
+    s < 1 - EPS (right).  c gets a relative 1e-9 margin and each end two
+    more grid points, against float rounding.  See solve_doa."""
+    c = c * (1.0 + 1e-9)
+    q_star = min(k / c, (n - k) / (c - 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = q_star - 1.0 - (omega - 1) * t1  # what (k - omega) * theta2 must reach
+        # at omega == k, q and so c4 do not depend on theta2: all of the row or none
+        lower = np.where(omega < k, need / (k - omega), np.where(need > 0.0, np.inf, -np.inf))
+        s_star = np.maximum((k / c - 1.0 - (omega - 1) * t1) / (1.0 - t1), 1.0 - numeric.EPS)
+        upper = (k + (1.0 - omega) * t1 - s_star * (1.0 - t1)) / (2.0 * (1.0 + s_star))
+    # c3 is flat in theta2 as theta1 -> 1, and a huge EPS can make 1 + s* <= 0
+    upper = np.where((t1 < 1.0 - 1e-6) & (s_star > -1.0), upper, np.inf)
+    return np.searchsorted(grid, lower) - 2, np.searchsorted(grid, upper, "right") + 2
+
+
+def _search(k, n, grid, omegas, best):
+    """The least (C, theta1, omega, theta2) among `best` and the grid cells
+    at the switch points `omegas` that can still beat it (see solve_doa)."""
+    eps = numeric.EPS
+    rows = grid.size if best is None else int(np.searchsorted(1.0 + 2.0 * grid, best[0], "right"))
+    t1 = grid[:rows, None]
+    w = omegas[None, :]
+    # columns [first, last) per (row, omega): theta2 > theta1 (the grid is
+    # strictly increasing), the s <= omega-1 bound and the band of `best`,
+    # each bound widened by two grid points
+    bound = (k - w + 1 - eps) / (2.0 * (w + eps))
+    first = np.maximum(np.arange(1, rows + 1)[:, None], np.searchsorted(grid, bound) - 2)
+    last = grid.size
+    if best is not None:
+        left, right = _band(k, n, w, t1, best[0], grid)
+        first = np.maximum(first, left)
+        last = np.minimum(right, grid.size)
+    widths = np.maximum(last - first, 0).ravel()
+    total = int(widths.sum())
+    if total == 0:
+        return best
+    # the cells in (theta1, omega, theta2) order, so argmin keeps the tie-break
+    row, at = np.divmod(np.repeat(np.arange(widths.size), widths), omegas.size)
+    col = np.arange(total) + np.repeat(first.ravel() - np.cumsum(widths) + widths, widths)
+    point = _program(k, n, omegas[at], grid[row], grid[col])
+    if point is None:
+        return best
+    c, _, _, feasible = point
+    cmax = np.where(feasible, c, np.inf)
+    i = int(np.argmin(cmax))
+    if not np.isfinite(cmax[i]):
+        return best
+    cand = (float(cmax[i]), float(grid[row[i]]), int(omegas[at[i]]), float(grid[col[i]]))
+    return cand if best is None or cand < best else best
+
+
 def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     """Grid search for the best feasible two-phase triple.
 
@@ -202,22 +259,35 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     the same triple.
 
     The result is the minimum of the full grid, but only cells that can
-    still win are evaluated, with the same float test as `_program`:
+    still beat the incumbent C (the best value found so far) are
+    evaluated, with the same float test as `_program`.  The single-threshold
+    triple is scored first, then the grid at the default switch point, whose
+    optimum is usually close to the final one, then the grid at every omega.
+    Each pass keeps, per row theta1 and per omega:
 
-    * C >= c1 = 1 + 2*theta1 at every cell, so rows whose c1 exceeds the
-      best C found so far lose strictly.  The single-threshold triple is
-      scored first as that incumbent, and the row cut is renewed at every
-      omega.  Rows with c1 equal to the best C stay for the theta1
-      tie-break.
-    * s is decreasing in theta2, and s <= omega - 1 + EPS means
+    * rows with c1 = 1 + 2*theta1 <= C: C >= c1 at every cell.  Rows with
+      c1 equal to C stay for the theta1 tie-break.
+    * a column band.  For theta1 < 1, s is strictly decreasing in theta2
+      (ds/dtheta2 is proportional to -(k + 1 - omega*theta1)), so
+      c3 = k / (s*(1 - theta1) + 1 + (omega - 1)*theta1) is increasing and,
+      as q = 1 + (omega - 1)*theta1 + (k - omega)*theta2 is increasing,
+      c4 = min(k, n - k + q) / q is decreasing.  Hence c4 <= C means
+      theta2 >= (q* - 1 - (omega - 1)*theta1) / (k - omega) with
+      q* = min(k/C, (n - k)/(C - 1)); at omega == k, q does not depend on
+      theta2 and the row is kept whole or dropped.  c3 <= C together with
+      s >= 1 - EPS means theta2 <= (A - s*(1 - theta1)) / (2*(1 + s*))
+      with A = k + (1 - omega)*theta1 and
+      s* = max((k/C - 1 - (omega - 1)*theta1) / (1 - theta1), 1 - EPS);
+      this end is dropped on rows with theta1 near 1, where c3 is flat.
+      s <= omega - 1 + EPS means
       theta2 >= (k - omega + 1 - EPS*(1 - theta1)) / (2*(omega + EPS)),
       at least (k - omega + 1 - EPS) / (2*(omega + EPS)) on every row.
-      Columns start two grid points below that bound, so float rounding of
-      s cannot move a feasible cell out of the block.
+      C gets a relative 1e-9 margin and every end is widened by two grid
+      points, so float rounding cannot move a cell that ties or beats C
+      out of the band.
     """
     check_quota(k, n)
     grid = _theta_grid(step)
-    c1 = 1.0 + 2.0 * grid  # the first ratio term of each theta1 row
     omega_lo = max(1, -((-(k + 1)) // 5))
 
     # The family also holds the single-threshold policy (theta1 == theta2),
@@ -235,25 +305,8 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
         i = int(np.argmin(cmax))
         best = (float(cmax[i]), theta, int(omegas[i]), theta)
 
-    eps = numeric.EPS
-    for omega in range(omega_lo, k + 1):
-        rows = grid.size if best is None else int(np.searchsorted(c1, best[0], "right"))
-        bound = (k - omega + 1 - eps) / (2.0 * (omega + eps))
-        lo = max(int(np.searchsorted(grid, bound)) - 2, 0)
-        t1 = grid[:rows, None]
-        t2 = grid[None, lo:]
-        point = _program(k, n, omega, t1, t2, t1 < t2)
-        if point is None:
-            continue
-        c, _, _, feasible = point
-        cmax = np.where(feasible, c, np.inf)
-        i1, i2 = np.unravel_index(np.argmin(cmax), cmax.shape)  # row-major
-        cmin = cmax[i1, i2]
-        if not np.isfinite(cmin):
-            continue
-        cand = (float(cmin), float(grid[i1]), omega, float(grid[lo + i2]))
-        if best is None or cand < best:
-            best = cand
+    best = _search(k, n, grid, np.array([default_switch(k)]), best)
+    best = _search(k, n, grid, omegas, best)
     if best is None:
         raise SolverEmptyError(
             f"no feasible two-phase triple for k={k} n={n} step={step}"

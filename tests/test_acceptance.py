@@ -318,6 +318,9 @@ def test_sandwich_and_multi_threshold_floor():
 # refactor which changes either output fails here, not only a rerun.
 VERIFY_DIGEST = "d3019df01393c1fe0033f0e9c607a9ea2aa60d6a73f645c351221133d31c5657"
 SWEEP_DIGEST = "e78e4e067d6450c6a0ca1daac307ae5dfe8d6ad208618300ce8f13084dacbb4f"
+# SHA-256 of the run_sweep(100, 2, 99, 0.001) CSV, recorded while solve_doa
+# still evaluated every cell that its row and s <= omega - 1 cuts left.
+SWEEP_FINE_DIGEST = "74de0339cdaa9d3a35179901c4da966ad37843535dca440305b8556df8d53aaa"
 
 
 def test_determinism(tmp_path, sweep_result):
@@ -349,6 +352,11 @@ def test_determinism(tmp_path, sweep_result):
     assert sweep_identical
     assert hashlib.sha256(outs[0][0]).hexdigest() == VERIFY_DIGEST
     assert hashlib.sha256(csv_again.encode()).hexdigest() == SWEEP_DIGEST
+
+
+def test_fine_sweep_golden():
+    csv = sweep_csv(run_sweep(100, 2, 99, 0.001))
+    assert hashlib.sha256(csv.encode()).hexdigest() == SWEEP_FINE_DIGEST
 
 
 def test_structural_complexity():

@@ -378,3 +378,18 @@ def test_certify_scores_each_distinct_game_once(monkeypatch):
     assert all(ok for ok, *_ in rows)
     assert len(solved) == len(set(games)) < len(games)
     assert len(set(solved)) == len(solved)
+
+
+def test_adversary_suite_solves_each_program_once(monkeypatch):
+    # the chain, flex and unit-sum rows share (k, n): one solve_doa each
+    calls = []
+    solve = harness.solve_doa
+
+    def counting_solve(k, n, *rest):
+        calls.append((k, n))
+        return solve(k, n, *rest)
+
+    monkeypatch.setattr(harness, "solve_doa", counting_solve)
+    rows = list(harness.verify_adversaries((2, 6), (8, 12), seed=42))
+    assert all(ok for ok, *_ in rows)
+    assert len(calls) == len(set(calls)) == 25

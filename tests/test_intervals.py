@@ -21,6 +21,7 @@ from kcover import (
     union_length,
 )
 from kcover.intervals import prefix_unions
+from kcover.offline import solve_offline_unit
 
 
 def iv(a, b):
@@ -120,6 +121,20 @@ class TestValidation:
         with pytest.raises(SettingError):
             Instance(5, 2, Setting("US", "AN"), (Batch((iv(0, 0.4), iv(1, 1.4))),))
         Instance(5, 2, Setting("US", "AN"), (Batch((iv(0, 0.4), iv(1, 1.6))),))
+
+    def test_unit_length_allows_rounding_of_the_end(self, monkeypatch):
+        # [s, s + 1.0] has float length 1.0000000000000004 here; EPS = 0
+        # must still take it as a unit item, and the unit DP must too
+        monkeypatch.setattr(numeric, "EPS", 0.0)
+        s = 3.785144227477605
+        item = single(s, s + 1.0)
+        assert item.parts[0].length != 1.0
+        inst = Instance(5, 2, Setting("UL", "AN"), (item,))
+        assert solve_offline_unit(inst)[0] == item.parts[0].length
+        with pytest.raises(SettingError, match="unit-length item"):
+            Instance(5, 2, Setting("UL", "AN"), (single(0.0, 1.0 + 1e-12),))
+        with pytest.raises(SettingError, match="unit-sum batch"):
+            Instance(5, 2, Setting("US", "AN"), (Batch((iv(0, 0.4), iv(1, 1.6 + 1e-12))),))
 
     def test_un_count_floor(self):
         items = (single(0, 1), single(1, 2))

@@ -697,6 +697,36 @@ def test_cli_accepts_kcover_eps_override():
     assert " eps=0 " in proc.stdout
 
 
+@pytest.mark.parametrize("seed", ["42", "7"])
+def test_cli_verify_passes_at_zero_eps(seed):
+    # generated unit items [s, s + 1.0] have float lengths an ulp off 1,
+    # which EPS = 0 alone would refuse
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcover", "verify", "--trials", "20", "--seed", seed],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "KCOVER_EPS": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert " eps=0 " in proc.stdout
+    assert proc.stdout.endswith("RESULT pass\n")
+
+
+def test_cli_fl_construction_runs_at_zero_eps(tmp_path):
+    # the fl-un items [tau + (t-1)*m, tau + t*m] miss length m by an ulp
+    out = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcover", "run", "--policy", "accept-all",
+         "--adversary", "fl-un", "--k", "3", "--n", "10", "--m", "2.3",
+         "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "KCOVER_EPS": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+
+
 def test_readme_quick_start_runs(capsys):
     readme = Path(__file__).resolve().parents[1] / "README.md"
     text = readme.read_text(encoding="utf-8").split("## Library quick start", 1)[1]

@@ -15,7 +15,7 @@ from kcover import (
     solve_doa,
     ub_soa,
 )
-from kcover import numeric, thresholds
+from kcover import harness, numeric, thresholds
 from kcover.numeric import EPS
 
 
@@ -234,10 +234,10 @@ def full_grid_solve_doa(k, n, step):
     best = None
     omega_lo = max(1, -((-(k + 1)) // 5))
     for omega in range(omega_lo, k + 1):
-        point = thresholds._program(k, n, omega, grid[:, None], grid[None, :], strict)
+        point = thresholds._program(k, n, omega, grid[:, None], grid[None, :])
         if point is None:
             continue
-        cmax = np.where(point[3], point[0], np.inf)
+        cmax = np.where(point[3] & strict, point[0], np.inf)
         cmin = cmax.min()
         if np.isfinite(cmin):
             i1, i2 = np.argwhere(cmax == cmin)[0]
@@ -270,3 +270,77 @@ def test_cut_matches_full_grid_under_eps(monkeypatch, eps):
                 assert doa_line(solve_doa, k, n, step) == doa_line(
                     full_grid_solve_doa, k, n, step
                 ), (k, n, step)
+
+
+# The sizes the workloads solve: the sweep at n = 100 and the doa policy of
+# the games at k = 74..76, n = 740..765.
+WORKLOAD_CASES = (
+    [(k, 100, 0.01) for k in range(2, 100)]
+    + [(k, 100, 0.005) for k in range(2, 100, 7)]
+    + [(k, n, 0.01) for k in (74, 75, 76) for n in range(740, 766)]
+)
+
+
+def test_cut_matches_full_grid_at_workload_sizes():
+    for k, n, step in WORKLOAD_CASES:
+        assert doa_line(solve_doa, k, n, step) == doa_line(
+            full_grid_solve_doa, k, n, step
+        ), (k, n, step)
+
+
+def grid_terms(k, n, grid):
+    """(omega, feasible, c3, c4) on the full grid at every omega with a
+    feasible theta1 < theta2 cell, with c3 and c4 as _program computes them."""
+    t1, t2 = grid[:, None], grid[None, :]
+    for omega in range(max(1, -((-(k + 1)) // 5)), k + 1):
+        point = thresholds._program(k, n, omega, t1, t2)
+        if point is None:
+            continue
+        _, s, q, feasible = point
+        c3 = k / (s + 1.0 + (omega - s - 1.0) * t1)
+        c4 = np.minimum(float(k), (n - k) + q) / q
+        yield omega, feasible & (t1 < t2), c3, c4
+
+
+def test_c3_rises_and_c4_falls_in_theta2():
+    # the band cut of solve_doa rests on this: along every theta1 row, over
+    # its feasible cells, the float c3 never falls and c4 never rises
+    for k, n, step in WORKLOAD_CASES:
+        for omega, feasible, c3, c4 in grid_terms(k, n, thresholds._theta_grid(step)):
+            c3 = np.where(feasible, c3, -np.inf)
+            c4 = np.where(feasible, c4, np.inf)
+            where = (k, n, step, omega)
+            assert not (feasible & (c3 < np.maximum.accumulate(c3, axis=1))).any(), where
+            assert not (feasible & (c4 > np.minimum.accumulate(c4, axis=1))).any(), where
+
+
+def test_sweep_evaluates_few_cells(monkeypatch):
+    # work is counted, not timed: the cells that reach _program over a
+    # step-0.005 sweep (32.9 M with the row and s <= omega - 1 cuts alone)
+    cells = []
+    program = thresholds._program
+
+    def counting_program(k, n, omega, t1, t2):
+        cells.append(np.broadcast(omega, t1, t2).size)
+        return program(k, n, omega, t1, t2)
+
+    monkeypatch.setattr(thresholds, "_program", counting_program)
+    harness.run_sweep(100, 2, 99, 0.005)
+    assert sum(cells) <= 500_000
+
+
+@pytest.mark.parametrize("eps", [EPS, 0.0, 0.5])
+def test_band_holds_every_cell_within_the_incumbent(monkeypatch, eps):
+    # every feasible cell whose c3 and c4 are at most C lies in the columns
+    # that _band gives for C; at EPS 0 and 0.5 some of them lie only in its
+    # two-point widening, where s rounds onto 1 - EPS
+    monkeypatch.setattr(numeric, "EPS", eps)
+    grid = thresholds._theta_grid(0.005)
+    cols = np.arange(grid.size)
+    for k, n in [(3, 10), (7, 10), (20, 100), (50, 100), (95, 100)]:
+        for omega, feasible, c3, c4 in grid_terms(k, n, grid):
+            for c in (1.2, 1.5, 1.9, 2.5):
+                first, last = thresholds._band(k, n, omega, grid[:, None], c, grid)
+                inside = (first <= cols) & (cols < last)
+                can_win = feasible & (c3 <= c) & (c4 <= c)
+                assert not (can_win & ~inside).any(), (k, n, omega, c)
