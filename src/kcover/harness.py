@@ -12,7 +12,7 @@ import functools
 import itertools
 import random
 from dataclasses import asdict, astuple, dataclass, fields
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import numeric, offline
 from .adversaries import (
@@ -108,27 +108,60 @@ def _score(policy, inst, played, opt, source, source_config, declared_bound):
     )
 
 
-def _play(policy: Policy, adversary: Adversary):
-    """Play policy vs adversary to the horizon; returns (instance, tally)."""
-    items: list[Batch] = []
-    decisions: list[Decision] = []
-    item = adversary.first()
-    pos = 1
-    while item is not None:
-        d = policy.next(item, pos)
-        items.append(item)
-        decisions.append(d)
-        item = adversary.react(d, pos)
-        pos += 1
-    inst = Instance(
-        adversary.target_len, adversary.quota, adversary.setting, tuple(items)
-    )
-    return inst, tally(policy, inst, decisions)
+def _play(
+    policies: Iterable[Policy],
+    adversary: Adversary,
+    remake: Optional[Callable[[], Adversary]] = None,
+) -> Iterator[tuple[Instance, tuple]]:
+    """Play each policy against one construction to the horizon; yields
+    (instance, tally) per policy.
+
+    The construction's items form a decision tree: a node is [the node after
+    a rejection, the node after an acceptance, the item released after the
+    decisions that lead to it].
+    `adversary` serves the first policy; later policies read their items
+    from the tree.  At a prefix no earlier policy reached, the adversary
+    that released the node's item goes on if it is still there; otherwise
+    `remake` builds a fresh one, which is replayed through the prefix.
+    Every policy decides on every item it is shown, and every adversary
+    goes through :meth:`Adversary.first`/:meth:`Adversary.react`.  Each
+    distinct decision trace ends at its own leaf, where its instance and
+    tally are built once.
+    """
+    accept = Decision.ACCEPT
+    root = [None, None, adversary.first()]
+    live, at = adversary, root  # the adversary in play, and its last node
+    leaves: dict[int, tuple[Instance, tuple]] = {}
+    for policy in policies:
+        node, items, trace = root, [], []
+        item, pos = node[2], 1
+        while item is not None:
+            items.append(item)
+            d = policy.next(item, pos)
+            trace.append(d)
+            side = d is accept
+            child = node[side]
+            if child is None:
+                if at is not node:
+                    live = remake()
+                    live.first()
+                    for i, old in enumerate(trace[:-1], 1):
+                        live.react(old, i)
+                child = node[side] = at = [None, None, live.react(d, pos)]
+            node = child
+            item = node[2]
+            pos += 1
+        if id(node) not in leaves:
+            inst = Instance(
+                adversary.target_len, adversary.quota, adversary.setting, tuple(items)
+            )
+            leaves[id(node)] = inst, tally(policy, inst, trace)
+        yield leaves[id(node)]
 
 
 def run_game(policy: Policy, adversary: Adversary):
     """Play policy vs adversary to the horizon; returns (record, instance)."""
-    inst, played = _play(policy, adversary)
+    ((inst, played),) = _play([policy], adversary)
     record = _score(
         policy, inst, played, oracle_value(inst), adversary.name,
         adversary.describe(), adversary.declared_bound,
@@ -203,7 +236,10 @@ def random_nk(rng: random.Random, max_n: int) -> tuple[int, int]:
 
 
 def random_multi_thresholds(rng: random.Random, k: int) -> list[float]:
-    return sorted((rng.uniform(0.05, 1.0) for _ in range(k)), reverse=True)
+    """k thresholds uniform in [0.05, 1], largest first.  Each draw is
+    ``random.uniform(0.05, 1.0)`` written out, the same float from the same
+    ``rng.random()`` without the method call."""
+    return sorted((0.05 + (1.0 - 0.05) * rng.random() for _ in range(k)), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +331,35 @@ def full_policy_suite(
 
 def _certify(make_adversary: Callable[[], Adversary], label: str,
              rng: random.Random, solved: dict) -> Row:
-    """Play a fresh copy of one construction against the certification
-    suite built for its own setting, quota and release count: does every
-    policy's ratio reach the declared bound?"""
+    """Play one construction against the certification suite built for its
+    own setting, quota and release count: does every policy's ratio reach
+    the declared bound?
+
+    A construction's next item depends on nothing but the decisions on the
+    earlier items (see :mod:`kcover.adversaries`; ``STREAM_DIGEST`` pins the
+    streams), so the suite plays one decision tree (:func:`_play`): a fresh
+    adversary is built only where a policy first leaves the paths of the
+    policies before it, one per distinct decision trace."""
     adv = make_adversary()
     declared = adv.declared_bound
     suite = full_policy_suite(
         adv.setting.length, adv.quota, adv.total, adv.setting.m, rng, solved=solved
     )
+    policies = [factory() for _, factory in suite]
     worst_slack = float("inf")
     bad = None
-    # Policies that decide alike realise the same instance: score each once.
+    # Policies that decide alike share an instance, and instances with the
+    # same items share an optimum: each is found once.
     opts: dict[tuple[Batch, ...], float] = {}
-    for pname, factory in suite:
-        adv = make_adversary()
-        policy = factory()
-        inst, played = _play(policy, adv)
-        if inst.items not in opts:
-            opts[inst.items] = oracle_value(inst)
+    opt_of: dict[int, float] = {}
+    games = _play(policies, adv, make_adversary)
+    for (pname, _), policy, (inst, played) in zip(suite, policies, games):
+        if id(inst) not in opt_of:
+            if inst.items not in opts:
+                opts[inst.items] = oracle_value(inst)
+            opt_of[id(inst)] = opts[inst.items]
         record = _score(
-            policy, inst, played, opts[inst.items], adv.name,
+            policy, inst, played, opt_of[id(inst)], adv.name,
             adv.describe(), declared,
         )
         slack = record.ratio_or_inf - declared
@@ -395,6 +440,12 @@ def check_verify_args(
     for flag, (lo, hi) in (("k", k_range), ("n", n_range)):
         if lo > hi:
             raise ConfigError(f"empty {flag} range {lo}..{hi}")
+    (klo, khi), (_, nhi) = k_range, n_range
+    if max(klo, 2) > min(khi, nhi - 1):
+        raise ConfigError(
+            f"k={klo}..{khi} n={n_range[0]}..{nhi} holds no quota with "
+            "2 <= k <= n-1, so no construction would be certified"
+        )
 
 
 def run_verify(

@@ -233,16 +233,25 @@ def _search(k, n, grid, omegas, best):
     # the cells in (theta1, omega, theta2) order, so argmin keeps the tie-break
     row, at = np.divmod(np.repeat(np.arange(widths.size), widths), omegas.size)
     col = np.arange(total) + np.repeat(first.ravel() - np.cumsum(widths) + widths, widths)
-    point = _program(k, n, omegas[at], grid[row], grid[col])
+    cand = _least(k, n, omegas[at], grid[row], grid[col])
+    return cand if best is None or (cand is not None and cand < best) else best
+
+
+def _least(k, n, omegas, t1, t2):
+    """The least (C, theta1, omega, theta2) among the feasible cells, None
+    when none is.  Each argument is a scalar or an array over the cells, in
+    (theta1, omega, theta2) order, so the first minimum of C is the least
+    of its ties."""
+    point = _program(k, n, omegas, t1, t2)
     if point is None:
-        return best
+        return None
     c, _, _, feasible = point
     cmax = np.where(feasible, c, np.inf)
     i = int(np.argmin(cmax))
     if not np.isfinite(cmax[i]):
-        return best
-    cand = (float(cmax[i]), float(grid[row[i]]), int(omegas[at[i]]), float(grid[col[i]]))
-    return cand if best is None or cand < best else best
+        return None
+    w, a, b = (x[i] if isinstance(x, np.ndarray) else x for x in (omegas, t1, t2))
+    return float(cmax[i]), float(a), int(w), float(b)
 
 
 def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
@@ -261,7 +270,9 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     The result is the minimum of the full grid, but only cells that can
     still beat the incumbent C (the best value found so far) are
     evaluated, with the same float test as `_program`.  The single-threshold
-    triple is scored first, then the grid at the default switch point, whose
+    triple is scored first (at k = 2, where it is never feasible, the
+    theta1 < theta2 cells at omega = 2 and the theta2 nearest 1/4 instead),
+    then the grid at the default switch point, whose
     optimum is usually close to the final one, then the grid at every omega.
     Each pass keeps, per row theta1 and per omega:
 
@@ -295,15 +306,14 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     # at every omega at once.  Its first minimum over omega wins its ties.
     # The grid triples have theta1 < theta2, so no grid triple compares
     # equal to it and the visiting order does not change the minimum.
-    best: Optional[tuple[float, float, int, float]] = None  # (C, t1, omega, t2)
     theta = soa_theta(k, n)
     omegas = np.arange(omega_lo, k + 1)
-    point = _program(k, n, omegas, theta, theta)
-    if point is not None:
-        c, _, _, feasible = point
-        cmax = np.where(feasible, c, np.inf)
-        i = int(np.argmin(cmax))
-        best = (float(cmax[i]), theta, int(omegas[i]), theta)
+    best = _least(k, n, omegas, theta, theta)  # (C, theta1, omega, theta2)
+    if best is None and k == 2:
+        # No single threshold is feasible at k = 2, where s = 1 forces
+        # theta2 = 1/4 at omega = 2: that grid column is the incumbent.
+        j = int(np.argmin(np.abs(grid - 0.25)))
+        best = _least(k, n, 2, grid[:j], grid[j])
 
     best = _search(k, n, grid, np.array([default_switch(k)]), best)
     best = _search(k, n, grid, omegas, best)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -29,6 +30,7 @@ from kcover import (
 )
 from kcover import adversaries, harness
 from kcover.harness import full_policy_suite, replay_game, run_game
+from kcover.instance_io import instance_to_dict
 
 
 class RejectAt(Policy):
@@ -380,6 +382,89 @@ def test_certify_scores_each_distinct_game_once(monkeypatch):
     assert len(set(solved)) == len(solved)
 
 
+# One construction of each kind, at sizes where the suite's policies split
+# into several decision traces.
+CONSTRUCTIONS = [
+    lambda: adv_ul_un_k2(8),
+    lambda: adv_ul_un_general(4, 8),
+    lambda: adv_fl_un(4, 8, 2.0),
+    lambda: adv_us_un(3, 8, 3),
+    lambda: adv_al(1e-3, 3, 8),
+]
+
+
+def plain_certify(make_adversary, label, rng, solved):
+    """The certification as a plain loop: every suite policy plays a fresh
+    adversary through run_game."""
+    adv = make_adversary()
+    declared = adv.declared_bound
+    suite = harness.full_policy_suite(
+        adv.setting.length, adv.quota, adv.total, adv.setting.m, rng, solved=solved
+    )
+    worst, bad = math.inf, None
+    for pname, factory in suite:
+        record, inst = run_game(factory(), make_adversary())
+        slack = record.ratio_or_inf - declared
+        worst = min(worst, slack)
+        if slack < -1e-6 and bad is None:
+            bad = {
+                "policy": pname,
+                "declared_bound": declared,
+                "ratio": record.ratio,
+                "instance": instance_to_dict(inst),
+                "trace": record.trace,
+            }
+    return bad is None, label, f"declared={declared:.9g} min-slack={worst:.3g}", bad
+
+
+@pytest.mark.parametrize("make", CONSTRUCTIONS)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_certify_matches_a_plain_run_game_loop(monkeypatch, make, reverse):
+    # Declared bounds just past each ratio the suite reaches fail the
+    # policies at or below it; the shared decision tree must give the same
+    # row and the same first counterexample as a fresh adversary per policy.
+    # soa reaches the least ratio, so the reversed suite also fails first at
+    # a policy after some that pass.
+    if reverse:
+        build = harness.full_policy_suite
+        monkeypatch.setattr(harness, "full_policy_suite", lambda *a, **kw: build(*a, **kw)[::-1])
+    adv = make()
+    suite = harness.full_policy_suite(
+        adv.setting.length, adv.quota, adv.total, adv.setting.m, random.Random(11)
+    )
+    ratios = sorted({run_game(factory(), make())[0].ratio_or_inf for _, factory in suite})
+    firsts = set()
+    for bound in [adv.declared_bound] + [r + 1e-3 for r in ratios if r < math.inf]:
+        def raised():
+            adv = make()
+            adv.declared_bound = bound
+            return adv
+
+        got = harness._certify(raised, "row", random.Random(11), {})
+        assert got == plain_certify(raised, "row", random.Random(11), {})
+        firsts.add(got[3] and got[3]["policy"])
+    assert None in firsts and len(firsts) >= 2  # passes and failures both
+
+
+@pytest.mark.parametrize("make", CONSTRUCTIONS)
+def test_certify_builds_one_adversary_per_distinct_trace(monkeypatch, make):
+    traces, builds = [], []
+    score = harness._score
+
+    def recording_score(policy, inst, played, *rest):
+        traces.append(tuple(played[2]))
+        return score(policy, inst, played, *rest)
+
+    def counting_make():
+        builds.append(1)
+        return make()
+
+    monkeypatch.setattr(harness, "_score", recording_score)
+    ok, *_ = harness._certify(counting_make, "row", random.Random(7), {})
+    assert ok
+    assert len(builds) == len(set(traces)) < len(traces)
+
+
 def test_adversary_suite_solves_each_program_once(monkeypatch):
     # the chain, flex and unit-sum rows share (k, n): one solve_doa each
     calls = []
@@ -393,3 +478,12 @@ def test_adversary_suite_solves_each_program_once(monkeypatch):
     rows = list(harness.verify_adversaries((2, 6), (8, 12), seed=42))
     assert all(ok for ok, *_ in rows)
     assert len(calls) == len(set(calls)) == 25
+
+
+def test_multi_thresholds_draw_as_uniform_does():
+    # the verify suites' threshold lists write random.uniform out: the same
+    # floats, drawn in the same order
+    mine, plain = random.Random(3), random.Random(3)
+    for k in range(2, 60):
+        want = sorted((plain.uniform(0.05, 1.0) for _ in range(k)), reverse=True)
+        assert harness.random_multi_thresholds(mine, k) == want

@@ -347,6 +347,19 @@ class TestCli:
         assert run_cli("verify", "--k", "5..2") == 2
         assert "empty k range 5..2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "k_range, n_range",
+        [("0..1", "1..2"), ("7..9", "3..5"), ("3..3", "3..3"), ("50..60", "8..12")],
+    )
+    def test_verify_range_without_a_quota_exits_2(self, k_range, n_range, capsys):
+        # no k in the range has 2 <= k <= n-1 for an n in it: no chain, flex
+        # or unit-sum construction would be certified, so no vacuous pass
+        code = run_cli("verify", "--suite", "adversary", "--k", k_range, "--n", n_range)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "holds no quota with 2 <= k <= n-1" in captured.err
+        assert captured.out == ""
+
     def test_verify_zero_trials_exits_2(self, capsys):
         assert run_cli("verify", "--trials", "0") == 2
         assert "trials >= 1" in capsys.readouterr().err

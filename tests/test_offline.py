@@ -296,6 +296,45 @@ def test_enumeration_many_blocks(rng):
         assert_matches_reference(inst, 8)
 
 
+def unmerged_parts(inst):
+    """Every part of every item as given, sorted by (start, end, owner)."""
+    parts = sorted((p.start, p.end, i) for i, b in enumerate(inst.items) for p in b.parts)
+    return tuple(np.array(col) for col in zip(*parts))
+
+
+@pytest.mark.parametrize("eps", [None, 0.05])
+def test_merged_parts_score_like_unmerged_parts(monkeypatch, rng, eps):
+    # Each item's own touching parts merge before the enumeration scores
+    # them; every subset's total must equal the total over the parts as
+    # given, bit for bit.  Gaps between an item's thirds: touching exactly,
+    # within EPS, at EPS, just past it and well past it.
+    if eps is not None:
+        monkeypatch.setattr(numeric, "EPS", eps)
+    e = numeric.EPS
+    gaps = [0.0, e / 2, e, 1.001 * e, 3 * e]
+    for _ in range(30):
+        items, runs = [], 0
+        for _ in range(rng.randint(3, 8)):
+            between = (rng.choice(gaps), rng.choice(gaps))
+            runs += 1 + sum(gap > e for gap in between)
+            cursor, pieces = rng.uniform(0.0, 4.0), []
+            for gap in (0.0, *between):
+                start = cursor + gap
+                cursor = start + 1 / 3
+                pieces.append((start, cursor))
+            items.append(batch(*pieces))
+        target = max(b.parts[-1].end for b in items)
+        inst = Instance(target, 2, Setting("US", "AN"), tuple(items))
+        merged, plain = offline._merged_parts(inst), unmerged_parts(inst)
+        assert len(merged[0]) == runs < len(plain[0])
+        for q in range(1, inst.n + 1):
+            for mask in offline._combination_blocks(inst.n, q):
+                got = offline._block_totals(mask[merged[2]], *merged[:2])
+                want = offline._block_totals(mask[plain[2]], *plain[:2])
+                assert got.tobytes() == want.tobytes()
+            assert_matches_reference(inst, q)
+
+
 def test_combination_blocks_are_bounded():
     for n, r in [(5, 2), (12, 6), (16, 8), (20, 1)]:
         masks = list(offline._combination_blocks(n, r))

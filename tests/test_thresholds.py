@@ -288,6 +288,26 @@ def test_cut_matches_full_grid_at_workload_sizes():
         ), (k, n, step)
 
 
+@pytest.mark.parametrize("step", [0.01, 0.005, 0.0025, 0.003])
+def test_k2_starts_from_the_quarter_column(monkeypatch, step):
+    # k = 2 has no feasible single threshold; the omega = 2 cells at the
+    # theta2 nearest 1/4 are the incumbent, and the result stays the full
+    # grid's.  Step 0.003 puts no grid point on 1/4, so no cell is feasible.
+    cells = []
+    program = thresholds._program
+
+    def counting_program(k, n, omega, t1, t2):
+        cells.append(np.broadcast(omega, t1, t2).size)
+        return program(k, n, omega, t1, t2)
+
+    monkeypatch.setattr(thresholds, "_program", counting_program)
+    got = doa_line(solve_doa, 2, 100, step)
+    evaluated = sum(cells)
+    assert got == doa_line(full_grid_solve_doa, 2, 100, step)
+    if step != 0.003:  # was 4,728 cells at step 0.01 and 18,828 at 0.005
+        assert evaluated <= 200
+
+
 def grid_terms(k, n, grid):
     """(omega, feasible, c3, c4) on the full grid at every omega with a
     feasible theta1 < theta2 cell, with c3 and c4 as _program computes them."""
