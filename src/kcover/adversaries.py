@@ -28,14 +28,15 @@ class Adversary:
     """A construction's item stream behind the emit-then-react protocol.
 
     `play` yields the item at each position and receives the decision on it;
-    `config` holds the construction's own parameters for :meth:`describe`.
+    `n` items are released in all.  `config` holds the construction's own
+    parameters for :meth:`describe`.
     """
 
-    def __init__(self, name: str, quota: int, total: int, setting: Setting,
+    def __init__(self, name: str, quota: int, n: int, setting: Setting,
                  target_len: float, declared_bound: float, config: dict, play: Play):
         self.name = name
         self.quota = quota
-        self.total = total
+        self.n = n
         self.setting = setting
         self.target_len = target_len
         self.declared_bound = declared_bound
@@ -44,7 +45,7 @@ class Adversary:
         self._pos = 0
 
     def describe(self) -> dict:
-        return {"quota": self.quota, "n": self.total, **self._config}
+        return {"quota": self.quota, "n": self.n, **self._config}
 
     def first(self) -> Batch:
         if self._pos != 0:
@@ -59,7 +60,7 @@ class Adversary:
                 f"react out of turn: expected position {self._pos}, got {position}"
             )
         self._pos += 1
-        if self._pos > self.total:
+        if self._pos > self.n:
             return None
         return self._play.send(decision)
 
@@ -90,14 +91,14 @@ def _al_play(epsilon: float, k: int) -> Play:
         yield clone
 
 
-def adv_al(epsilon: float, k: int, horizon: int) -> Adversary:
+def adv_al(epsilon: float, k: int, n: int) -> Adversary:
     """Arbitrary lengths: forces ratio >= 1/eps against any deterministic policy."""
     if not (0.0 < epsilon < 1.0):
         raise ConfigError(f"need 0 < epsilon < 1, got {epsilon}")
     check_quota(k)
-    if horizon < k + 1:
-        raise ConfigError(f"need horizon >= k+1, got {horizon}")
-    return Adversary("al", k, horizon, Setting("AL", "UN"), 1.0, 1.0 / epsilon,
+    if n < k + 1:
+        raise ConfigError(f"need n >= k+1, got {n}")
+    return Adversary("al", k, n, Setting("AL", "UN"), 1.0, 1.0 / epsilon,
                      {"epsilon": epsilon}, _al_play(epsilon, k))
 
 
@@ -162,14 +163,13 @@ def _split_unit(batch: Batch, parts: int) -> Batch:
     return Batch(tuple(SubInterval(cuts[i], cuts[i + 1]) for i in range(parts)))
 
 
-def adv_us_un(k: int, n: int, parts_per_batch: int) -> Adversary:
+def adv_us_un(k: int, n: int, parts: int) -> Adversary:
     """Unit-sum variant: the unit-chain items, each partitioned into equal
     touching pieces.  Marginal lengths are unchanged, so threshold policies
     trace identically to the unpartitioned run."""
-    if parts_per_batch < 1:
-        raise ConfigError(f"need parts_per_batch >= 1, got {parts_per_batch}")
-    return _chain("us-un", k, n, parts_per_batch, Setting("US", "UN"),
-                  {"parts": parts_per_batch}, lb_us_un)
+    if parts < 1:
+        raise ConfigError(f"need parts >= 1, got {parts}")
+    return _chain("us-un", k, n, parts, Setting("US", "UN"), {"parts": parts}, lb_us_un)
 
 
 def _flex_play(k: int, tau: int, m: float) -> Play:
@@ -200,10 +200,10 @@ def _flex_play(k: int, tau: int, m: float) -> Play:
             yield Batch.single(float(k - 1), float(k))
 
 
-def _flex(name: str, k: int, total: int, m: float, tau: int, setting: Setting,
+def _flex(name: str, k: int, n: int, m: float, tau: int, setting: Setting,
           bound: float) -> Adversary:
-    target_len = check_fl_finite(tau + (total - tau) * m + 1.0, m)
-    return Adversary(name, k, total, setting, target_len, bound,
+    target_len = check_fl_finite(tau + (n - tau) * m + 1.0, m)
+    return Adversary(name, k, n, setting, target_len, bound,
                      {"m": m, "tau": tau}, _flex_play(k, tau, m))
 
 
@@ -213,8 +213,8 @@ def adv_fl_un(k: int, n: int, m: float) -> Adversary:
     return _flex("fl-un", k, n, m, min(k, n - k), Setting("FL", "UN", m), lb_fl_un(k, n, m))
 
 
-def adv_fl_an(k: int, m: float, horizon: int) -> Adversary:
+def adv_fl_an(k: int, m: float, n: int) -> Adversary:
     check_fl_cap(m)
-    if horizon < 2 * k:
-        raise ConfigError(f"need horizon >= 2k for the length-m tail, got {horizon}")
-    return _flex("fl-an", k, horizon, m, k, Setting("FL", "AN", m), lb_fl_an(m))
+    if n < 2 * k:
+        raise ConfigError(f"need n >= 2k for the length-m tail, got {n}")
+    return _flex("fl-an", k, n, m, k, Setting("FL", "AN", m), lb_fl_an(m))

@@ -74,12 +74,12 @@ def _finite_float(text: str) -> float:
 # defaults, and to its builder, which takes them as keyword arguments.  A
 # callable default reads the flags resolved before it.
 _ADVERSARIES = {
-    "al": ({"k": 2, "epsilon": 1e-3, "horizon": lambda v: 2 * v["k"] + 2}, adv_al),
+    "al": ({"k": 2, "epsilon": 1e-3, "n": lambda v: 2 * v["k"] + 2}, adv_al),
     "ul-un-k2": ({"n": 10}, adv_ul_un_k2),
     "ul-un-general": ({"k": 3, "n": 10}, adv_ul_un_general),
     "fl-un": ({"k": 2, "n": 10, "m": 2.0}, adv_fl_un),
-    "fl-an": ({"k": 2, "m": 2.0, "horizon": lambda v: 2 * v["k"] + 4}, adv_fl_an),
-    "us-un": ({"k": 3, "n": 10, "parts_per_batch": 3}, adv_us_un),
+    "fl-an": ({"k": 2, "m": 2.0, "n": lambda v: 2 * v["k"] + 4}, adv_fl_an),
+    "us-un": ({"k": 3, "n": 10, "parts": 3}, adv_us_un),
 }
 
 
@@ -179,12 +179,10 @@ def cmd_run(args) -> int:
     if args.instance is not None:
         _refuse_unread(args, _ADVERSARIES, "--instance")
         game = read_instance(args.instance)
-        total = game.n
     else:
         game = _build(args, _ADVERSARIES, args.adversary)
-        total = game.total
     setting = game.setting
-    n = total if setting.count == "UN" else None
+    n = game.n if setting.count == "UN" else None
     policy = _build(args, _POLICIES, args.policy, game.quota, n, setting.length, setting.m)
     if args.instance is not None:
         record = replay_game(policy, game, source=str(args.instance))
@@ -218,7 +216,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
-    check_verify_args(args.trials, args.max_n, args.k, args.n)
+    check_verify_args(args.trials, args.max_n, args.k, args.n, suites)
     out = Path(args.out) if args.out else None
     if out is not None:  # a bad path fails now, not after the whole run
         out.mkdir(parents=True, exist_ok=True)
@@ -297,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=_finite_float)
     p.add_argument("--epsilon", type=_finite_float)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--parts-per-batch", type=int)
+    p.add_argument("--parts", type=int)
     p.add_argument("--theta", type=_finite_float)
     p.add_argument("--theta1", type=_finite_float)
     p.add_argument("--theta2", type=_finite_float)

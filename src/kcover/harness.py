@@ -113,7 +113,7 @@ def _play(
     adversary: Adversary,
     remake: Optional[Callable[[], Adversary]] = None,
 ) -> Iterator[tuple[Instance, tuple]]:
-    """Play each policy against one construction to the horizon; yields
+    """Play each policy against one construction through its n releases; yields
     (instance, tally) per policy.
 
     The construction's items form a decision tree: a node is [the node after
@@ -160,7 +160,7 @@ def _play(
 
 
 def run_game(policy: Policy, adversary: Adversary):
-    """Play policy vs adversary to the horizon; returns (record, instance)."""
+    """Play policy vs adversary through its n releases; returns (record, instance)."""
     ((inst, played),) = _play([policy], adversary)
     record = _score(
         policy, inst, played, oracle_value(inst), adversary.name,
@@ -343,7 +343,7 @@ def _certify(make_adversary: Callable[[], Adversary], label: str,
     adv = make_adversary()
     declared = adv.declared_bound
     suite = full_policy_suite(
-        adv.setting.length, adv.quota, adv.total, adv.setting.m, rng, solved=solved
+        adv.setting.length, adv.quota, adv.n, adv.setting.m, rng, solved=solved
     )
     policies = [factory() for _, factory in suite]
     worst_slack = float("inf")
@@ -383,8 +383,9 @@ def verify_adversaries(
     certify = functools.partial(_certify, rng=random.Random(seed), solved={})
     klo, khi = k_range
     nlo, nhi = n_range
-    for n in range(max(nlo, 3), nhi + 1):
-        yield certify(lambda: adv_ul_un_k2(n), f"k2-adversary n={n}")
+    if klo <= 2 <= khi:
+        for n in range(max(nlo, 3), nhi + 1):
+            yield certify(lambda: adv_ul_un_k2(n), f"k2-adversary n={n}")
     for k in range(max(klo, 3), khi + 1):
         for n in range(max(nlo, k + 1), nhi + 1):
             yield certify(lambda: adv_ul_un_general(k, n), f"chain-adversary k={k} n={n}")
@@ -393,7 +394,7 @@ def verify_adversaries(
                 lambda: adv_us_un(k, n, 3), f"unit-sum-adversary k={k} n={n} parts=3"
             )
     # Arbitrary lengths: a fixed epsilon must already force a huge ratio.
-    for k in (2, 3):
+    for k in range(max(klo, 2), min(khi, 3) + 1):
         yield certify(lambda: adv_al(1e-3, k, 2 * k + 2), f"al-adversary k={k} eps=0.001")
 
 
@@ -430,9 +431,14 @@ def verify_bounds(seed: int) -> Iterator[Row]:
 
 
 def check_verify_args(
-    trials: int, max_n: int, k_range: tuple[int, int], n_range: tuple[int, int]
+    trials: int,
+    max_n: int,
+    k_range: tuple[int, int],
+    n_range: tuple[int, int],
+    suites: Sequence[str] = SUITES,
 ) -> None:
-    """Refuse verify arguments that would make a suite empty or invalid."""
+    """Refuse verify arguments that would make a suite empty or invalid;
+    `suites` are the suites that will run."""
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got {trials}")
     if not 3 <= max_n <= offline._MAX_N:
@@ -445,6 +451,13 @@ def check_verify_args(
         raise ConfigError(
             f"k={klo}..{khi} n={n_range[0]}..{nhi} holds no quota with "
             "2 <= k <= n-1, so no construction would be certified"
+        )
+    # Unit-sum rows (k >= 3, k+1 <= n) run up to n = nhi, and their optimum
+    # is found by enumeration.
+    if "adversary" in suites and nhi > offline._MAX_N and max(klo, 3) <= min(khi, nhi - 1):
+        raise ConfigError(
+            f"--n {n_range[0]}..{nhi} reaches n={nhi}, but the unit-sum rows "
+            f"enumerate subsets only up to n={offline._MAX_N}"
         )
 
 
@@ -459,7 +472,7 @@ def run_verify(
     """Run the requested suites; returns (report text, passed, dumps), one
     ``PASS|FAIL label: detail`` report line and at most one dumped
     counterexample per check."""
-    check_verify_args(trials, max_n, k_range, n_range)
+    check_verify_args(trials, max_n, k_range, n_range, suites)
     calls: dict[str, Callable[[], Iterator[Row]]] = {
         "oracle": lambda: verify_oracle(trials, max_n, seed),
         "adversary": lambda: verify_adversaries(k_range, n_range, seed),

@@ -28,25 +28,25 @@ class Policy:
     stateful and single-run, so build a fresh one per game.
 
     In order: reject once the quota is used; accept the first item when
-    `free_first` is set; accept when the release count `total` is known
-    (None means unknown) and the remaining quota covers every remaining
-    release; otherwise accept exactly when the marginal length reaches
-    ``schedule[min(accepted_count, last)]``, so the last threshold repeats.
-    `config` holds what :meth:`describe` reports after the quota.
+    `free_first` is set; accept when the release count `n` is known and the
+    remaining quota covers every remaining release; otherwise accept exactly
+    when the marginal length reaches ``schedule[min(accepted_count, last)]``,
+    so the last threshold repeats.  `config` holds what :meth:`describe`
+    reports after the quota; `n` is read from it (absent or None means
+    unknown), so a policy plays with the count its record shows.
     """
 
     name = "policy"
     free_first = True
 
-    def __init__(self, quota: int, schedule: Sequence[float],
-                 total: Optional[int] = None, **config):
+    def __init__(self, quota: int, schedule: Sequence[float], **config):
         if quota < 1:
             raise ConfigError(f"quota must be >= 1, got {quota}")
         if not schedule:
             raise ConfigError("a policy needs at least one threshold")
         self.quota = quota
         self.schedule = tuple(schedule)
-        self.total = total
+        self.n: Optional[int] = config.get("n")
         self.config = config
         self.accepted_count = 0
         self.state = CoverageState.empty()
@@ -78,7 +78,7 @@ class Policy:
         if position == 1 and self.free_first:
             return True
         left = self.quota - self.accepted_count
-        if self.total is not None and left >= self.total - position + 1:
+        if self.n is not None and left >= self.n - position + 1:
             return True
         i = min(self.accepted_count, len(self.schedule) - 1)
         return gain >= self.schedule[i] - numeric.EPS
@@ -92,10 +92,10 @@ def _default_theta(k, n, setting, m, theta):
     return float(theta)
 
 
-def _check_known_count(quota, total):
-    if total is None:
+def _check_known_count(quota, n):
+    if n is None:
         raise ConfigError("this policy needs the total release count")
-    check_quota(quota, total)
+    check_quota(quota, n)
 
 
 class ThresholdPolicy(Policy):
@@ -104,10 +104,10 @@ class ThresholdPolicy(Policy):
 
     name = "soa"
 
-    def __init__(self, quota, total, theta=None, setting="UL", m=None):
-        _check_known_count(quota, total)
-        theta = _default_theta(quota, total, setting, m, theta)
-        super().__init__(quota, (theta,), total, n=total, theta=theta)
+    def __init__(self, quota, n, theta=None, setting="UL", m=None):
+        _check_known_count(quota, n)
+        theta = _default_theta(quota, n, setting, m, theta)
+        super().__init__(quota, (theta,), n=n, theta=theta)
 
 
 class AnytimeThresholdPolicy(Policy):
@@ -123,22 +123,21 @@ class AnytimeThresholdPolicy(Policy):
 
 
 class TwoPhaseThresholdPolicy(Policy):
-    """Explore with theta1, exploit with theta2 after `switch_after` accepts.
+    """Explore with theta1, exploit with theta2 after `omega` accepts.
 
-    theta1 applies while fewer than `switch_after` items are accepted (so to
-    accepts 2..switch_after), theta2 afterwards.  With theta1 == theta2 the
+    theta1 applies while fewer than `omega` items are accepted (so to
+    accepts 2..omega), theta2 afterwards.  With theta1 == theta2 the
     policy is decision-equivalent to :class:`ThresholdPolicy`.
     """
 
     name = "doa"
 
-    def __init__(self, quota, total, switch_after, theta1, theta2):
-        _check_known_count(quota, total)
-        check_two_phase(quota, switch_after, theta1, theta2)
+    def __init__(self, quota, n, omega, theta1, theta2):
+        _check_known_count(quota, n)
+        check_two_phase(quota, omega, theta1, theta2)
         theta1, theta2 = float(theta1), float(theta2)
-        schedule = (theta1,) * switch_after + (theta2,)
-        super().__init__(quota, schedule, total, n=total, omega=switch_after,
-                         theta1=theta1, theta2=theta2)
+        schedule = (theta1,) * omega + (theta2,)
+        super().__init__(quota, schedule, n=n, omega=omega, theta1=theta1, theta2=theta2)
 
 
 class MultiThresholdPolicy(Policy):
@@ -173,8 +172,8 @@ class RejectUntilForcedPolicy(Policy):
     name = "reject-until-forced"
     free_first = False
 
-    def __init__(self, quota, total=None):
-        super().__init__(quota, (math.inf,), total, n=total)
+    def __init__(self, quota, n=None):
+        super().__init__(quota, (math.inf,), n=n)
 
 
 def tally(

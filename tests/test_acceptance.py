@@ -199,9 +199,9 @@ def test_arbitrary_length_unboundedness():
     failures = []
     games = 0
     for k in (2, 3, 5):
-        horizon = 2 * k + 2
-        for name, factory in full_policy_suite("AL", k, horizon, None, rng):
-            adv = adv_al(epsilon, k, horizon)
+        n = 2 * k + 2
+        for name, factory in full_policy_suite("AL", k, n, None, rng):
+            adv = adv_al(epsilon, k, n)
             record, _ = run_game(factory(), adv)
             games += 1
             if record.ratio_or_inf < 1.0 / epsilon - TOL:

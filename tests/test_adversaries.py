@@ -243,9 +243,9 @@ class TestArbitraryLengthAdversary:
 
     def test_suite_forced(self, rng):
         for k in (2, 5):
-            horizon = 2 * k + 2
-            for name, factory in full_policy_suite("AL", k, horizon, None, rng):
-                adv = adv_al(1e-3, k, horizon)
+            n = 2 * k + 2
+            for name, factory in full_policy_suite("AL", k, n, None, rng):
+                adv = adv_al(1e-3, k, n)
                 r, _, _ = ratio_of(factory(), adv)
                 assert r >= 1000.0 - 1e-6, (name, k)
 
@@ -314,8 +314,8 @@ def test_item_streams_golden():
     digest = hashlib.sha256()
     games = 0
     for make in STREAM_GRID:
-        total = make().total
-        for pattern in itertools.product((Decision.ACCEPT, Decision.REJECT), repeat=total):
+        n = make().n
+        for pattern in itertools.product((Decision.ACCEPT, Decision.REJECT), repeat=n):
             adv = make()
             digest.update(
                 f"{adv.name} {json.dumps(adv.describe())} {adv.setting.label()} "
@@ -351,11 +351,11 @@ def test_protocol_violations_raise(make):
         adv.first()
     with pytest.raises(ProtocolError, match="expected position 1, got 2"):
         adv.react(Decision.ACCEPT, 2)
-    for pos in range(1, adv.total):
+    for pos in range(1, adv.n):
         assert adv.react(Decision.REJECT, pos) is not None
-    assert adv.react(Decision.REJECT, adv.total) is None
-    # past the horizon the stream stays empty
-    assert adv.react(Decision.ACCEPT, adv.total + 1) is None
+    assert adv.react(Decision.REJECT, adv.n) is None
+    # past the n-th release the stream stays empty
+    assert adv.react(Decision.ACCEPT, adv.n + 1) is None
     with pytest.raises(ProtocolError, match="expected position"):
         adv.react(Decision.ACCEPT, 1)
 
@@ -399,7 +399,7 @@ def plain_certify(make_adversary, label, rng, solved):
     adv = make_adversary()
     declared = adv.declared_bound
     suite = harness.full_policy_suite(
-        adv.setting.length, adv.quota, adv.total, adv.setting.m, rng, solved=solved
+        adv.setting.length, adv.quota, adv.n, adv.setting.m, rng, solved=solved
     )
     worst, bad = math.inf, None
     for pname, factory in suite:
@@ -430,7 +430,7 @@ def test_certify_matches_a_plain_run_game_loop(monkeypatch, make, reverse):
         monkeypatch.setattr(harness, "full_policy_suite", lambda *a, **kw: build(*a, **kw)[::-1])
     adv = make()
     suite = harness.full_policy_suite(
-        adv.setting.length, adv.quota, adv.total, adv.setting.m, random.Random(11)
+        adv.setting.length, adv.quota, adv.n, adv.setting.m, random.Random(11)
     )
     ratios = sorted({run_game(factory(), make())[0].ratio_or_inf for _, factory in suite})
     firsts = set()
@@ -487,3 +487,24 @@ def test_multi_thresholds_draw_as_uniform_does():
     for k in range(2, 60):
         want = sorted((plain.uniform(0.05, 1.0) for _ in range(k)), reverse=True)
         assert harness.random_multi_thresholds(mine, k) == want
+
+
+@pytest.mark.parametrize(
+    "k_range, n_range", [((3, 4), (8, 9)), ((2, 2), (5, 6)), ((3, 3), (8, 8)), ((2, 6), (8, 12))]
+)
+def test_verify_rows_certify_only_quotas_in_the_k_range(monkeypatch, k_range, n_range):
+    # every row, k2 and al ones included, builds a construction whose quota
+    # lies in the k range, and every quota in it that some n admits has rows
+    quotas = []
+
+    def certify(make_adversary, label, rng, solved):
+        quotas.append(make_adversary().quota)
+        return True, label, "", None
+
+    monkeypatch.setattr(harness, "_certify", certify)
+    labels = [label for _, label, _, _ in harness.verify_adversaries(k_range, n_range, seed=1)]
+    klo, khi = k_range
+    assert set(quotas) == set(range(max(klo, 2), min(khi, n_range[1] - 1) + 1))
+    assert (f"k2-adversary n={n_range[0]}" in labels) == (klo <= 2)
+    assert ("al-adversary k=2 eps=0.001" in labels) == (klo <= 2)
+    assert ("al-adversary k=3 eps=0.001" in labels) == (klo <= 3 <= khi)

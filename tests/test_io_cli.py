@@ -164,10 +164,10 @@ class TestCli:
         assert "switch point <= k, got 0" in capsys.readouterr().err
         code = run_cli(
             "run", "--policy", "soa", "--theta", "0.5", "--adversary", "al",
-            "--k", "3", "--horizon", "0",
+            "--k", "3", "--n", "0",
         )
         assert code == 2
-        assert "need horizon >= k+1, got 0" in capsys.readouterr().err
+        assert "need n >= k+1, got 0" in capsys.readouterr().err
         # doa's explicit parameters come as --theta1 --theta2 [--omega] or
         # not at all; a partial set is refused, not replaced by solve_doa's
         for partial in (
@@ -216,22 +216,23 @@ class TestCli:
         for source, flags, message in (
             (("--adversary", "ul-un-k2"), ("--k", "7", "--n", "9"),
              "--k is read only by al, ul-un-general, fl-un, fl-an and us-un, not ul-un-k2"),
-            (("--adversary", "al"), ("--k", "3", "--n", "20", "--parts-per-batch", "5"),
-             "--n is read only by ul-un-k2, ul-un-general, fl-un and us-un, not al"),
-            (("--adversary", "fl-an"), ("--n", "9"),
-             "--n is read only by ul-un-k2, ul-un-general, fl-un and us-un, not fl-an"),
+            (("--adversary", "al"), ("--k", "3", "--n", "20", "--parts", "5"),
+             "--parts is read only by us-un, not al"),
+            (("--adversary", "fl-an"), ("--n", "9", "--epsilon", "0.1"),
+             "--epsilon is read only by al, not fl-an"),
             (("--adversary", "ul-un-general"), ("--m", "3"),
              "--m is read only by fl-un and fl-an, not ul-un-general"),
             (("--adversary", "fl-un"), ("--epsilon", "0.1"),
              "--epsilon is read only by al, not fl-un"),
-            (("--adversary", "us-un"), ("--horizon", "9"),
-             "--horizon is read only by al and fl-an, not us-un"),
-            (("--adversary", "ul-un-general"), ("--parts-per-batch", "2"),
-             "--parts-per-batch is read only by us-un, not ul-un-general"),
+            (("--adversary", "us-un"), ("--m", "3"),
+             "--m is read only by fl-un and fl-an, not us-un"),
+            (("--adversary", "ul-un-general"), ("--parts", "2"),
+             "--parts is read only by us-un, not ul-un-general"),
             (("--instance", "inst.json"), ("--k", "3"),
              "--k is read only by al, ul-un-general, fl-un, fl-an and us-un, not --instance"),
-            (("--instance", "inst.json"), ("--horizon", "9"),
-             "--horizon is read only by al and fl-an, not --instance"),
+            (("--instance", "inst.json"), ("--n", "9"),
+             "--n is read only by al, ul-un-k2, ul-un-general, fl-un, fl-an and us-un, "
+             "not --instance"),
         ):
             assert run_cli("run", "--policy", "accept-all", *source, *flags) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
@@ -372,6 +373,36 @@ class TestCli:
         assert f"need 3 <= max-n <= 20, got {max_n}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "k_range, n_range", [("3..3", "21..21"), ("2..5", "19..21"), ("3..30", "4..25")]
+    )
+    def test_verify_n_past_the_enumeration_guard_exits_2(self, k_range, n_range, tmp_path,
+                                                         capsys):
+        # a unit-sum row with n > 20 would be enumerated: refused before the
+        # out directory is made and before any suite runs
+        out = tmp_path / "d"
+        code = run_cli(
+            "verify", "--suite", "adversary", "--k", k_range, "--n", n_range,
+            "--trials", "1", "--out", str(out),
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        nlo, nhi = n_range.split("..")
+        assert captured.err == (
+            f"error: --n {nlo}..{nhi} reaches n={nhi}, but the unit-sum rows "
+            "enumerate subsets only up to n=20\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suites, k_range",
+        [(("oracle",), (3, 3)), (("oracle", "bounds"), (2, 9)), (harness.SUITES, (2, 2))],
+    )
+    def test_verify_n_past_the_guard_is_fine_without_unit_sum_rows(self, suites, k_range):
+        # the oracle and bounds suites read no --n, and k = 2 rows use the DP
+        harness.check_verify_args(1, 10, k_range, (19, 21), suites)
+
     def test_unknown_suite_refused_before_any_suite_runs(self, monkeypatch):
         ran = []
         monkeypatch.setattr(harness, "verify_oracle", lambda *args: ran.append(args) or iter(()))
@@ -460,28 +491,26 @@ class TestCli:
 # The `run` flags each construction and policy reads, with a value that
 # builds a game, and where the record shows that the value was read.
 ADVERSARY_READS = {
-    "al": {"--k": "3", "--epsilon": "0.01", "--horizon": "9"},
+    "al": {"--k": "3", "--epsilon": "0.01", "--n": "7"},
     "ul-un-k2": {"--n": "7"},
     "ul-un-general": {"--k": "3", "--n": "7"},
     "fl-un": {"--k": "3", "--n": "7", "--m": "3"},
-    "fl-an": {"--k": "3", "--m": "3", "--horizon": "9"},
-    "us-un": {"--k": "3", "--n": "7", "--parts-per-batch": "2"},
+    "fl-an": {"--k": "3", "--m": "3", "--n": "7"},
+    "us-un": {"--k": "3", "--n": "7", "--parts": "2"},
 }
 ADVERSARY_OWNERS = {
     "--k": "al, ul-un-general, fl-un, fl-an and us-un",
-    "--n": "ul-un-k2, ul-un-general, fl-un and us-un",
+    "--n": "al, ul-un-k2, ul-un-general, fl-un, fl-an and us-un",
     "--m": "fl-un and fl-an",
     "--epsilon": "al",
-    "--horizon": "al and fl-an",
-    "--parts-per-batch": "us-un",
+    "--parts": "us-un",
 }
 ADVERSARY_SHOWN = {
     "--k": lambda r: r["k"] == 3,
     "--n": lambda r: r["n"] == 7,
     "--m": lambda r: r["m"] == 3.0,
     "--epsilon": lambda r: r["source_config"]["epsilon"] == 0.01,
-    "--horizon": lambda r: r["n"] == 9,
-    "--parts-per-batch": lambda r: r["source_config"]["parts"] == 2,
+    "--parts": lambda r: r["source_config"]["parts"] == 2,
 }
 POLICY_READS = {
     "soa": {"--theta": "0.4"},
@@ -577,6 +606,52 @@ class TestRunTables:
             "error: --save-instance is read only by --adversary, not --instance\n"
         )
         assert captured.out == "" and not saved.exists()
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--parts-per-batch"])
+    def test_removed_flag_exits_2(self, flag, capsys):
+        # the release count is --n for every construction, the parts --parts
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--policy", "accept-all", "--adversary", "us-un", flag, "9")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "adversary, policy",
+        [
+            (adversary, policy)
+            for adversary in ADVERSARY_READS
+            for policy in POLICY_READS
+            # without the release count there is no soa or doa policy
+            if not (adversary == "fl-an" and policy in ("soa", "doa"))
+        ],
+    )
+    def test_record_keys_replay_the_game(self, adversary, policy, tmp_path, capsys):
+        # The keys of source_config and policy_config are the run flags that
+        # replay the game; quota is read as --k where the construction reads
+        # it, and tau is derived.  A policy records the count it plays with.
+        k = 2 if adversary == "ul-un-k2" else 3
+        chosen = {
+            "soa": ["--theta", "0.5"] if adversary == "al" else [],
+            "soa-an": ["--theta", "0.5"] if adversary == "al" else [],
+            "multi-threshold": ["--thresholds", ",".join(["0.9", "0.5", "0.2"][:k])],
+        }.get(policy, [])
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        game = ("run", "--policy", policy, "--adversary", adversary)
+        assert run_cli(*game, *_flags(ADVERSARY_READS[adversary]), *chosen,
+                       "--out", str(first)) == 0
+        record = json.loads(first.read_text())
+        flags = {}
+        for config in (record["source_config"], record["policy_config"]):
+            for key, value in config.items():
+                if key in ("quota", "tau") or value is None:
+                    continue
+                if isinstance(value, list):
+                    value = ",".join(map(str, value))
+                assert flags.setdefault(f"--{key}", str(value)) == str(value), key
+        if "k" in cli._ADVERSARIES[adversary][0]:
+            flags["--k"] = str(record["source_config"]["quota"])
+        assert run_cli(*game, *_flags(flags), "--out", str(again)) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     @pytest.mark.parametrize("policy", POLICY_READS)
     def test_policy_reads_its_flags(self, policy, tmp_path, capsys):

@@ -288,5 +288,5 @@ def test_schedules_stop_at_their_last_threshold(rng):
         inst = gen_instance(rng, "UL", n, k)
         omega = rng.randint(1, k)
         short = TwoPhaseThresholdPolicy(k, n, omega, 0.3, 0.6)
-        full = Policy(k, (0.3,) * omega + (0.6,) * (k - omega), n)
+        full = Policy(k, (0.3,) * omega + (0.6,) * (k - omega), n=n)
         assert run_policy(short, inst)[2] == run_policy(full, inst)[2]
