@@ -45,7 +45,7 @@ from .policies import (
     ThresholdPolicy,
     TwoPhaseThresholdPolicy,
 )
-from .thresholds import check_schedule, default_switch, solve_doa
+from .thresholds import check_schedule, solve_doa
 
 CSV_COLUMNS = (
     "k, soa_ub (threshold-policy bound), doa_c (two-phase objective), "
@@ -83,19 +83,6 @@ _ADVERSARIES = {
 }
 
 
-def _doa(k, n, setting, m, theta1, theta2, omega):
-    if (theta1 is None) != (theta2 is None) or (theta1 is None and omega is not None):
-        raise ConfigError("doa takes --theta1 --theta2 [--omega] together or not at all")
-    if n is None:  # solve_doa and the policy both need the count
-        raise ConfigError("doa needs the total release count")
-    if theta1 is None:
-        sol = solve_doa(k, n)
-        omega, theta1, theta2 = sol.omega, sol.theta1, sol.theta2
-    elif omega is None:
-        omega = default_switch(k)
-    return TwoPhaseThresholdPolicy(k, n, omega, theta1, theta2)
-
-
 def _multi_threshold(k, n, setting, m, thresholds):
     if not thresholds:
         raise KcoverError("--thresholds is required for multi-threshold")
@@ -109,7 +96,8 @@ _POLICIES = {
             lambda k, n, setting, m, theta: ThresholdPolicy(k, n, theta, setting, m)),
     "soa-an": ({"theta": None},
                lambda k, n, setting, m, theta: AnytimeThresholdPolicy(k, theta, setting, m)),
-    "doa": ({"theta1": None, "theta2": None, "omega": None}, _doa),
+    "doa": ({"theta1": None, "theta2": None, "omega": None},
+            lambda k, n, setting, m, **triple: TwoPhaseThresholdPolicy(k, n, **triple)),
     "accept-all": ({}, lambda k, n, setting, m: AcceptAllPolicy(k)),
     "reject-until-forced": ({}, lambda k, n, setting, m: RejectUntilForcedPolicy(k, n)),
     "multi-threshold": ({"thresholds": None}, _multi_threshold),

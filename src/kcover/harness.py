@@ -40,7 +40,7 @@ from .policies import (
     run_policy,
     tally,
 )
-from .thresholds import check_quota, default_switch, solve_doa
+from .thresholds import check_quota, solve_doa
 
 PRNG_NAME = "python-random-mt19937"
 
@@ -299,7 +299,8 @@ def full_policy_suite(
 ) -> list[tuple[str, Callable[[], Policy]]]:
     """Factories for the certification test suite, one fresh policy per game.
     AL has no sound threshold, so its threshold policies use 0.5.  `solved`
-    memoises the two-phase triple per (k, n), None when none is feasible."""
+    memoises the solved two-phase policy's :meth:`~Policy.describe` per
+    (k, n), which rebuilds it, or None when no triple is feasible."""
     suite: list[tuple[str, Callable[[], Policy]]] = []
     theta_kwargs = {"setting": setting, "m": m}
     if setting == "AL":
@@ -308,19 +309,18 @@ def full_policy_suite(
         suite.append(("soa", lambda: ThresholdPolicy(k, n, **theta_kwargs)))
     suite.append(("soa-an", lambda: AnytimeThresholdPolicy(k, **theta_kwargs)))
     if n is not None:
-        if setting == "AL":  # no program for AL: a fixed two-phase triple
-            params = (default_switch(k), 0.3, 0.6)
+        if setting == "AL":  # no program for AL: fixed thetas, default switch
+            config = {"quota": k, "n": n, "theta1": 0.3, "theta2": 0.6}
         else:
             solved = {} if solved is None else solved
             if (k, n) not in solved:
                 try:
-                    sol = solve_doa(k, n)
-                    solved[k, n] = (sol.omega, sol.theta1, sol.theta2)
+                    solved[k, n] = TwoPhaseThresholdPolicy(k, n).describe()
                 except SolverEmptyError:
                     solved[k, n] = None
-            params = solved[k, n]
-        if params is not None:
-            suite.append(("doa", lambda: TwoPhaseThresholdPolicy(k, n, *params)))
+            config = solved[k, n]
+        if config is not None:
+            suite.append(("doa", lambda: TwoPhaseThresholdPolicy(**config)))
     suite.append(("accept-all", lambda: AcceptAllPolicy(k)))
     suite.append(("reject-until-forced", lambda: RejectUntilForcedPolicy(k, n)))
     for i in range(multis):
@@ -437,24 +437,30 @@ def check_verify_args(
     n_range: tuple[int, int],
     suites: Sequence[str] = SUITES,
 ) -> None:
-    """Refuse verify arguments that would make a suite empty or invalid;
-    `suites` are the suites that will run."""
-    if trials < 1:
-        raise ConfigError(f"need trials >= 1, got {trials}")
-    if not 3 <= max_n <= offline._MAX_N:
-        raise ConfigError(f"need 3 <= max-n <= {offline._MAX_N}, got {max_n}")
+    """Refuse verify arguments that would make a suite empty or invalid:
+    unknown suites, then the flags each chosen suite reads (`trials` and
+    `max_n` the oracle suite, `k_range` and `n_range` the adversary suite)."""
+    for name in suites:
+        if name not in SUITES:
+            raise ConfigError(f"unknown suite {name!r}, choose from {', '.join(SUITES)}")
+    if "oracle" in suites:
+        if trials < 1:
+            raise ConfigError(f"need trials >= 1, got {trials}")
+        if not 3 <= max_n <= offline._MAX_N:
+            raise ConfigError(f"need 3 <= max-n <= {offline._MAX_N}, got {max_n}")
+    if "adversary" not in suites:
+        return
     for flag, (lo, hi) in (("k", k_range), ("n", n_range)):
         if lo > hi:
             raise ConfigError(f"empty {flag} range {lo}..{hi}")
     (klo, khi), (_, nhi) = k_range, n_range
     if max(klo, 2) > min(khi, nhi - 1):
         raise ConfigError(
-            f"k={klo}..{khi} n={n_range[0]}..{nhi} holds no quota with "
-            "2 <= k <= n-1, so no construction would be certified"
+            f"k={klo}..{khi} n={n_range[0]}..{nhi} holds no quota with 2 <= k <= n-1"
         )
     # Unit-sum rows (k >= 3, k+1 <= n) run up to n = nhi, and their optimum
     # is found by enumeration.
-    if "adversary" in suites and nhi > offline._MAX_N and max(klo, 3) <= min(khi, nhi - 1):
+    if nhi > offline._MAX_N and max(klo, 3) <= min(khi, nhi - 1):
         raise ConfigError(
             f"--n {n_range[0]}..{nhi} reaches n={nhi}, but the unit-sum rows "
             f"enumerate subsets only up to n={offline._MAX_N}"
@@ -478,9 +484,6 @@ def run_verify(
         "adversary": lambda: verify_adversaries(k_range, n_range, seed),
         "bounds": lambda: verify_bounds(seed),
     }
-    for name in suites:
-        if name not in calls:
-            raise ConfigError(f"unknown suite {name!r}, choose from {', '.join(SUITES)}")
     lines = [
         "kcover verify report",
         f"seed={seed} trials={trials} max-n={max_n} "

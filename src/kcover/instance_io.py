@@ -63,9 +63,9 @@ def instance_from_dict(doc: dict) -> Instance:
         raise SchemaError("setting: expected an object")
     length = sdoc.get("length")
     count = sdoc.get("count")
-    m = sdoc.get("m")
+    m = None if sdoc.get("m") is None else _number(sdoc["m"], "setting.m")
     try:
-        setting = Setting(length, count, None if m is None else _number(m, "setting.m"))
+        setting = Setting(length, count, m)
     except KcoverError as exc:
         raise SchemaError(f"setting: {exc}") from exc
     items_doc = doc["items"]

@@ -274,13 +274,10 @@ def _check_item_shape(setting: Setting, batch: Batch, where: str) -> None:
     elif setting.length == "FL":
         # relative to m above 1: a length computed from endpoints near t*m
         # is off by about an ulp of t*m, past 1e-9 once m is in the millions
-        m = setting.m
-        if length < 1.0 - numeric.EPS or length > m + numeric.EPS * max(1.0, m):
-            slack = end_rounding(batch.parts[0].end)
-            if length < 1.0 - slack or length > m + slack:
-                raise SettingError(
-                    f"{where}: FL item length {length!r} outside [1, {setting.m}]"
-                )
+        m, slack = setting.m, end_rounding(batch.parts[0].end)
+        if (length < 1.0 - max(numeric.EPS, slack)
+                or length > m + max(numeric.EPS * max(1.0, m), slack)):
+            raise SettingError(f"{where}: FL item length {length!r} outside [1, {m}]")
     # AL: any positive length.
 
 

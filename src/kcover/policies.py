@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 from . import numeric
 from .errors import ConfigError, ProtocolError
 from .intervals import Batch, CoverageState, Instance, added_length, union_length
-from .thresholds import check_quota, check_schedule, check_two_phase, soa_an_theta, soa_theta
+from .thresholds import check_quota, check_schedule, check_two_phase, default_switch
+from .thresholds import soa_an_theta, soa_theta, solve_doa
 
 
 class Decision(str, enum.Enum):
@@ -92,9 +93,9 @@ def _default_theta(k, n, setting, m, theta):
     return float(theta)
 
 
-def _check_known_count(quota, n):
+def _check_known_count(name, quota, n):
     if n is None:
-        raise ConfigError("this policy needs the total release count")
+        raise ConfigError(f"{name} needs the total release count")
     check_quota(quota, n)
 
 
@@ -105,7 +106,7 @@ class ThresholdPolicy(Policy):
     name = "soa"
 
     def __init__(self, quota, n, theta=None, setting="UL", m=None):
-        _check_known_count(quota, n)
+        _check_known_count(self.name, quota, n)
         theta = _default_theta(quota, n, setting, m, theta)
         super().__init__(quota, (theta,), n=n, theta=theta)
 
@@ -127,13 +128,22 @@ class TwoPhaseThresholdPolicy(Policy):
 
     theta1 applies while fewer than `omega` items are accepted (so to
     accepts 2..omega), theta2 afterwards.  With theta1 == theta2 the
-    policy is decision-equivalent to :class:`ThresholdPolicy`.
+    policy is decision-equivalent to :class:`ThresholdPolicy`.  Without
+    thetas it plays :func:`solve_doa`'s triple; thetas without `omega`
+    switch at :func:`default_switch`.
     """
 
     name = "doa"
 
-    def __init__(self, quota, n, omega, theta1, theta2):
-        _check_known_count(quota, n)
+    def __init__(self, quota, n, omega=None, theta1=None, theta2=None):
+        if (theta1 is None) != (theta2 is None) or (theta1 is None and omega is not None):
+            raise ConfigError("doa takes --theta1 --theta2 [--omega] together or not at all")
+        _check_known_count(self.name, quota, n)
+        if theta1 is None:
+            sol = solve_doa(quota, n)
+            omega, theta1, theta2 = sol.omega, sol.theta1, sol.theta2
+        elif omega is None:
+            omega = default_switch(quota)
         check_two_phase(quota, omega, theta1, theta2)
         theta1, theta2 = float(theta1), float(theta2)
         schedule = (theta1,) * omega + (theta2,)

@@ -15,6 +15,7 @@ from kcover import (
     ProtocolError,
     RejectUntilForcedPolicy,
     SettingError,
+    SolverEmptyError,
     ThresholdPolicy,
     adv_al,
     adv_fl_an,
@@ -28,7 +29,7 @@ from kcover import (
     lb_ul_un,
     solve_offline,
 )
-from kcover import adversaries, harness
+from kcover import adversaries, harness, policies
 from kcover.harness import full_policy_suite, replay_game, run_game
 from kcover.instance_io import instance_to_dict
 
@@ -466,18 +467,37 @@ def test_certify_builds_one_adversary_per_distinct_trace(monkeypatch, make):
 
 
 def test_adversary_suite_solves_each_program_once(monkeypatch):
-    # the chain, flex and unit-sum rows share (k, n): one solve_doa each
+    # the chain, flex and unit-sum rows share (k, n): one solve_doa each,
+    # made by the doa policy's constructor
     calls = []
-    solve = harness.solve_doa
+    solve = policies.solve_doa
 
     def counting_solve(k, n, *rest):
         calls.append((k, n))
         return solve(k, n, *rest)
 
-    monkeypatch.setattr(harness, "solve_doa", counting_solve)
+    monkeypatch.setattr(policies, "solve_doa", counting_solve)
     rows = list(harness.verify_adversaries((2, 6), (8, 12), seed=42))
     assert all(ok for ok, *_ in rows)
     assert len(calls) == len(set(calls)) == 25
+
+
+def test_suite_without_a_feasible_program_has_no_doa(monkeypatch):
+    # an infeasible program is memoised as None: no doa entry, one solve
+    calls = []
+
+    def empty(k, n, *rest):
+        calls.append((k, n))
+        raise SolverEmptyError(f"no feasible two-phase triple for k={k} n={n}")
+
+    monkeypatch.setattr(policies, "solve_doa", empty)
+    solved = {}
+    for _ in range(2):
+        suite = full_policy_suite("UL", 4, 10, None, random.Random(5), solved=solved)
+        names = [name for name, _ in suite]
+        assert "doa" not in names and "soa" in names
+    assert calls == [(4, 10)]
+    assert solved == {(4, 10): None}
 
 
 def test_multi_thresholds_draw_as_uniform_does():

@@ -136,6 +136,19 @@ class TestValidation:
         with pytest.raises(SettingError, match="unit-sum batch"):
             Instance(5, 2, Setting("US", "AN"), (Batch((iv(0, 0.4), iv(1, 1.6 + 1e-12))),))
 
+    def test_flex_length_allows_rounding_of_the_end(self, monkeypatch):
+        # at EPS = 0 an FL length computed from endpoints may still miss
+        # [1, m] by a few ulps of the item's end, and by no more
+        monkeypatch.setattr(numeric, "EPS", 0.0)
+        fl = Setting("FL", "AN", 2.0)
+        short, long = 0.6718212205620061, 2.1638353395252667
+        items = (single(short, short + 1.0), single(long, long + 2.0))
+        assert items[0].parts[0].length < 1.0 < 2.0 < items[1].parts[0].length
+        Instance(5, 2, fl, items)
+        for a, b in ((0.0, 1.0 - 1e-12), (0.0, 2.0 + 1e-12)):
+            with pytest.raises(SettingError, match="FL item length"):
+                Instance(5, 2, fl, (single(a, b),))
+
     def test_un_count_floor(self):
         items = (single(0, 1), single(1, 2))
         with pytest.raises(ConfigError, match="need 2 <= k <= n-1, got k=2 n=2"):

@@ -75,6 +75,19 @@ class TestInstanceIO:
         with pytest.raises(SchemaError, match=r"items\[1\]\[0\]\[1\]: expected a finite"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [('"x"', "expected a number, got 'x'"), ("1e400", "expected a finite number, got inf")],
+        ids=["string", "overflow"],
+    )
+    def test_bad_flex_cap_diagnosed_once(self, m, message, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        doc = instance_to_dict(make_instance())
+        doc["setting"] = {"length": "FL", "count": "UN", "m": "M"}
+        path.write_text(json.dumps(doc).replace('"M"', m))
+        assert run_cli("instance", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: setting.m: {message}\n"
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  broken\n}\n")
@@ -360,6 +373,33 @@ class TestCli:
         captured = capsys.readouterr()
         assert "holds no quota with 2 <= k <= n-1" in captured.err
         assert captured.out == ""
+
+    def test_verify_range_without_a_quota_names_no_construction(self, capsys):
+        # the al row at k = 3 would still run, so the message claims only
+        # what the ranges hold
+        assert run_cli("verify", "--suite", "adversary", "--k", "3..3", "--n", "3..3") == 2
+        assert capsys.readouterr().err == (
+            "error: k=3..3 n=3..3 holds no quota with 2 <= k <= n-1\n"
+        )
+
+    @pytest.mark.parametrize(
+        "trials, max_n, k_range, n_range, suites",
+        [(1, 10, (7, 9), (3, 5), ("oracle",)), (1, 10, (5, 2), (21, 30), ("oracle", "bounds")),
+         (0, 2, (2, 6), (8, 12), ("adversary",)), (0, 21, (9, 1), (5, 2), ("bounds",))],
+    )
+    def test_verify_checks_only_the_flags_its_suites_read(
+        self, trials, max_n, k_range, n_range, suites
+    ):
+        # --trials/--max-n belong to the oracle suite, --k/--n to the adversary suite
+        harness.check_verify_args(trials, max_n, k_range, n_range, suites)
+
+    def test_verify_oracle_ignores_the_adversary_ranges(self, capsys):
+        code = run_cli(
+            "verify", "--suite", "oracle", "--k", "7..9", "--n", "3..5",
+            "--trials", "1", "--seed", "1",
+        )
+        assert code == 0
+        assert "RESULT pass" in capsys.readouterr().out
 
     def test_verify_zero_trials_exits_2(self, capsys):
         assert run_cli("verify", "--trials", "0") == 2
@@ -706,6 +746,13 @@ class TestSweepRows:
             assert r.lower_bound <= r.soa_ub + 1e-9
             if r.doa_c is not None:
                 assert r.lower_bound <= r.doa_c + 1e-9
+
+    def test_infeasible_row_leaves_the_program_cells_empty(self):
+        # at step 1 the grid holds no theta1 < theta2, and no single
+        # threshold is feasible at k = 2
+        rows = run_sweep(3, 2, 2, 1.0)
+        assert [r.status for r in rows] == ["infeasible"]
+        assert sweep_csv(rows).splitlines()[1] == "2,1.56155281,,1.41421356,,,,infeasible"
 
     def test_csv_deterministic(self):
         a = sweep_csv(run_sweep(30, 2, 8, 0.05))

@@ -19,9 +19,11 @@ from kcover import (
     run_policy,
     soa_an_theta,
     soa_theta,
+    solve_doa,
 )
 from kcover import policies
 from kcover.harness import gen_instance, random_nk
+from kcover.thresholds import default_switch
 
 from conftest import unit_instance
 
@@ -143,6 +145,42 @@ class TestTwoPhasePolicy:
             TwoPhaseThresholdPolicy(3, 20, 0, 0.3, 0.8)
         with pytest.raises(ConfigError):
             TwoPhaseThresholdPolicy(3, 20, 2, 0.8, 0.3)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_default_plays_the_program(self, k):
+        for n in sorted({k + 1, k + 2, 2 * k + 3, 30}):
+            sol = solve_doa(k, n)
+            assert TwoPhaseThresholdPolicy(k, n).describe() == {
+                "quota": k, "n": n, "omega": sol.omega,
+                "theta1": sol.theta1, "theta2": sol.theta2,
+            }
+
+    def test_thetas_without_omega_switch_at_the_default(self):
+        for k in range(2, 12):
+            pol = TwoPhaseThresholdPolicy(k, 20, theta1=0.3, theta2=0.6)
+            assert pol.config["omega"] == default_switch(k)
+            assert pol.schedule == (0.3,) * default_switch(k) + (0.6,)
+
+    @pytest.mark.parametrize(
+        "partial",
+        [{"theta1": 0.3}, {"theta2": 0.6}, {"omega": 2}, {"omega": 2, "theta1": 0.3},
+         {"omega": 2, "theta2": 0.6}],
+    )
+    def test_partial_triple_refused(self, partial):
+        # refused before the count check and before any program is solved
+        with pytest.raises(ConfigError, match="together or not at all"):
+            TwoPhaseThresholdPolicy(5, None, **partial)
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [(lambda: ThresholdPolicy(3, None), "soa"),
+         (lambda: TwoPhaseThresholdPolicy(3, None), "doa"),
+         (lambda: TwoPhaseThresholdPolicy(3, None, 2, 0.3, 0.6), "doa")],
+    )
+    def test_unknown_count_names_the_policy(self, make, name):
+        with pytest.raises(ConfigError) as exc:
+            make()
+        assert str(exc.value) == f"{name} needs the total release count"
 
 
 class TestMultiThresholdPolicy:
