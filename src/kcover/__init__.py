@@ -53,12 +53,7 @@ from .intervals import (
     added_length,
     union_length,
 )
-from .offline import (
-    brute_force_offline,
-    build_predecessors,
-    solve_offline,
-    solve_offline_unit,
-)
+from .offline import brute_force_offline, build_predecessors, solve_offline
 from .policies import (
     AcceptAllPolicy,
     AnytimeThresholdPolicy,

@@ -4,26 +4,27 @@ subset-enumeration oracle used to verify it.
 The DP processes sub-intervals in non-decreasing end order.  For each item
 it knows the deepest-overlapping predecessor (the intersecting item with
 the left-most start) and the nearest disjoint predecessor, and combines two
-value tables:
+value tables.  Items intersect when they touch within EPS, as
+:func:`~kcover.intervals.union_length` merges pieces.
 
 * ``chi[i][j]``   -- best coverage using at most j accepts from the first i
                      sorted items;
 * ``kappa[i][j]`` -- same, but item i itself must be accepted.
 
 The intersecting transition must recurse through ``kappa`` so that the
-subtracted overlap is actually covered by the accepted predecessor.  Item i
-is either rejected or accepted, so ``chi[i][j] = max(chi[i-1][j],
-kappa[i][j])`` once i > j; a tie keeps the rejection.  Besides the two value
-tables the DP stores one byte per cell, set when ``kappa`` took the
-intersecting transition; backtracking re-derives every other choice from
-the tables.
+subtracted overlap is actually covered by the accepted predecessor; with one
+accept there is no accepted predecessor, so column 1 never takes it.  Item
+i is either rejected or accepted, so ``chi[i][j] = max(chi[i-1][j],
+kappa[i][j])`` once i > j; a tie keeps the rejection.  The DP stores the
+two value tables and nothing else: backtracking re-derives every choice
+from them with the fill's own additions and comparisons.
 
 In column j, rows i <= j accept all of the first i items, so they hold the
 prefix unions: the union length of the first i sorted items, which
 :func:`~kcover.intervals.prefix_unions` gives in one O(n) pass.  Column j
 depends only on column j-1, so each table is filled one quota column at a
 time by numpy operations over all n items.  Columns past n would repeat
-column n, so the solvers stop there.  Tables are stored ``(q+1) x (n+1)``,
+column n, so the solver stops there.  Tables are stored ``(q+1) x (n+1)``,
 contiguous per column, and handed out as float64 ``.T`` views indexed
 ``[i][j]``.  IEEE add and max are exact, so every cell equals what a
 cell-by-cell loop computes.
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,14 +64,19 @@ class SortedInstance:
     ends: tuple[float, ...]
 
 
-def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
-    """The sorted items; `caller` is named in the multi-part batch error."""
+def _refuse_batches(inst: Instance, caller: str) -> None:
+    """Refuse multi-part batches; `caller` is named in the error."""
     for i, b in enumerate(inst.items):
         if not b.is_singleton:
             raise SettingError(
                 f"{caller} works on plain sub-intervals; items[{i}] is a "
                 "multi-part batch -- use brute_force_offline for unit-sum input"
             )
+
+
+def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
+    """The sorted items; `caller` is named in the multi-part batch error."""
+    _refuse_batches(inst, caller)
     ivs = [b.parts[0] for b in inst.items]
     order = tuple(
         sorted(range(len(ivs)), key=lambda i: (ivs[i].end, ivs[i].start, i))
@@ -80,55 +86,41 @@ def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
     return SortedInstance(order, starts, ends)
 
 
-def _first_equal_end(ends: tuple[float, ...], idx: int) -> int:
-    """Smallest index whose end equals ends[idx] (ends are sorted)."""
-    return bisect_left(ends, ends[idx], 0, idx)
-
-
 def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Optional[int]]]:
     """For each sorted item i return (psi, phi), both 0-based or None.
 
-    psi(i): among j < i intersecting item i (end >= start of i) with a
-    strictly smaller start, the one with the left-most start (ties:
+    psi(i): among j < i intersecting item i (end + EPS >= start of i) with
+    a strictly smaller start, the one with the left-most start (ties:
     smallest index).
-    phi(i): among j < i disjoint from item i (end < start of i), the one
-    ending closest to it (ties: smallest index).
+    phi(i): among j < i disjoint from item i (end + EPS < start of i), the
+    one ending closest to it (ties: smallest index).
 
     Ends are sorted, so the intersecting predecessors are a suffix t..i-1
-    of the items before i.  `minima` holds every j < i whose start is
-    strictly below all later starts; its first entry >= t is the suffix's
-    left-most start, the smallest index among equal starts.
+    of the items before i, found by bisecting ``end + EPS`` as
+    :class:`~kcover.intervals.CoverageState` bisects its ``reach``.
+    `minima` holds every j < i whose start is strictly below all later
+    starts; its first entry >= t is the suffix's left-most start, the
+    smallest index among equal starts.
     """
     n = len(s.order)
+    eps = numeric.EPS
+    reach = [end + eps for end in s.ends]
     psi: list[Optional[int]] = [None] * n
     phi: list[Optional[int]] = [None] * n
     minima: list[int] = []
     for i in range(n):
         o_i = s.starts[i]
-        t = bisect_left(s.ends, o_i, 0, i)  # first predecessor with end >= o_i
+        t = bisect_left(reach, o_i, 0, i)  # first predecessor with end + EPS >= o_i
         if t <= i - 1:
             q = minima[bisect_left(minima, t)]
             if s.starts[q] < o_i:
                 psi[i] = q
-        if t >= 1:
-            phi[i] = _first_equal_end(s.ends, t - 1)
+        if t >= 1:  # the first of the ends equal to the nearest one
+            phi[i] = bisect_left(s.ends, s.ends[t - 1], 0, t - 1)
         while minima and s.starts[minima[-1]] > o_i:
             minima.pop()
         minima.append(i)
     return psi, phi
-
-
-def _fill_column(out, flags, j, a, ia, base_a, b, ib, base_b) -> None:
-    """Column j of table ``out``: the larger of ``base_a + a[j-1][ia]`` and
-    ``base_b + b[j-1][ib]`` in every row but row 0, with ``flags[j]`` set
-    where the second wins strictly."""
-    col = out[j, 1:]
-    a[j - 1].take(ia, out=col)
-    col += base_a
-    cand = b[j - 1].take(ib)
-    cand += base_b
-    np.greater(cand, col, out=flags[j, 1:])
-    np.maximum(col, cand, out=col)
 
 
 def _index(preds: list[Optional[int]]) -> np.ndarray:
@@ -137,15 +129,15 @@ def _index(preds: list[Optional[int]]) -> np.ndarray:
 
 
 def _dp_tables(s: SortedInstance, q: int):
-    """Fill chi/kappa and the flags that backtracking needs; return the
-    predecessor rows and the ``[i][j]`` views of chi, kappa and the flags.
+    """Fill chi and kappa; return their ``[i][j]`` views and the two
+    transitions of ``kappa``, each as (predecessor rows, length item i
+    adds): the disjoint one through ``chi[phi+1][j-1]`` and the
+    intersecting one through ``kappa[psi+1][j-1]``.
 
-    ``via_psi[i][j]`` is True when ``kappa[i][j]`` took the intersecting
-    transition through ``kappa[psi+1][j-1]`` (it must beat the disjoint one
-    through ``chi[phi+1][j-1]`` strictly); column 0 is zero, so at j == 1
-    item i stands alone.  ``chi`` needs no flags: it rejects item i exactly
-    when ``chi[i-1][j] >= kappa[i][j]``.  Rows up to j of column j are the
-    prefix unions.  The row of predecessor p is p+1, or 0 when p is absent.
+    ``kappa[i][j]`` takes the intersecting transition where it wins
+    strictly, and only from j == 2 on: column 0 is zero, and at j == 1 item
+    i stands alone.  Rows up to j of column j of ``chi`` are the prefix
+    unions.  The row of predecessor p is p+1, or 0 when p is absent.
     """
     n = len(s.order)
     psi, phi = build_predecessors(s)
@@ -154,21 +146,27 @@ def _dp_tables(s: SortedInstance, q: int):
     starts, ends = np.array(s.starts), np.array(s.ends)
     sizes = ends - starts
     phi1, psi1 = _index(phi), _index(psi)
-    # psi ends inside item i, past its start; without psi, -inf never wins.
+    # psi ends past item i's start or at most EPS before it; without psi,
+    # -inf never wins.
     rest = np.where(psi1 > 0, sizes - (ends[psi1 - 1] - starts), -np.inf)
 
     chi = np.zeros((q + 1, n + 1))
     kappa = np.zeros((q + 1, n + 1))
-    via_psi = np.zeros((q + 1, n + 1), dtype=bool)
     for j in range(1, q + 1):
-        _fill_column(kappa, via_psi, j, chi, phi1, sizes, kappa, psi1, rest)
+        col = kappa[j, 1:]
+        chi[j - 1].take(phi1, out=col)
+        col += sizes
+        if j > 1:
+            cand = kappa[j - 1].take(psi1)
+            cand += rest
+            np.maximum(col, cand, out=col)
         col = chi[j]
         col[: j + 1] = pref[: j + 1]
         if j < n:  # max(reject, accept) down the column
             col[j + 1:] = kappa[j, j + 1:]
             np.maximum.accumulate(col[j:], out=col[j:])
 
-    return psi1, phi1, chi.T, kappa.T, via_psi.T
+    return chi.T, kappa.T, (phi1, sizes), (psi1, rest)
 
 
 def _quota(inst: Instance, quota: Optional[int]) -> int:
@@ -193,7 +191,7 @@ def solve_offline(
     if q == 0:
         return 0.0, ()
     s = _sort_instance(inst, "solve_offline")
-    psi1, phi1, chi, kappa, via_psi = _dp_tables(s, q)
+    chi, kappa, (phi1, sizes), (psi1, rest) = _dp_tables(s, q)
     n = inst.n
 
     # Walk back from chi[n][q]; in_chi says which table the cell is in.
@@ -211,82 +209,29 @@ def solve_offline(
         chosen.append(item)
         if j == 1:
             break
-        in_chi = not via_psi[i, j]  # the disjoint transition recurses through chi
-        i = int((phi1 if in_chi else psi1)[item])
+        # the fill's own sums: a tie keeps the disjoint transition, through chi
+        f, p = phi1[item], psi1[item]
+        in_chi = chi[f, j - 1] + sizes[item] >= kappa[p, j - 1] + rest[item]
+        i = int(f if in_chi else p)
         j -= 1
     picked = tuple(sorted(s.order[t] for t in chosen))
     return float(chi[n, q]), picked
 
 
-def _unit_predecessors(s: SortedInstance):
-    """lam/mu for the unit-length DP, both 0-based sorted indices or None.
-
-    lam(i): deepest-overlapping predecessor (smallest end with end within one
-    unit of item i's end); mu(i): nearest predecessor at least one unit away.
-    """
-    n = len(s.order)
-    lam: list[Optional[int]] = [None] * n
-    mu: list[Optional[int]] = [None] * n
-    for i in range(n):
-        d_i = s.ends[i]
-        t = bisect_left(s.ends, d_i - 1.0 - numeric.EPS, 0, i)
-        if t <= i - 1:
-            lam[i] = t
-        idx = bisect_right(s.ends, d_i - 1.0 + numeric.EPS, 0, i) - 1
-        if idx >= 0:
-            mu[i] = _first_equal_end(s.ends, idx)
-    return lam, mu
-
-
 def solve_offline_unit(
     inst: Instance, quota: Optional[int] = None
 ) -> tuple[float, tuple[int, ...]]:
-    """Unit-length specialisation of the offline optimum.
-
-    Exploits that some optimal solution always accepts the latest-ending
-    item, so every table cell commits to its last item and recurses through
-    the lam/mu predecessors only; ``via_lam`` flags the cells that went
-    through lam.
-    """
-    q = _quota(inst, quota)
-    if q == 0:
-        return 0.0, ()
-    s = _sort_instance(inst, "solve_offline_unit")
+    """The offline optimum of a unit-length instance: :func:`solve_offline`,
+    after refusing multi-part batches and items that are not unit-length."""
+    _refuse_batches(inst, "solve_offline_unit")
     for i, b in enumerate(inst.items):
         if off_unit_length(b.parts[0].length, b.parts[0].end):
             raise SettingError(
                 f"solve_offline_unit needs unit-length items; items[{i}] has "
                 f"length {b.parts[0].length!r}"
             )
-    n = inst.n
-    lam, mu = _unit_predecessors(s)
-
-    starts, ends = np.array(s.starts), np.array(s.ends)
-    sizes = ends - starts
-    lam1, mu1 = _index(lam), _index(mu)
-    # A missing predecessor gives -inf, but with neither the item stands alone.
-    base_mu = np.where((mu1 > 0) | (lam1 == 0), sizes, -np.inf)
-    lt = lam1 - 1  # lam ends no later than the item: the overlap ends at lam
-    overlap = np.maximum(0.0, ends[lt] - np.maximum(starts, starts[lt]))
-    rest = np.where(lam1 > 0, sizes - overlap, -np.inf)
-
-    chi = np.zeros((q + 1, n + 1))
-    via_lam = np.zeros((q + 1, n + 1), dtype=bool)
-    chi[1, 1:] = sizes
-    for j in range(2, q + 1):
-        _fill_column(chi, via_lam, j, chi, mu1, base_mu, chi, lam1, rest)
-
-    chosen: list[int] = []
-    i, j = n, q
-    while True:
-        item = i - 1
-        chosen.append(item)
-        if j == 1 or (lam[item] is None and mu[item] is None):
-            break
-        i = (lam[item] if via_lam[j, i] else mu[item]) + 1
-        j -= 1
-    picked = tuple(sorted(s.order[t] for t in chosen))
-    return float(chi[q, n]), picked
+    # bench/workloads.py and bench/tracer.py still call this name
+    return solve_offline(inst, quota)
 
 
 # Most items the enumeration takes; C(20, 10) is 184,756 subsets.

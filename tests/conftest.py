@@ -29,7 +29,7 @@ def sorted_items(inst):
 def dp_tables(inst):
     """chi and kappa of the exact DP at the instance's own quota, even past
     n, as views indexed ``[i][j]``."""
-    _, _, chi, kappa, _ = offline._dp_tables(sorted_items(inst), inst.quota)
+    chi, kappa, _, _ = offline._dp_tables(sorted_items(inst), inst.quota)
     return chi, kappa
 
 

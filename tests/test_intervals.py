@@ -124,7 +124,7 @@ class TestValidation:
 
     def test_unit_length_allows_rounding_of_the_end(self, monkeypatch):
         # [s, s + 1.0] has float length 1.0000000000000004 here; EPS = 0
-        # must still take it as a unit item, and the unit DP must too
+        # must still take it as a unit item, and so must solve_offline_unit
         monkeypatch.setattr(numeric, "EPS", 0.0)
         s = 3.785144227477605
         item = single(s, s + 1.0)

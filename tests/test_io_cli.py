@@ -18,7 +18,7 @@ from kcover import (
     read_instance,
     write_instance,
 )
-from kcover import cli, harness
+from kcover import cli, harness, numeric
 from kcover.cli import main
 from kcover.harness import run_sweep, sweep_csv
 
@@ -304,6 +304,24 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "RESULT pass" in out
+
+    def test_verify_bounds_header_names_no_oracle_or_adversary_flag(self, capsys):
+        # the bounds suite reads only the seed: --trials, --max-n and --k
+        # values that the other suites would refuse neither fail nor print
+        assert run_cli("verify", "--suite", "bounds", "--trials", "0",
+                       "--max-n", "99", "--k", "9..1") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"seed=42 eps={numeric.EPS:g} prng={harness.PRNG_NAME}"
+        assert lines[-1] == "RESULT pass"
+
+    def test_verify_oracle_header_names_no_adversary_range(self, capsys):
+        assert run_cli("verify", "--suite", "oracle", "--trials", "2", "--max-n", "5",
+                       "--k", "9..1", "--n", "3..4", "--seed", "3") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == (
+            f"seed=3 trials=2 max-n=5 eps={numeric.EPS:g} prng={harness.PRNG_NAME}"
+        )
+        assert lines[-1] == "RESULT pass"
 
     def test_sweep_writes_csv_and_plot(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
@@ -844,6 +862,20 @@ def test_cli_verify_passes_at_zero_eps(seed):
     )
     assert proc.returncode == 0, proc.stderr
     assert " eps=0 " in proc.stdout
+    assert proc.stdout.endswith("RESULT pass\n")
+
+
+def test_cli_verify_passes_at_large_eps():
+    # at EPS 0.3 items across gaps up to 0.3 merge; the DP must merge them
+    # as the enumeration does
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcover", "verify", "--trials", "50", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "KCOVER_EPS": "0.3"},
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert " eps=0.3 " in proc.stdout
     assert proc.stdout.endswith("RESULT pass\n")
 
 

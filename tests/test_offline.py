@@ -16,12 +16,12 @@ from kcover import (
     brute_force_offline,
     build_predecessors,
     solve_offline,
-    solve_offline_unit,
     union_length,
 )
 from kcover import harness, numeric, offline
 from kcover.harness import gen_instance, random_nk
 from kcover.intervals import CoverageState, absorb, prefix_unions
+from kcover.offline import solve_offline_unit
 
 from conftest import al_instance, batch, dp_tables, sorted_items, unit_instance
 
@@ -66,12 +66,10 @@ class TestSolveOffline:
             cases.append((solve_offline, gen_instance(rng, "AL", n, k)))
         for _ in range(50):
             n, k = random_nk(rng, 9)
-            inst = gen_instance(rng, "UL", n, k)
-            cases += [(solve_offline, inst), (solve_offline_unit, inst)]
+            cases.append((solve_offline, gen_instance(rng, "UL", n, k)))
         for _ in range(50):
             cases.append((solve_offline, quarter_grid_instance(rng, unit=False)))
-            inst = quarter_grid_instance(rng, unit=True)
-            cases += [(solve_offline, inst), (solve_offline_unit, inst)]
+            cases.append((solve_offline, quarter_grid_instance(rng, unit=True)))
         for solve, inst in cases:
             value, chosen = solve(inst)
             assert len(chosen) <= inst.quota
@@ -104,32 +102,38 @@ class TestPredecessors:
         assert psi[1] == 0 and phi[1] is None
         assert psi[0] is None and phi[0] is None
 
-    def test_matches_definitions_by_brute_force(self, rng):
+    def test_matches_definitions_by_brute_force(self, monkeypatch, rng):
         # Quarter-grid items repeat starts and ends, so both tie rules
-        # (smallest index) decide many of these predecessors.
-        for _ in range(300):
-            s = sorted_items(quarter_grid_instance(rng, unit=rng.random() < 0.5))
-            psi, phi = build_predecessors(s)
-            for i, o_i in enumerate(s.starts):
-                meets = [j for j in range(i) if s.ends[j] >= o_i and s.starts[j] < o_i]
-                apart = [j for j in range(i) if s.ends[j] < o_i]
-                assert psi[i] == min(meets, key=lambda j: (s.starts[j], j), default=None)
-                assert phi[i] == min(apart, key=lambda j: (-s.ends[j], j), default=None)
+        # (smallest index) decide many of these predecessors.  Items meet
+        # when they touch within EPS, as union_length merges them: at EPS
+        # 0.25 and 0.3 a quarter-unit gap meets, at the default it does not.
+        cases = [quarter_grid_instance(rng, unit=rng.random() < 0.5) for _ in range(300)]
+        for eps in (numeric.EPS, 0.25, 0.3):
+            monkeypatch.setattr(numeric, "EPS", eps)
+            for s in map(sorted_items, cases):
+                psi, phi = build_predecessors(s)
+                for i, o_i in enumerate(s.starts):
+                    meets = [j for j in range(i)
+                             if s.ends[j] + eps >= o_i and s.starts[j] < o_i]
+                    apart = [j for j in range(i) if s.ends[j] + eps < o_i]
+                    assert psi[i] == min(meets, key=lambda j: (s.starts[j], j), default=None)
+                    assert phi[i] == min(apart, key=lambda j: (-s.ends[j], j), default=None)
 
     def test_deep_overlap_beats_near_end(self):
-        # lam-analog in the unit DP: ends 8.2, 8.5, 8.9, 9.2, 9.6, 10 -> the
-        # deeper-overlapping predecessor (9.2) is picked over 9.6, and the
-        # nearest disjoint one is 8.9.
-        from kcover.offline import _unit_predecessors
-
+        # ends 8.2, 8.5, 8.9, 9.2, 9.6, 10 -> the deeper-overlapping
+        # predecessor (9.2) is picked over 9.6, and the nearest disjoint one
+        # is 8.9.
         ends = [8.2, 8.5, 8.9, 9.2, 9.6, 10.0]
         inst = unit_instance([(e - 1, e) for e in ends], 3, count="AN", target=10)
-        lam, mu = _unit_predecessors(sorted_items(inst))
-        assert lam[5] == 3
-        assert mu[5] == 2
+        psi, phi = build_predecessors(sorted_items(inst))
+        assert psi[5] == 3
+        assert phi[5] == 2
 
 
 class TestUnitSolver:
+    """``solve_offline_unit`` refuses what is not unit-length, then returns
+    :func:`solve_offline`; the benchmark still calls it by name."""
+
     def test_disjoint_chain(self):
         inst = unit_instance([(i, i + 1) for i in range(6)], 3, count="AN")
         value, chosen = solve_offline_unit(inst)
@@ -153,9 +157,7 @@ class TestUnitSolver:
         for _ in range(200):
             n, k = random_nk(rng, 10)
             inst = gen_instance(rng, "UL", n, k)
-            assert solve_offline_unit(inst)[0] == pytest.approx(
-                solve_offline(inst)[0], abs=1e-9
-            )
+            assert solve_offline_unit(inst) == solve_offline(inst)
 
 
 class TestBruteForce:
@@ -364,6 +366,104 @@ def test_oracle_equivalence_sample(rng):
             assert dp == pytest.approx(bf, abs=1e-9)
 
 
+def test_dp_merges_a_gap_within_eps(monkeypatch):
+    # [0, 1] and [1.2, 2.2] are one component at EPS 0.3, so their union is
+    # 2.2; the DP used to split predecessors at the exact touch and score
+    # these picks as 2.0
+    monkeypatch.setattr(numeric, "EPS", 0.3)
+    inst = al_instance([(0, 1), (1.2, 2.2), (0.5, 0.6)], 2)
+    assert solve_offline(inst) == brute_force_offline(inst) == (2.2, (0, 1))
+    assert union_length([inst.items[0], inst.items[1]]) == 2.2
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3])
+def test_dp_matches_enumeration_at_large_eps(monkeypatch, rng, eps):
+    # items meet across gaps up to EPS; the quarter grid puts gaps of 0.25
+    # on both sides of the two tolerances
+    monkeypatch.setattr(numeric, "EPS", eps)
+    cases = [quarter_grid_instance(rng, unit=unit) for unit in (False, True) * 40]
+    for length, m in [("UL", None), ("FL", 2.0), ("AL", None)]:
+        for _ in range(80):
+            n, k = random_nk(rng, 10)
+            cases.append(gen_instance(rng, length, n, k, m))
+    for inst in cases:
+        for quota in (inst.quota, rng.randint(1, inst.n)):
+            value, picks = solve_offline(inst, quota)
+            assert value == pytest.approx(brute_force_offline(inst, quota)[0], abs=1e-9)
+            assert union_length([inst.items[i] for i in picks]) == pytest.approx(
+                value, abs=1e-9
+            )
+
+
+def milp_offline(inst, quota):
+    """The offline optimum as a mixed-integer program, sharing no code with
+    the DP: a binary x_i per item, and per elementary segment e between
+    consecutive distinct endpoints a y_e <= the sum of x_i over the items
+    covering e; at most `quota` items; maximise the sum of len_e * y_e.
+    Returns the picked indices.  Touching within EPS is not modelled: the
+    model scores a subset as ``union_length`` does only where no gap
+    between items is within EPS, as on random items at the default EPS."""
+    pytest.importorskip("scipy", minversion="1.9")  # the first with milp
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = inst.n
+    starts = np.array([b.parts[0].start for b in inst.items])
+    ends = np.array([b.parts[0].end for b in inst.items])
+    points = np.unique(np.concatenate([starts, ends]))
+    lo, hi = points[:-1], points[1:]
+    covers = (starts[None, :] <= lo[:, None]) & (hi[:, None] <= ends[None, :])
+    segments = len(lo)
+    # variables: x_0..x_{n-1}, then y_0..y_{segments-1}
+    rows = np.hstack([-covers.astype(float), np.eye(segments)])
+    quota_row = np.concatenate([np.ones(n), np.zeros(segments)])
+    result = milp(
+        c=np.concatenate([np.zeros(n), -(hi - lo)]),
+        constraints=[
+            LinearConstraint(rows, -np.inf, 0.0),
+            LinearConstraint(quota_row[None, :], 0.0, quota),
+        ],
+        integrality=np.concatenate([np.ones(n), np.zeros(segments)]),
+        bounds=Bounds(0.0, 1.0),
+        options={"mip_rel_gap": 0.0},  # prove optimality: HiGHS stops at 1e-4
+    )
+    assert result.success, result.message
+    return tuple(np.flatnonzero(result.x[:n] > 0.5).tolist())
+
+
+def spread_instance(rng, length, n, k):
+    """n UL, FL (m = 2) or AL items with uniform starts over a span of 0.6
+    to 1.2 times what k items of mean length cover end to end, so that k
+    items cover it in some instances and fall short in others."""
+    lo, hi = {"UL": (1.0, 1.0), "FL": (1.0, 2.0), "AL": (0.05, 5.0)}[length]
+    span = max(hi, rng.uniform(0.6, 1.2) * k * (lo + hi) / 2)
+    pairs = []
+    for _ in range(n):
+        size = rng.uniform(lo, hi)
+        s = rng.uniform(0.0, span - size)
+        pairs.append((s, s + size))
+    items = tuple(Batch.single(a, b) for a, b in pairs)
+    setting = Setting(length, "AN", 2.0 if length == "FL" else None)
+    return Instance(span, k, setting, items)
+
+
+def test_dp_matches_milp_reference():
+    # The enumeration stops at n = 20; an independent MILP checks the DP at
+    # n = 100..300 and k up to 40.  Its picks are scored by union_length,
+    # not by the solver's objective, which carries the solver's tolerances.
+    rng = random.Random(20261024)
+    for length in ("UL", "FL", "AL"):
+        for _ in range(4):
+            n, k = rng.randint(100, 300), rng.randint(2, 40)
+            inst = spread_instance(rng, length, n, k)
+            value, picks = solve_offline(inst)
+            milp_picks = milp_offline(inst, k)
+            assert len(picks) <= k and len(milp_picks) <= k
+            assert union_length([inst.items[i] for i in picks]) == pytest.approx(value, abs=1e-9)
+            assert union_length([inst.items[i] for i in milp_picks]) == pytest.approx(
+                value, abs=1e-9
+            ), (length, n, k)
+
+
 def test_value_table_monotonicity(rng):
     for _ in range(60):
         n, k = random_nk(rng, 9)
@@ -461,24 +561,21 @@ def test_quota_past_n_fills_n_columns(rng):
     # quota of 10**12 ask numpy for terabytes.
     for inst in singleton_cases(rng):
         n = inst.n
-        solvers = [solve_offline]
-        if inst.setting.length == "UL":
-            solvers.append(solve_offline_unit)
-        for solve in solvers:
-            want = solve(inst, n)
-            for q in (n + 1, n + 3, 3 * n, 10**12):
-                got = solve(inst, q)
-                assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
+        want = solve_offline(inst, n)
+        for q in (n + 1, n + 3, 3 * n, 10**12):
+            got = solve_offline(inst, q)
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1])
         chi, _ = dp_tables(with_quota(inst, 3 * n + 2))
         assert chi[n][n:].tobytes() == np.full(2 * n + 3, chi[n][n]).tobytes()
         assert chi[n][n] == solve_offline(inst, n)[0]
 
 
-# SHA-256 over repr(value) and the picks of both exact DPs on the inputs of
-# test_golden_outputs, recorded before the DPs dropped their parent tables.
-# No input is built with sum(), which is compensated from Python 3.12 on, so
-# the digest does not depend on the Python version.
-GOLDEN_DIGEST = "dea4f76595f1051e784d11001e09a2dbe0a0f3044fc1aaf8544d0f7ce9c34b60"
+# SHA-256 over repr(value) and the picks of the exact DP on the inputs of
+# test_golden_outputs, recorded before the DP dropped its parent tables, and
+# re-recorded on that code with the entries of the deleted unit-length DP
+# left out.  No input is built with sum(), which is compensated from Python
+# 3.12 on, so the digest does not depend on the Python version.
+GOLDEN_DIGEST = "77c1cf9670627c2e6e0cc464758e210a04466b29073600ab736f36368fae831b"
 
 
 def test_golden_outputs():
@@ -493,21 +590,18 @@ def test_golden_outputs():
         instances.append(quarter_grid_instance(rng, unit=True))
     digest = hashlib.sha256()
     for inst in instances:
-        solvers = [solve_offline]
-        if inst.setting.length == "UL":
-            solvers.append(solve_offline_unit)
-        for solve in solvers:
-            for quota in (inst.quota, rng.randint(1, inst.n + 1)):
-                value, picks = solve(inst, quota)
-                digest.update(f"{value!r} {picks}\n".encode())
+        for quota in (inst.quota, rng.randint(1, inst.n + 1)):
+            value, picks = solve_offline(inst, quota)
+            digest.update(f"{value!r} {picks}\n".encode())
     assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 # SHA-256 over float.hex of every chi and kappa cell of the DP and over
-# the values and picks of both exact DPs (and of the enumeration at n <= 7),
-# recorded while the tables were still filled one cell at a time.  Quotas
-# run past n on purpose.
-TABLE_DIGEST = "f900180c6540c1d9251278b3824f7c8714c197eae51970e740f92f2f13cfdcb5"
+# the values and picks of the DP (and of the enumeration at n <= 7),
+# recorded while the tables were still filled one cell at a time, and
+# re-recorded on that code with the entries of the deleted unit-length DP
+# left out.  Quotas run past n on purpose.
+TABLE_DIGEST = "326389544e1d1c02e34a2b31fae000f83bc8ab0ce22195e67e842b746519259c"
 
 
 def test_golden_tables():
@@ -522,7 +616,7 @@ def test_golden_tables():
                 for row in table:
                     assert len(row) == k + 1
                     digest.update(" ".join(float(v).hex() for v in row).encode() + b"\n")
-            solvers = [solve_offline] + ([solve_offline_unit] if length == "UL" else [])
+            solvers = [solve_offline]
             if n <= 7:
                 solvers.append(brute_force_offline)
             for solve in solvers:
