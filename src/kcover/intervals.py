@@ -298,7 +298,7 @@ class Instance:
         check_quota(self.quota, self.n if self.setting.count == "UN" else None)
         for i, batch in enumerate(self.items):
             for p in batch.parts:
-                if p.start < -numeric.EPS or p.end > self.target_len + numeric.EPS:
+                if p.end > self.target_len + numeric.EPS:
                     raise SettingError(
                         f"items[{i}]: part {p} outside [0, {self.target_len}]"
                     )

@@ -137,7 +137,9 @@ class TwoPhaseThresholdPolicy(Policy):
 
     def __init__(self, quota, n, omega=None, theta1=None, theta2=None):
         if (theta1 is None) != (theta2 is None) or (theta1 is None and omega is not None):
-            raise ConfigError("doa takes --theta1 --theta2 [--omega] together or not at all")
+            raise ConfigError(
+                "doa takes theta1 and theta2 (and optionally omega) together or not at all"
+            )
         _check_known_count(self.name, quota, n)
         if theta1 is None:
             sol = solve_doa(quota, n)

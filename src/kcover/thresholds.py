@@ -9,12 +9,7 @@ space is the grid triples with theta1 < theta2 plus the single-threshold
 triple theta1 == theta2, which the two-phase family contains; when that
 triple wins, the two-phase policy plays the single-threshold policy.  The
 search returns the minimum over that whole space, but evaluates only the
-grid cells that can still win: rows whose first term 1 + 2*theta1 does not
-exceed the best value found (C is never below that term), and on each row
-one theta2 band.  For theta1 < 1 the component count s falls as theta2
-rises, so the third term rises and the fourth falls with theta2: the cells
-where both stay at or below the best value, and s lies in [1, omega-1],
-form one interval of theta2.
+grid cells that can still win, which `_band` derives.
 """
 
 from __future__ import annotations
@@ -193,39 +188,61 @@ def _theta_grid(step: float) -> np.ndarray:
 
 def _band(k, n, omega, t1, c, grid):
     """Grid columns [first, last), broadcast over switch points omega and
-    theta1 rows t1, outside which a cell has c4 > c (left) or c3 > c or
-    s < 1 - EPS (right).  c gets a relative 1e-9 margin and each end two
-    more grid points, against float rounding.  See solve_doa."""
+    theta1 rows t1, outside which no feasible cell has C <= c; c = inf
+    (no incumbent yet) cuts by feasibility alone.
+
+    For theta1 < 1, s is strictly decreasing in theta2 (ds/dtheta2 is
+    proportional to -(k + 1 - omega*theta1)), so
+    c3 = k / (s*(1 - theta1) + 1 + (omega - 1)*theta1) is increasing and,
+    as q = 1 + (omega - 1)*theta1 + (k - omega)*theta2 is increasing,
+    c4 = min(k, n - k + q) / q is decreasing.  Each cut bounds theta2:
+
+    * theta2 > theta1: the strict grid (the grid is strictly increasing).
+    * s <= omega - 1 + EPS means
+      theta2 >= (k - omega + 1 - EPS*(1 - theta1)) / (2*(omega + EPS)),
+      at least (k - omega + 1 - EPS) / (2*(omega + EPS)) on every row.
+    * c4 <= c means theta2 >= (q* - 1 - (omega - 1)*theta1) / (k - omega)
+      with q* = min(k/c, (n - k)/(c - 1)); at omega == k, q does not depend
+      on theta2 and the row is kept whole or dropped.  At c = inf, q* = 0
+      and this end cuts nothing.
+    * c3 <= c together with s >= 1 - EPS means
+      theta2 <= (A - s*(1 - theta1)) / (2*(1 + s*)) with
+      A = k + (1 - omega)*theta1 and
+      s* = max((k/c - 1 - (omega - 1)*theta1) / (1 - theta1), 1 - EPS).
+      At c = inf, s* = 1 - EPS and this end is the s >= 1 bound alone.  It
+      is dropped on rows with theta1 near 1, where c3 is flat.
+
+    c gets a relative 1e-9 margin and every end but theta2 > theta1 is
+    widened by two grid points, so float rounding cannot move a cell that
+    ties or beats c out of the band.
+    """
+    eps = numeric.EPS
     c = c * (1.0 + 1e-9)
     q_star = min(k / c, (n - k) / (c - 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         need = q_star - 1.0 - (omega - 1) * t1  # what (k - omega) * theta2 must reach
         # at omega == k, q and so c4 do not depend on theta2: all of the row or none
         lower = np.where(omega < k, need / (k - omega), np.where(need > 0.0, np.inf, -np.inf))
-        s_star = np.maximum((k / c - 1.0 - (omega - 1) * t1) / (1.0 - t1), 1.0 - numeric.EPS)
+        s_star = np.maximum((k / c - 1.0 - (omega - 1) * t1) / (1.0 - t1), 1.0 - eps)
         upper = (k + (1.0 - omega) * t1 - s_star * (1.0 - t1)) / (2.0 * (1.0 + s_star))
     # c3 is flat in theta2 as theta1 -> 1, and a huge EPS can make 1 + s* <= 0
     upper = np.where((t1 < 1.0 - 1e-6) & (s_star > -1.0), upper, np.inf)
-    return np.searchsorted(grid, lower) - 2, np.searchsorted(grid, upper, "right") + 2
+    s_cap = (k - omega + 1 - eps) / (2.0 * (omega + eps))  # the s <= omega - 1 bound
+    first = np.maximum(
+        np.searchsorted(grid, t1, "right"), np.searchsorted(grid, np.maximum(lower, s_cap)) - 2
+    )
+    last = np.minimum(np.searchsorted(grid, upper, "right") + 2, grid.size)
+    return first, last
 
 
 def _search(k, n, grid, omegas, best):
     """The least (C, theta1, omega, theta2) among `best` and the grid cells
-    at the switch points `omegas` that can still beat it (see solve_doa)."""
-    eps = numeric.EPS
-    rows = grid.size if best is None else int(np.searchsorted(1.0 + 2.0 * grid, best[0], "right"))
-    t1 = grid[:rows, None]
-    w = omegas[None, :]
-    # columns [first, last) per (row, omega): theta2 > theta1 (the grid is
-    # strictly increasing), the s <= omega-1 bound and the band of `best`,
-    # each bound widened by two grid points
-    bound = (k - w + 1 - eps) / (2.0 * (w + eps))
-    first = np.maximum(np.arange(1, rows + 1)[:, None], np.searchsorted(grid, bound) - 2)
-    last = grid.size
-    if best is not None:
-        left, right = _band(k, n, w, t1, best[0], grid)
-        first = np.maximum(first, left)
-        last = np.minimum(right, grid.size)
+    at the switch points `omegas` that can still beat it: the rows with
+    c1 = 1 + 2*theta1 <= C, as C >= c1 at every cell (rows with c1 equal to
+    C stay for the theta1 tie-break), and on each row the `_band` columns."""
+    c = math.inf if best is None else best[0]
+    rows = int(np.searchsorted(1.0 + 2.0 * grid, c, "right"))
+    first, last = _band(k, n, omegas[None, :], grid[:rows, None], c, grid)
     widths = np.maximum(last - first, 0).ravel()
     total = int(widths.sum())
     if total == 0:
@@ -268,34 +285,11 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     the same triple.
 
     The result is the minimum of the full grid, but only cells that can
-    still beat the incumbent C (the best value found so far) are
-    evaluated, with the same float test as `_program`.  The single-threshold
-    triple is scored first (at k = 2, where it is never feasible, the
-    theta1 < theta2 cells at omega = 2 and the theta2 nearest 1/4 instead),
-    then the grid at the default switch point, whose
-    optimum is usually close to the final one, then the grid at every omega.
-    Each pass keeps, per row theta1 and per omega:
-
-    * rows with c1 = 1 + 2*theta1 <= C: C >= c1 at every cell.  Rows with
-      c1 equal to C stay for the theta1 tie-break.
-    * a column band.  For theta1 < 1, s is strictly decreasing in theta2
-      (ds/dtheta2 is proportional to -(k + 1 - omega*theta1)), so
-      c3 = k / (s*(1 - theta1) + 1 + (omega - 1)*theta1) is increasing and,
-      as q = 1 + (omega - 1)*theta1 + (k - omega)*theta2 is increasing,
-      c4 = min(k, n - k + q) / q is decreasing.  Hence c4 <= C means
-      theta2 >= (q* - 1 - (omega - 1)*theta1) / (k - omega) with
-      q* = min(k/C, (n - k)/(C - 1)); at omega == k, q does not depend on
-      theta2 and the row is kept whole or dropped.  c3 <= C together with
-      s >= 1 - EPS means theta2 <= (A - s*(1 - theta1)) / (2*(1 + s*))
-      with A = k + (1 - omega)*theta1 and
-      s* = max((k/C - 1 - (omega - 1)*theta1) / (1 - theta1), 1 - EPS);
-      this end is dropped on rows with theta1 near 1, where c3 is flat.
-      s <= omega - 1 + EPS means
-      theta2 >= (k - omega + 1 - EPS*(1 - theta1)) / (2*(omega + EPS)),
-      at least (k - omega + 1 - EPS) / (2*(omega + EPS)) on every row.
-      C gets a relative 1e-9 margin and every end is widened by two grid
-      points, so float rounding cannot move a cell that ties or beats C
-      out of the band.
+    still beat the incumbent C (the best value found so far, none at
+    first) are evaluated, with the same float test as `_program`: `_band`
+    derives which.  The single-threshold triple is scored first, then the
+    grid at the default switch point, whose optimum is usually close to
+    the final one, then the grid at every omega.
     """
     check_quota(k, n)
     grid = _theta_grid(step)
@@ -309,12 +303,6 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     theta = soa_theta(k, n)
     omegas = np.arange(omega_lo, k + 1)
     best = _least(k, n, omegas, theta, theta)  # (C, theta1, omega, theta2)
-    if best is None and k == 2:
-        # No single threshold is feasible at k = 2, where s = 1 forces
-        # theta2 = 1/4 at omega = 2: that grid column is the incumbent.
-        j = int(np.argmin(np.abs(grid - 0.25)))
-        best = _least(k, n, 2, grid[:j], grid[j])
-
     best = _search(k, n, grid, np.array([default_switch(k)]), best)
     best = _search(k, n, grid, omegas, best)
     if best is None:

@@ -29,6 +29,12 @@ def make_instance():
     return unit_instance([(0, 1), (0.4, 1.4), (2, 3)], 2, target=3)
 
 
+def make_doc(**fields):
+    doc = instance_to_dict(make_instance())
+    doc.update(fields)
+    return doc
+
+
 class TestInstanceIO:
     def test_round_trip(self, tmp_path):
         inst = make_instance()
@@ -87,6 +93,30 @@ class TestInstanceIO:
         path.write_text(json.dumps(doc).replace('"M"', m))
         assert run_cli("instance", str(path)) == 2
         assert capsys.readouterr().err == f"error: {path}: setting.m: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1], "top level: expected a JSON object"),
+            (make_doc(quota=2.0), "quota: expected an integer, got 2.0"),
+            (make_doc(quota=True), "quota: expected an integer, got True"),
+            (make_doc(setting=[]), "setting: expected an object"),
+            (make_doc(setting={"length": "XX", "count": "UN"}),
+             "setting: unknown length setting 'XX'"),
+            (make_doc(items={}), "items: expected a list"),
+            (make_doc(items=[[]]), "items[0]: expected a non-empty list of [o, d]"),
+            (make_doc(items=[[[0]]]), "items[0][0]: expected [o, d]"),
+            (make_doc(setting={"length": "US", "count": "UN"}, items=[[[0, 0.6], [0.5, 0.9]]]),
+             "items[0]: batch parts overlap or are unsorted: [0, 0.6] then [0.5, 0.9]"),
+        ],
+        ids=["top-level", "float-quota", "bool-quota", "setting", "length", "items",
+             "empty-item", "short-pair", "overlapping-parts"],
+    )
+    def test_schema_error_exits_2(self, doc, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("instance", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -148,11 +178,24 @@ class TestCli:
         )
         assert code == 0
 
+    def test_run_multi_threshold_needs_thresholds(self, capsys):
+        code = run_cli("run", "--policy", "multi-threshold", "--adversary", "ul-un-k2")
+        assert code == 2
+        assert capsys.readouterr().err == "error: --thresholds is required for multi-threshold\n"
+
     def test_instance_validate(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         write_instance(make_instance(), path)
         assert run_cli("instance", str(path)) == 0
         assert "valid UL-UN" in capsys.readouterr().out
+
+    def test_instance_normalize_and_show(self, tmp_path, capsys):
+        path, copy = tmp_path / "inst.json", tmp_path / "copy.json"
+        path.write_text(json.dumps(instance_to_dict(make_instance())))
+        assert run_cli("instance", str(path), "--normalize", str(copy), "--show") == 0
+        assert read_instance(copy) == make_instance()
+        shown = capsys.readouterr().out.split("\n", 2)[2]
+        assert json.loads(shown) == instance_to_dict(make_instance())
 
     def test_instance_validate_bad(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -196,7 +239,8 @@ class TestCli:
             assert code == 2
             err = capsys.readouterr().err
             assert err == (
-                "error: doa takes --theta1 --theta2 [--omega] together or not at all\n"
+                "error: doa takes theta1 and theta2 (and optionally omega) "
+                "together or not at all\n"
             )
         # a policy flag the chosen policy does not read is refused, not ignored
         for policy, flags, message in (
@@ -304,6 +348,24 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "RESULT pass" in out
+
+    def test_verify_out_dumps_a_failing_check(self, monkeypatch, tmp_path, capsys):
+        def failing_bounds(seed):
+            yield False, "bound-sandwich", "grid k=2..20", {"k": 2, "n": 3}
+
+        monkeypatch.setattr(harness, "verify_bounds", failing_bounds)
+        out = tmp_path / "out"
+        assert run_cli("verify", "--suite", "bounds", "--out", str(out)) == 1
+        dump = out / "counterexample-0.json"
+        assert json.loads(dump.read_text()) == {"check": "bound-sandwich", "k": 2, "n": 3}
+        assert (out / "report.txt").read_text().endswith("RESULT fail\n")
+        assert f"counterexample for bound-sandwich written to {dump}" in capsys.readouterr().out
+
+    def test_verify_takes_single_integer_ranges(self, capsys):
+        code = run_cli("verify", "--suite", "adversary", "--k", "3", "--n", "8", "--seed", "1")
+        assert code == 0
+        out = capsys.readouterr().out
+        assert " k=3..3 n=8..8 " in out and "chain-adversary k=3 n=8:" in out
 
     def test_verify_bounds_header_names_no_oracle_or_adversary_flag(self, capsys):
         # the bounds suite reads only the seed: --trials, --max-n and --k

@@ -168,7 +168,8 @@ class TestTwoPhasePolicy:
     )
     def test_partial_triple_refused(self, partial):
         # refused before the count check and before any program is solved
-        with pytest.raises(ConfigError, match="together or not at all"):
+        message = r"^doa takes theta1 and theta2 \(and optionally omega\) together or not at all$"
+        with pytest.raises(ConfigError, match=message):
             TwoPhaseThresholdPolicy(5, None, **partial)
 
     @pytest.mark.parametrize(

@@ -288,11 +288,12 @@ def test_cut_matches_full_grid_at_workload_sizes():
         ), (k, n, step)
 
 
-@pytest.mark.parametrize("step", [0.01, 0.005, 0.0025, 0.003])
-def test_k2_starts_from_the_quarter_column(monkeypatch, step):
-    # k = 2 has no feasible single threshold; the omega = 2 cells at the
-    # theta2 nearest 1/4 are the incumbent, and the result stays the full
-    # grid's.  Step 0.003 puts no grid point on 1/4, so no cell is feasible.
+@pytest.mark.parametrize("step", [0.01, 0.005, 0.0025, 0.003, 0.001, 0.0007])
+def test_k2_band_needs_no_incumbent(monkeypatch, step):
+    # k = 2 has no feasible single threshold, so the grid search starts with
+    # no incumbent; the s >= 1 end of the band alone keeps a few columns
+    # near theta2 = 1/4 per row, and the result stays the full grid's.
+    # Steps 0.003 and 0.0007 put no grid point on 1/4, so no cell is feasible.
     cells = []
     program = thresholds._program
 
@@ -302,10 +303,9 @@ def test_k2_starts_from_the_quarter_column(monkeypatch, step):
 
     monkeypatch.setattr(thresholds, "_program", counting_program)
     got = doa_line(solve_doa, 2, 100, step)
-    evaluated = sum(cells)
+    assert sum(cells) <= 4 / step
+    assert (got == "empty") == (step in (0.003, 0.0007))
     assert got == doa_line(full_grid_solve_doa, 2, 100, step)
-    if step != 0.003:  # was 4,728 cells at step 0.01 and 18,828 at 0.005
-        assert evaluated <= 200
 
 
 def grid_terms(k, n, grid):
@@ -352,14 +352,15 @@ def test_sweep_evaluates_few_cells(monkeypatch):
 @pytest.mark.parametrize("eps", [EPS, 0.0, 0.5])
 def test_band_holds_every_cell_within_the_incumbent(monkeypatch, eps):
     # every feasible cell whose c3 and c4 are at most C lies in the columns
-    # that _band gives for C; at EPS 0 and 0.5 some of them lie only in its
+    # that _band gives for C, and at C = inf (no incumbent) every feasible
+    # cell does; at EPS 0 and 0.5 some of them lie only in its
     # two-point widening, where s rounds onto 1 - EPS
     monkeypatch.setattr(numeric, "EPS", eps)
     grid = thresholds._theta_grid(0.005)
     cols = np.arange(grid.size)
-    for k, n in [(3, 10), (7, 10), (20, 100), (50, 100), (95, 100)]:
+    for k, n in [(2, 10), (2, 100), (3, 10), (7, 10), (20, 100), (50, 100), (95, 100)]:
         for omega, feasible, c3, c4 in grid_terms(k, n, grid):
-            for c in (1.2, 1.5, 1.9, 2.5):
+            for c in (1.2, 1.5, 1.9, 2.5, math.inf):
                 first, last = thresholds._band(k, n, omega, grid[:, None], c, grid)
                 inside = (first <= cols) & (cols < last)
                 can_win = feasible & (c3 <= c) & (c4 <= c)
