@@ -92,7 +92,8 @@ def prefix_unions(pieces: Iterable[tuple[float, float]]) -> list[float]:
     as (start, end + EPS, length of the components left of it), the rest on
     a stack above a sentinel no piece reaches; each is pushed and popped at
     most once.  These are the comparisons and running sums of
-    :meth:`CoverageState.add`, so each total is the one it gives, bit for bit.
+    :meth:`CoverageState.apply`, so each total is the one it gives, bit for
+    bit.
     The first total is the int 0, like ``CoverageState.sums[0]``.
     """
     eps = numeric.EPS
@@ -122,8 +123,11 @@ def union_length(batches: Sequence[Batch]) -> float:
 
 
 class CoverageState:
-    """Canonical disjoint-interval union of everything accepted so far,
-    updated in place by :meth:`add`.
+    """Canonical disjoint-interval union of everything accepted so far.
+
+    One kernel places an item: :meth:`place` returns its gain and the splice
+    it was computed for, and :meth:`apply` absorbs that splice in place, so
+    a decision places its item once; :meth:`add` is the two in a row.
 
     Component i is [starts[i], ends[i]]; components are sorted left to right
     and each starts more than EPS after the previous one ends.  ``reach[i]``
@@ -159,9 +163,11 @@ class CoverageState:
             setattr(new, name, getattr(self, name)[:])
         return new
 
-    def _place(self, a: float, b: float) -> tuple[int, int, float, float]:
-        """The run [lo, hi) of components that part [a, b] touches, and the
-        one component spanning that run and the part."""
+    def _locate(self, a: float, b: float) -> tuple[int, int, float, float]:
+        """The splice for part [a, b]: the run [lo, hi) of components it
+        touches, from the first whose end + EPS >= a up to the first whose
+        start > b + EPS (both by bisection), and the one component spanning
+        that run and the part."""
         starts = self.starts
         lo = bisect_left(self.reach, a)
         hi = bisect_right(starts, b + numeric.EPS, lo)
@@ -170,30 +176,60 @@ class CoverageState:
             b = max(b, self.ends[hi - 1])
         return lo, hi, a, b
 
-    def add(self, batch: Batch) -> None:
-        """Accept `batch`: absorb its parts into this state, in place.
+    def place(self, batch: Batch):
+        """(gain, splice): the covered length `batch` would add, and the
+        splice that :meth:`apply` absorbs it with while this state is
+        unchanged.  A one-part batch builds no state: the new total is
+        summed from the splice point with :meth:`apply`'s additions, in one
+        C-level ``reduce`` over the components right of the part (none for
+        a part right of them all), so the gain is the change of
+        ``total_len`` bit for bit.  A multi-part batch's splice is a copy
+        with its parts applied in turn."""
+        parts, sums = batch.parts, self.sums
+        if len(parts) > 1:
+            new = self.copy()
+            for p in parts:
+                new.apply(new._locate(p.start, p.end))
+            return new.sums[-1] - sums[-1], new
+        (p,) = parts
+        splice = lo, hi, a, b = self._locate(p.start, p.end)
+        total = sums[lo] + (b - a)
+        if hi < len(sums) - 1:
+            total = reduce(add, map(sub, self.ends[hi:], self.starts[hi:]), total)
+        return total - sums[-1], splice
 
-        Each part [a, b] touches the run of components from the first whose
-        end + EPS >= a up to, not including, the first whose start > b + EPS;
-        both ends are found by bisection, and the run is spliced out for one
-        component spanning it and the part.  A merge of all the parts at once
-        makes the same comparisons, so the state does not depend on the order
-        batches arrive in, and its total is ``union_length`` of everything
-        absorbed, bit for bit.  Running sums are recomputed only from the
-        leftmost splice onward: for parts arriving left to right that is the
-        tail alone, so a left-to-right run costs O(log c) per part.
+    def apply(self, splice) -> None:
+        """Absorb, in place, the item :meth:`place` returned `splice` for.
+
+        The run is replaced by its spanning component and the running sums
+        are recomputed from there on; a part right of every component is
+        appended, so a left-to-right run costs O(log c) per part.  These
+        are the comparisons of a merge of everything at once, so the state
+        does not depend on arrival order, and its total is
+        ``union_length`` of everything absorbed, bit for bit.
         """
-        eps = numeric.EPS
+        if splice.__class__ is CoverageState:
+            self.starts, self.ends, self.reach, self.sums = (
+                splice.starts, splice.ends, splice.reach, splice.sums
+            )
+            return
+        lo, hi, a, b = splice
         starts, ends, reach, sums = self.starts, self.ends, self.reach, self.sums
-        first = len(starts)
-        for p in batch.parts:
-            lo, hi, a, b = self._place(p.start, p.end)
-            starts[lo:hi] = (a,)
-            ends[lo:hi] = (b,)
-            reach[lo:hi] = (b + eps,)
-            first = min(first, lo)
-        sums[first:] = accumulate(map(sub, ends[first:], starts[first:]),
-                                  initial=sums[first])
+        if lo == len(starts):
+            starts.append(a)
+            ends.append(b)
+            reach.append(b + numeric.EPS)
+            sums.append(sums[lo] + (b - a))
+            return
+        starts[lo:hi] = (a,)
+        ends[lo:hi] = (b,)
+        reach[lo:hi] = (b + numeric.EPS,)
+        sums[lo + 1:] = accumulate(map(sub, ends[lo + 1:], starts[lo + 1:]),
+                                   initial=sums[lo] + (b - a))
+
+    def add(self, batch: Batch) -> None:
+        """Accept `batch`: :meth:`place`, then :meth:`apply` its splice."""
+        self.apply(self.place(batch)[1])
 
 
 def absorb(state: CoverageState, batch: Batch) -> CoverageState:
@@ -204,20 +240,10 @@ def absorb(state: CoverageState, batch: Batch) -> CoverageState:
 
 
 def added_length(state: CoverageState, batch: Batch) -> float:
-    """Marginal covered length the batch would contribute to `state`.
-
-    A one-part batch builds no state: the new total is summed from the
-    splice point with the additions :meth:`CoverageState.add` makes, so the
-    gain is ``absorb(state, batch).total_len - state.total_len`` bit for
-    bit, in O(log c) plus a C-level sum over the components right of the
-    part.  A multi-part batch takes that difference itself.
-    """
-    if not batch.is_singleton:
-        return absorb(state, batch).total_len - state.total_len
-    (p,) = batch.parts
-    lo, hi, a, b = state._place(p.start, p.end)
-    tail = map(sub, state.ends[hi:], state.starts[hi:])
-    return reduce(add, tail, state.sums[lo] + (b - a)) - state.sums[-1]
+    """Marginal covered length the batch would contribute to `state`: the
+    gain of :meth:`CoverageState.place`, bit for bit
+    ``absorb(state, batch).total_len - state.total_len``."""
+    return state.place(batch)[0]
 
 
 @dataclass(frozen=True)

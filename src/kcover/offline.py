@@ -59,9 +59,9 @@ from .intervals import Instance, off_unit_length, prefix_unions, union_length
 class SortedInstance:
     """Items of a singleton-batch instance, sorted by (end, start, index)."""
 
-    order: tuple[int, ...]          # sorted position -> original index
-    starts: tuple[float, ...]       # in sorted order
-    ends: tuple[float, ...]
+    order: list[int]            # sorted position -> original index
+    starts: list[float]         # in sorted order
+    ends: list[float]
 
 
 def _refuse_batches(inst: Instance, caller: str) -> None:
@@ -75,15 +75,21 @@ def _refuse_batches(inst: Instance, caller: str) -> None:
 
 
 def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
-    """The sorted items; `caller` is named in the multi-part batch error."""
-    _refuse_batches(inst, caller)
-    ivs = [b.parts[0] for b in inst.items]
-    order = tuple(
-        sorted(range(len(ivs)), key=lambda i: (ivs[i].end, ivs[i].start, i))
-    )
-    starts = tuple(ivs[i].start for i in order)
-    ends = tuple(ivs[i].end for i in order)
-    return SortedInstance(order, starts, ends)
+    """The sorted items; `caller` is named in the multi-part batch error.
+
+    One pass takes each item's one part, and fails on a multi-part batch.
+    ``np.lexsort`` is stable, so items with equal (end, start) keep their
+    release order, the index tie-break.
+    """
+    try:
+        ivs = [part for (part,) in [b.parts for b in inst.items]]
+    except ValueError:
+        _refuse_batches(inst, caller)
+        raise
+    starts = np.array([p.start for p in ivs])
+    ends = np.array([p.end for p in ivs])
+    order = np.lexsort((starts, ends))
+    return SortedInstance(order.tolist(), starts[order].tolist(), ends[order].tolist())
 
 
 def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Optional[int]]]:
@@ -102,22 +108,21 @@ def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Opt
     starts; its first entry >= t is the suffix's left-most start, the
     smallest index among equal starts.
     """
-    n = len(s.order)
+    starts, ends = s.starts, s.ends
     eps = numeric.EPS
-    reach = [end + eps for end in s.ends]
-    psi: list[Optional[int]] = [None] * n
-    phi: list[Optional[int]] = [None] * n
+    reach = [end + eps for end in ends]
+    psi: list[Optional[int]] = [None] * len(starts)
+    phi: list[Optional[int]] = [None] * len(starts)
     minima: list[int] = []
-    for i in range(n):
-        o_i = s.starts[i]
+    for i, o_i in enumerate(starts):
         t = bisect_left(reach, o_i, 0, i)  # first predecessor with end + EPS >= o_i
         if t <= i - 1:
             q = minima[bisect_left(minima, t)]
-            if s.starts[q] < o_i:
+            if starts[q] < o_i:
                 psi[i] = q
         if t >= 1:  # the first of the ends equal to the nearest one
-            phi[i] = bisect_left(s.ends, s.ends[t - 1], 0, t - 1)
-        while minima and s.starts[minima[-1]] > o_i:
+            phi[i] = bisect_left(ends, ends[t - 1], 0, t - 1)
+        while minima and starts[minima[-1]] > o_i:
             minima.pop()
         minima.append(i)
     return psi, phi
@@ -194,17 +199,22 @@ def solve_offline(
     chi, kappa, (phi1, sizes), (psi1, rest) = _dp_tables(s, q)
     n = inst.n
 
-    # Walk back from chi[n][q]; in_chi says which table the cell is in.
+    # Walk back from chi[n][q]; in_chi says which table the cell is in.  From
+    # row j on, column j of chi is the running maximum of kappa's, so row i
+    # accepts its item exactly where the column rises: walking back from row
+    # i, the walk stops at the first row that reaches chi[i][j], which
+    # bisection finds.
+    cols = chi.T
     chosen: list[int] = []
     i, j, in_chi = n, q, True
     while i > 0:
         if in_chi:
+            if i > j:
+                col = cols[j]
+                i = bisect_left(col, col[i], j, i)
             if i <= j:
                 chosen.extend(range(i))
                 break
-            if chi[i - 1, j] >= kappa[i, j]:
-                i -= 1
-                continue
         item = i - 1  # at kappa[i][j]: item i is accepted
         chosen.append(item)
         if j == 1:

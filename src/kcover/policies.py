@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import numeric
 from .errors import ConfigError, ProtocolError
-from .intervals import Batch, CoverageState, Instance, added_length, union_length
+from .intervals import Batch, CoverageState, Instance
 from .thresholds import check_quota, check_schedule, check_two_phase, default_switch
 from .thresholds import soa_an_theta, soa_theta, solve_doa
 
@@ -58,8 +58,8 @@ class Policy:
 
     def next(self, item: Batch, position: int) -> Decision:
         """Decide on the item released at `position` (1-based, in order);
-        the coverage state is read for the item's gain and updated in place
-        only when the item is accepted."""
+        the item is placed once, for its gain, and the coverage state applies
+        that same splice only when the item is accepted."""
         if position != self._cursor + 1:
             raise ProtocolError(
                 f"decision out of turn: expected position {self._cursor + 1}, "
@@ -68,10 +68,11 @@ class Policy:
         self._cursor = position
         if self.accepted_count >= self.quota:
             return Decision.REJECT
-        if not self._decide(added_length(self.state, item), position):
+        gain, splice = self.state.place(item)
+        if not self._decide(gain, position):
             return Decision.REJECT
         self.accepted_count += 1
-        self.state.add(item)
+        self.state.apply(splice)
         return Decision.ACCEPT
 
     def _decide(self, gain: float, position: int) -> bool:
@@ -191,15 +192,22 @@ class RejectUntilForcedPolicy(Policy):
 def tally(
     policy: Policy, inst: Instance, trace: list[Decision]
 ) -> tuple[float, tuple[int, ...], list[Decision]]:
-    """Score the decisions one played game made on `inst`: (covered length
-    of the accepted items, their indices, the trace).  Accepting more items
-    than the quota is an error."""
+    """Score the decisions `policy` made playing `inst`: (covered length of
+    the accepted items, their indices, the trace).  The length is the
+    policy's own coverage total, which equals ``union_length`` of the
+    accepted items bit for bit.  A trace the policy did not play, or more
+    accepts than the quota, is an error."""
     accepted = tuple(i for i, d in enumerate(trace) if d is Decision.ACCEPT)
+    if len(accepted) != policy.accepted_count:
+        raise ProtocolError(
+            f"{policy.name} accepted {policy.accepted_count} items, but the "
+            f"trace holds {len(accepted)} accepts"
+        )
     if len(accepted) > inst.quota:
         raise ProtocolError(
             f"{policy.name} accepted {len(accepted)} items with quota {inst.quota}"
         )
-    return union_length([inst.items[i] for i in accepted]), accepted, trace
+    return policy.state.total_len, accepted, trace
 
 
 def run_policy(

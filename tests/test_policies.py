@@ -20,8 +20,9 @@ from kcover import (
     soa_an_theta,
     soa_theta,
     solve_doa,
+    solve_offline,
 )
-from kcover import policies
+from kcover.policies import tally
 from kcover.harness import gen_instance, random_nk
 from kcover.thresholds import default_switch
 
@@ -279,22 +280,25 @@ def test_describe_golden(make, expected):
 
 
 def test_each_item_absorbed_at_most_once(monkeypatch, rng):
-    # Deciding on an item reads its gain without building a state, and only
-    # an accept updates the state: at most one gain per item seen before the
-    # quota fills, none after, and exactly one in-place add per accept.
-    gains, adds = [], []
-    real_gain, real_add = policies.added_length, CoverageState.add
+    # Deciding on an item places it once, for its gain, and only an accept
+    # applies that same splice: at most one placement per item seen before
+    # the quota fills, none after, and exactly one splice per accept, in
+    # accept order.
+    placed, applied = [], []
+    real_place, real_apply = CoverageState.place, CoverageState.apply
 
-    def counting_gain(state, item):
-        gains.append(item)
-        return real_gain(state, item)
+    def counting_place(state, item):
+        gain, splice = real_place(state, item)
+        placed.append((item, splice))
+        return gain, splice
 
-    def counting_add(state, item):
-        adds.append(item)
-        real_add(state, item)
+    def counting_apply(state, splice):
+        (item,) = [item for item, s in placed if s is splice]
+        applied.append(item)
+        real_apply(state, splice)
 
-    monkeypatch.setattr(policies, "added_length", counting_gain)
-    monkeypatch.setattr(CoverageState, "add", counting_add)
+    monkeypatch.setattr(CoverageState, "place", counting_place)
+    monkeypatch.setattr(CoverageState, "apply", counting_apply)
     for _ in range(50):
         n, k = random_nk(rng, 10)
         inst = gen_instance(rng, "UL", n, k)
@@ -303,14 +307,29 @@ def test_each_item_absorbed_at_most_once(monkeypatch, rng):
                     TwoPhaseThresholdPolicy(k, n, 1, 0.3, 0.6),
                     MultiThresholdPolicy([0.5] * k), AcceptAllPolicy(k),
                     RejectUntilForcedPolicy(k, n)):
-            gains.clear()
-            adds.clear()
+            placed.clear()
+            applied.clear()
             _, accepted, _ = run_policy(pol, inst)
             seen = accepted[-1] + 1 if len(accepted) == k else n
-            positions = [index[id(item)] for item in gains]
+            positions = [index[id(item)] for item, _ in placed]
             assert len(set(positions)) == len(positions), pol.name
             assert all(i < seen for i in positions), pol.name
-            assert [index[id(item)] for item in adds] == list(accepted), pol.name
+            assert [index[id(item)] for item in applied] == list(accepted), pol.name
+
+
+def test_tally_refuses_a_trace_the_policy_did_not_play(rng):
+    # tally scores a game from the policy's own coverage state, so a trace
+    # that policy did not play is refused, not scored from the wrong state.
+    inst = gen_instance(rng, "UL", 8, 3)
+    played = AcceptAllPolicy(3)
+    _, _, trace = run_policy(played, inst)
+    with pytest.raises(ProtocolError, match="trace holds 3 accepts"):
+        tally(AcceptAllPolicy(3), inst, trace)
+    half = AcceptAllPolicy(3)
+    half.next(inst.items[0], 1)
+    with pytest.raises(ProtocolError, match="accepted 1 items"):
+        tally(half, inst, trace)
+    assert tally(played, inst, trace)[1] == (0, 1, 2)
 
 
 def test_schedules_stop_at_their_last_threshold(rng):
@@ -329,3 +348,41 @@ def test_schedules_stop_at_their_last_threshold(rng):
         short = TwoPhaseThresholdPolicy(k, n, omega, 0.3, 0.6)
         full = Policy(k, (0.3,) * omega + (0.6,) * (k - omega), n=n)
         assert run_policy(short, inst)[2] == run_policy(full, inst)[2]
+
+
+# Unit-length instances on which DOA, playing the triple solve_doa gives it,
+# does worse than that program's value C (ROADMAP direction 2): phase 1
+# leaves two components, and phase 2 rejects items just below theta2 that
+# hang off both.  Starts in release order.
+DOA_ABOVE_C = {
+    (5, 10): ((4, 0.38, 0.71), 1.8112660749864156,
+              [1.1657, 5.2481, 0.7856, 1.5461, 2.1801, 5.7494, 4.5593, 4.5433,
+               0.1399, 1.0877]),
+    (6, 12): ((5, 0.39, 0.79), 1.8787840565085774,
+              [1.426, 7.141, 1.8161, 6.75, 1.0359, 7.926, 0.617, 0.253, 2.558,
+               7.163, 5.968, 6.93]),
+}
+
+
+def _doa_played_ratio(k, n):
+    triple, _, starts = DOA_ABOVE_C[k, n]
+    inst = unit_instance([(s, s + 1.0) for s in starts], k)
+    policy = TwoPhaseThresholdPolicy(k, n)
+    c = policy.config
+    assert (c["omega"], c["theta1"], c["theta2"]) == triple
+    alg, _, _ = run_policy(policy, inst)
+    return solve_offline(inst)[0] / alg
+
+
+@pytest.mark.parametrize("k, n", list(DOA_ABOVE_C))
+def test_doa_played_ratio_on_direction_two_instances(k, n):
+    assert _doa_played_ratio(k, n).hex() == DOA_ABOVE_C[k, n][1].hex()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP direction 2: DOA's program value C is not its played worst case",
+)
+@pytest.mark.parametrize("k, n", list(DOA_ABOVE_C))
+def test_doa_played_ratio_within_program_value(k, n):
+    assert _doa_played_ratio(k, n) <= solve_doa(k, n).value
