@@ -3,7 +3,7 @@
 Sub-intervals of a target segment arrive online; at most k may be accepted,
 irrevocably, to maximise the covered length.  The package provides the
 interval machinery, an exact offline optimum, threshold-based online
-policies, closed-form worst-case ratio bounds, adaptive generators that
+policies, closed-form worst-case ratio bounds, adaptive adversaries that
 realise those bounds, and a CLI harness tying them together.
 """
 

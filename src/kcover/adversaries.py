@@ -1,39 +1,39 @@
-"""Adaptive generators that realise each lower-bound construction.
+"""Adaptive constructions that realise each lower bound.
 
-One :class:`Adversary` class plays every construction.  Each construction is
-a generator that yields the item for each position and receives the policy's
-decision on it (``d = yield item``), so the item at position i+1 depends only
-on decisions at positions <= i, and the generator reads in release order like
-its proof.  Each ``adv_*`` factory validates its inputs and carries the bound
-its construction certifies (read from :mod:`kcover.bounds`, never
-re-derived), so a formula bug surfaces as a certification failure.
+One :class:`Adversary` class plays every construction: an immutable memory,
+``remember(memory, position, decision)`` and ``item(position, memory)``.  So
+the item at position i+1 depends only on decisions at positions <= i, and a
+game's decision tree can go on from any node's memory.  Each ``adv_*``
+factory validates its inputs and carries the bound its construction
+certifies (read from :mod:`kcover.bounds`, never re-derived), so a formula
+bug surfaces as a certification failure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from .bounds import chain_alpha, lb_fl_an, lb_fl_un, lb_ul_un, lb_us_un
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .intervals import Batch, Setting, SubInterval
 from .policies import Decision
 from .thresholds import check_fl_cap, check_fl_finite, check_quota
-
-Play = Generator[Batch, Decision, None]
 
 
 class Adversary:
     """A construction's item stream behind the emit-then-react protocol.
 
-    `play` yields the item at each position and receives the decision on it;
-    `n` items are released in all.  `config` holds the construction's own
-    parameters for :meth:`describe`.
+    It keeps no state: `start` is the memory before any decision, and each
+    call takes the memory it goes on from.  `n` items are released in all.
+    `config` holds the construction's own parameters for :meth:`describe`.
     """
 
     def __init__(self, name: str, quota: int, n: int, setting: Setting,
-                 target_len: float, declared_bound: float, config: dict, play: Play):
+                 target_len: float, declared_bound: float, config: dict, start: object,
+                 remember: Callable[[object, int, Decision], object],
+                 item: Callable[[int, object], Batch]):
         self.name = name
         self.quota = quota
         self.n = n
@@ -41,28 +41,23 @@ class Adversary:
         self.target_len = target_len
         self.declared_bound = declared_bound
         self._config = config
-        self._play = play
-        self._pos = 0
+        self._start, self._remember, self._item = start, remember, item
 
     def describe(self) -> dict:
         return {"quota": self.quota, "n": self.n, **self._config}
 
-    def first(self) -> Batch:
-        if self._pos != 0:
-            raise ProtocolError("first() may only be called once, before react()")
-        self._pos = 1
-        return next(self._play)
+    def first(self) -> tuple[Batch, object]:
+        """The item at position 1 and the memory it was released from."""
+        return self._item(1, self._start), self._start
 
-    def react(self, decision: Decision, position: int) -> Optional[Batch]:
-        """Record the decision for `position` and emit the next item."""
-        if position != self._pos:
-            raise ProtocolError(
-                f"react out of turn: expected position {self._pos}, got {position}"
-            )
-        self._pos += 1
-        if self._pos > self.n:
-            return None
-        return self._play.send(decision)
+    def react(self, memory: object, decision: Decision,
+              position: int) -> tuple[Optional[Batch], object]:
+        """Fold the decision on the item at `position` into `memory`; returns
+        the next item (None past the n-th release) and the new memory."""
+        memory = self._remember(memory, position, decision)
+        if position >= self.n:
+            return None, memory
+        return self._item(position + 1, memory), memory
 
 
 def _chain_offsets(k: int, n: int) -> list[float]:
@@ -78,88 +73,81 @@ def _chain_offsets(k: int, n: int) -> list[float]:
     ]
 
 
-def _al_play(epsilon: float, k: int) -> Play:
-    """Nested ladder [0, eps^(k+1-i)]; the first rejection brings clones eps
-    times smaller than the rejected rung, full acceptance brings unit clones."""
-    for pos in range(1, k + 1):
-        if (yield Batch.single(0.0, epsilon ** (k + 1 - pos))) is Decision.REJECT:
-            clone = Batch.single(0.0, epsilon ** (k + 2 - pos))
-            break
-    else:
-        clone = Batch.single(0.0, 1.0)
-    while True:
-        yield clone
-
-
 def adv_al(epsilon: float, k: int, n: int) -> Adversary:
-    """Arbitrary lengths: forces ratio >= 1/eps against any deterministic policy."""
+    """Arbitrary lengths: forces ratio >= 1/eps against any deterministic policy.
+
+    Nested ladder [0, eps^(k+1-i)].  The memory is the clone the stream then
+    repeats (None before it): eps times the first rejected rung, or a unit
+    after full acceptance."""
     if not (0.0 < epsilon < 1.0):
         raise ConfigError(f"need 0 < epsilon < 1, got {epsilon}")
-    check_quota(k)
-    if n < k + 1:
-        raise ConfigError(f"need n >= k+1, got {n}")
+    check_quota(k, n)
+
+    def remember(clone, pos, d):
+        if clone is None and d is Decision.REJECT:
+            return Batch.single(0.0, epsilon ** (k + 2 - pos))
+        return Batch.single(0.0, 1.0) if clone is None and pos == k else clone
+
+    def item(pos, clone):
+        return Batch.single(0.0, epsilon ** (k + 1 - pos)) if clone is None else clone
+
     return Adversary("al", k, n, Setting("AL", "UN"), 1.0, 1.0 / epsilon,
-                     {"epsilon": epsilon}, _al_play(epsilon, k))
-
-
-def _pair_play() -> Play:
-    """[0,1] then [sqrt(2)-1, sqrt(2)]; the tail follows the first two decisions."""
-    r = math.sqrt(2.0)
-    v1 = Batch.single(0.0, 1.0)
-    v2 = Batch.single(r - 1.0, r)
-    d1 = yield v1
-    d2 = yield v2
-    if d1 is Decision.ACCEPT and d2 is Decision.ACCEPT:
-        tail = Batch.single(1.0, 2.0)        # both taken
-    elif d1 is Decision.REJECT and d2 is Decision.ACCEPT:
-        tail = v2                            # re-offer the second
-    else:
-        tail = v1                            # re-offer the first
-    while True:
-        yield tail
+                     {"epsilon": epsilon}, None, remember, item)
 
 
 def adv_ul_un_k2(n: int) -> Adversary:
-    """Quota-2 unit construction: forces ratio >= sqrt(2)."""
+    """Quota-2 unit construction: forces ratio >= sqrt(2).
+
+    [0,1] then [sqrt(2)-1, sqrt(2)]; the memory keeps the first two
+    decisions, and the tail follows them."""
     check_quota(2, n)
+    r = math.sqrt(2.0)
+    v1, v2, both = Batch.single(0.0, 1.0), Batch.single(r - 1.0, r), Batch.single(1.0, 2.0)
+
+    def item(pos, decisions):
+        if pos <= 2:
+            return v2 if pos == 2 else v1
+        if decisions[1] is Decision.ACCEPT:  # both taken, or re-offer the second
+            return both if decisions[0] is Decision.ACCEPT else v2
+        return v1                            # re-offer the first
+
     return Adversary("ul-un-k2", 2, n, Setting("UL", "UN"), 2.0, lb_ul_un(2, n), {},
-                     _pair_play())
-
-
-def _chain_play(offsets: list[float], k: int, parts: int) -> Play:
-    """Unit chain with the given start offsets, each item cut into `parts`
-    pieces.  The first rejection at position j <= k freezes the stream on
-    clones of item j-1 (of [1, 2] when the opening item is rejected);
-    rejections past position k leave the chain running."""
-    previous = Batch.single(1.0, 2.0)
-    for pos, start in enumerate(itertools.accumulate(offsets), 1):
-        item = Batch.single(start, start + 1.0)
-        if (yield _split_unit(item, parts)) is Decision.REJECT and pos <= k:
-            while True:
-                yield _split_unit(previous, parts)
-        previous = item
+                     (), lambda ds, pos, d: ds + (d,) if pos <= 2 else ds, item)
 
 
 def _chain(name: str, k: int, n: int, parts: int, setting: Setting, config: dict,
            bound: Callable[[int, int], float]) -> Adversary:
+    """Unit chain, each item cut into `parts` pieces.  The memory is the
+    clone the stream freezes on (None while the chain runs): the first
+    rejection at position j <= k freezes it on clones of item j-1 (of [1, 2]
+    when the opening item is rejected); later rejections leave it running."""
     if k < 3:
         raise ConfigError(f"{name} needs k >= 3, got {k}")
     check_quota(k, n)
     offsets = _chain_offsets(k, n)
+    starts = [1.0, *itertools.accumulate(offsets)]  # [1, 2] stands before item 1
+
+    def remember(clone, pos, d):
+        if clone is None and d is Decision.REJECT and pos <= k:
+            return item(pos - 1, None)
+        return clone
+
+    def item(pos, clone):
+        return _unit(starts[pos], parts) if clone is None else clone
+
     return Adversary(name, k, n, setting, 2.0 + sum(offsets), bound(k, n), config,
-                     _chain_play(offsets, k, parts))
+                     None, remember, item)
 
 
 def adv_ul_un_general(k: int, n: int) -> Adversary:
     return _chain("ul-un-general", k, n, 1, Setting("UL", "UN"), {}, lb_ul_un)
 
 
-def _split_unit(batch: Batch, parts: int) -> Batch:
-    """Partition a unit interval into `parts` touching equal pieces."""
+def _unit(start: float, parts: int) -> Batch:
+    """[start, start + 1] cut into `parts` touching equal pieces."""
     if parts == 1:
-        return batch
-    (iv,) = batch.parts
-    cuts = [iv.start + i / parts for i in range(parts)] + [iv.end]
+        return Batch.single(start, start + 1.0)
+    cuts = [start + i / parts for i in range(parts)] + [start + 1.0]
     return Batch(tuple(SubInterval(cuts[i], cuts[i + 1]) for i in range(parts)))
 
 
@@ -172,8 +160,10 @@ def adv_us_un(k: int, n: int, parts: int) -> Adversary:
     return _chain("us-un", k, n, parts, Setting("US", "UN"), {"parts": parts}, lb_us_un)
 
 
-def _flex_play(k: int, tau: int, m: float) -> Play:
-    """tau unit probes, then a tail picked by how many probes were accepted.
+def _flex(name: str, k: int, n: int, m: float, tau: int, setting: Setting,
+          bound: float) -> Adversary:
+    """tau unit probes, then a tail picked by how many probes were accepted,
+    the count the memory keeps.
 
     Accepting at least ceil(tau/2) probes brings a run of disjoint length-m
     items the policy no longer has quota for; accepting fewer brings clones
@@ -183,28 +173,24 @@ def _flex_play(k: int, tau: int, m: float) -> Play:
     coverage tops out at k-1 units, so skipping the probe still costs a
     factor k/(k-1) >= the declared bound.
     """
-    accepts = 0
-    for pos in range(1, tau + 1):
-        if (yield Batch.single(float(pos - 1), float(pos))) is Decision.ACCEPT:
-            accepts += 1
-    if accepts >= math.ceil(tau / 2):
-        for t in itertools.count(1):
-            yield Batch.single(tau + (t - 1) * m, tau + t * m)
-    elif accepts >= 1 or tau >= 2:
-        while True:
-            yield Batch.single(0.0, 1.0)
-    else:
-        for t in range(1, k):
-            yield Batch.single(float(t), float(t + 1))
-        while True:
-            yield Batch.single(float(k - 1), float(k))
-
-
-def _flex(name: str, k: int, n: int, m: float, tau: int, setting: Setting,
-          bound: float) -> Adversary:
     target_len = check_fl_finite(tau + (n - tau) * m + 1.0, m)
+    unit, last = Batch.single(0.0, 1.0), Batch.single(k - 1.0, float(k))
+
+    def remember(accepts, pos, d):
+        return accepts + 1 if pos <= tau and d is Decision.ACCEPT else accepts
+
+    def item(pos, accepts):
+        t = pos - tau
+        if t <= 0:
+            return Batch.single(float(pos - 1), float(pos))
+        if accepts >= math.ceil(tau / 2):
+            return Batch.single(tau + (t - 1) * m, tau + t * m)
+        if accepts >= 1 or tau >= 2:
+            return unit
+        return Batch.single(float(t), float(t + 1)) if t < k else last
+
     return Adversary(name, k, n, setting, target_len, bound,
-                     {"m": m, "tau": tau}, _flex_play(k, tau, m))
+                     {"m": m, "tau": tau}, 0, remember, item)
 
 
 def adv_fl_un(k: int, n: int, m: float) -> Adversary:
@@ -214,6 +200,7 @@ def adv_fl_un(k: int, n: int, m: float) -> Adversary:
 
 
 def adv_fl_an(k: int, m: float, n: int) -> Adversary:
+    check_quota(k)
     check_fl_cap(m)
     if n < 2 * k:
         raise ConfigError(f"need n >= 2k for the length-m tail, got {n}")

@@ -1,7 +1,7 @@
 """Closed-form competitive-ratio bounds for every setting.
 
 Lower bounds are what no deterministic online algorithm can beat (each one
-is realised by an adaptive generator in :mod:`kcover.adversaries`); upper
+is realised by an adaptive adversary in :mod:`kcover.adversaries`); upper
 bounds are what the shipped threshold policies guarantee.  The arbitrary-
 length setting has no finite lower bound, represented by an explicit
 ``UNBOUNDED`` marker rather than a float infinity.

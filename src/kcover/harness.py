@@ -108,53 +108,34 @@ def _score(policy, inst, played, opt, source, source_config, declared_bound):
     )
 
 
-def _play(
-    policies: Iterable[Policy],
-    adversary: Adversary,
-    remake: Optional[Callable[[], Adversary]] = None,
-) -> Iterator[tuple[Instance, tuple]]:
+def _play(policies: Iterable[Policy], adversary: Adversary) -> Iterator[tuple[Instance, tuple]]:
     """Play each policy against one construction through its n releases; yields
     (instance, tally) per policy.
 
     The construction's items form a decision tree: a node is [the node after
     a rejection, the node after an acceptance, the item released after the
-    decisions that lead to it].
-    `adversary` serves the first policy; later policies read their items
-    from the tree.  At a prefix no earlier policy reached, the adversary
-    that released the node's item goes on if it is still there; otherwise
-    `remake` builds a fresh one, which is replayed through the prefix.
-    Every policy decides on every item it is shown, and every adversary
-    goes through :meth:`Adversary.first`/:meth:`Adversary.react`.  Each
-    distinct decision trace ends at its own leaf, where its instance and
-    tally are built once.
+    decisions that lead to it, the adversary's memory of them].  A node no
+    earlier policy reached is made by one :meth:`Adversary.react` on its
+    parent's memory; the others are read as recorded.  Each distinct
+    decision trace ends at its own leaf, where its instance and tally are
+    built once.
     """
     accept = Decision.ACCEPT
-    root = [None, None, adversary.first()]
-    live, at = adversary, root  # the adversary in play, and its last node
+    root = [None, None, *adversary.first()]
     leaves: dict[int, tuple[Instance, tuple]] = {}
     for policy in policies:
-        node, items, trace = root, [], []
-        item, pos = node[2], 1
-        while item is not None:
+        node, items, trace, pos = root, [], [], 1
+        while (item := node[2]) is not None:
             items.append(item)
             d = policy.next(item, pos)
             trace.append(d)
             side = d is accept
-            child = node[side]
-            if child is None:
-                if at is not node:
-                    live = remake()
-                    live.first()
-                    for i, old in enumerate(trace[:-1], 1):
-                        live.react(old, i)
-                child = node[side] = at = [None, None, live.react(d, pos)]
-            node = child
-            item = node[2]
+            if node[side] is None:
+                node[side] = [None, None, *adversary.react(node[3], d, pos)]
+            node = node[side]
             pos += 1
         if id(node) not in leaves:
-            inst = Instance(
-                adversary.target_len, adversary.quota, adversary.setting, tuple(items)
-            )
+            inst = Instance(adversary.target_len, adversary.quota, adversary.setting, tuple(items))
             leaves[id(node)] = inst, tally(policy, inst, trace)
         yield leaves[id(node)]
 
@@ -326,31 +307,25 @@ def full_policy_suite(
     return suite
 
 
-def _certify(make_adversary: Callable[[], Adversary], label: str,
-             rng: random.Random, solved: dict) -> Row:
+def _certify(adv: Adversary, label: str, rng: random.Random, solved: dict) -> Row:
     """Play one construction against the certification suite built for its
     own setting, quota and release count: does every policy's ratio reach
     the declared bound?
 
-    A construction's next item depends on nothing but the decisions on the
-    earlier items (see :mod:`kcover.adversaries`; ``STREAM_DIGEST`` pins the
-    streams), so the suite plays one decision tree (:func:`_play`): a fresh
-    adversary is built only where a policy first leaves the paths of the
-    policies before it, one per distinct decision trace."""
-    adv = make_adversary()
+    The suite plays one decision tree (:func:`_play`): the adversary reacts
+    once per distinct decision prefix, as its next item depends only on the
+    earlier decisions (``STREAM_DIGEST`` pins the streams)."""
     declared = adv.declared_bound
     suite = full_policy_suite(
         adv.setting.length, adv.quota, adv.n, adv.setting.m, rng, solved=solved
     )
     policies = [factory() for _, factory in suite]
-    worst_slack = float("inf")
-    bad = None
+    worst_slack, bad = float("inf"), None
     # Policies that decide alike share an instance, and instances with the
     # same items share an optimum: each is found once.
     opts: dict[tuple[Batch, ...], float] = {}
     opt_of: dict[int, float] = {}
-    games = _play(policies, adv, make_adversary)
-    for (pname, _), policy, (inst, played) in zip(suite, policies, games):
+    for (pname, _), policy, (inst, played) in zip(suite, policies, _play(policies, adv)):
         if id(inst) not in opt_of:
             if inst.items not in opts:
                 opts[inst.items] = oracle_value(inst)
@@ -382,17 +357,15 @@ def verify_adversaries(
     nlo, nhi = n_range
     if klo <= 2 <= khi:
         for n in range(max(nlo, 3), nhi + 1):
-            yield certify(lambda: adv_ul_un_k2(n), f"k2-adversary n={n}")
+            yield certify(adv_ul_un_k2(n), f"k2-adversary n={n}")
     for k in range(max(klo, 3), khi + 1):
         for n in range(max(nlo, k + 1), nhi + 1):
-            yield certify(lambda: adv_ul_un_general(k, n), f"chain-adversary k={k} n={n}")
-            yield certify(lambda: adv_fl_un(k, n, 2.0), f"flex-adversary k={k} n={n} m=2")
-            yield certify(
-                lambda: adv_us_un(k, n, 3), f"unit-sum-adversary k={k} n={n} parts=3"
-            )
+            yield certify(adv_ul_un_general(k, n), f"chain-adversary k={k} n={n}")
+            yield certify(adv_fl_un(k, n, 2.0), f"flex-adversary k={k} n={n} m=2")
+            yield certify(adv_us_un(k, n, 3), f"unit-sum-adversary k={k} n={n} parts=3")
     # Arbitrary lengths: a fixed epsilon must already force a huge ratio.
     for k in range(max(klo, 2), min(khi, 3) + 1):
-        yield certify(lambda: adv_al(1e-3, k, 2 * k + 2), f"al-adversary k={k} eps=0.001")
+        yield certify(adv_al(1e-3, k, 2 * k + 2), f"al-adversary k={k} eps=0.001")
 
 
 def verify_bounds(seed: int) -> Iterator[Row]:

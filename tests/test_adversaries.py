@@ -166,6 +166,12 @@ class TestFlexAdversary:
                 r, _, _ = ratio_of(RejectUntilForcedPolicy(k, k + 1), adv)
                 assert r >= adv.declared_bound - 1e-6
 
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_unknown_count_quota_is_checked(self, k):
+        # refused when the adversary is built, before any game is played
+        with pytest.raises(ConfigError, match=f"need k >= 2, got {k}"):
+            adv_fl_an(k, 2.0, 4)
+
     def test_unknown_count_variant(self, rng):
         adv = adv_fl_an(4, 3.0, 12)
         assert adv.declared_bound == pytest.approx(1.5)
@@ -204,14 +210,14 @@ class TestUnitSumAdversary:
     def test_single_part_matches_plain_chain(self):
         a1 = adv_us_un(5, 12, 1)
         a2 = adv_ul_un_general(5, 12)
-        item1, item2 = a1.first(), a2.first()
+        (item1, mem1), (item2, mem2) = a1.first(), a2.first()
         for pos in range(1, 13):
             assert item1 is not None and item2 is not None
             assert [(p.start, p.end) for p in item1.parts] == [
                 (p.start, p.end) for p in item2.parts
             ]
-            item1 = a1.react(Decision.ACCEPT, pos)
-            item2 = a2.react(Decision.ACCEPT, pos)
+            item1, mem1 = a1.react(mem1, Decision.ACCEPT, pos)
+            item2, mem2 = a2.react(mem2, Decision.ACCEPT, pos)
         assert item1 is None and item2 is None
 
     def test_split_preserves_thresholds_trace(self):
@@ -259,13 +265,16 @@ class TestArbitraryLengthAdversary:
 def test_adaptivity_window(rng):
     # the reaction to position p only shapes items at positions > p: two
     # runs that diverge at p share the prefix up to p
-    advA = adv_ul_un_general(4, 10)
-    advB = adv_ul_un_general(4, 10)
-    a_items = [advA.first()]
-    b_items = [advB.first()]
+    adv = adv_ul_un_general(4, 10)
+    a_item, a_mem = b_item, b_mem = adv.first()
+    a_items, b_items = [a_item], [b_item]
     for pos in range(1, 4):
-        a_items.append(advA.react(Decision.ACCEPT, pos))
-        b_items.append(advB.react(Decision.REJECT if pos == 3 else Decision.ACCEPT, pos))
+        a_item, a_mem = adv.react(a_mem, Decision.ACCEPT, pos)
+        b_item, b_mem = adv.react(
+            b_mem, Decision.REJECT if pos == 3 else Decision.ACCEPT, pos
+        )
+        a_items.append(a_item)
+        b_items.append(b_item)
     assert a_items[:3] == b_items[:3]
     assert a_items[3] != b_items[3]
 
@@ -293,8 +302,9 @@ def test_game_over_quota_is_an_error():
 
 
 # Every adversary factory over a small parameter grid.  The golden test plays
-# every accept/reject pattern of full length against each, so any change to
-# an item, a rule or a declared figure moves the digest.
+# every accept/reject pattern of full length against each, all patterns on
+# one adversary, so any change to an item, a rule or a declared figure, or
+# state kept outside the memory, moves the digest.
 STREAM_GRID = (
     [lambda n=n: adv_ul_un_k2(n) for n in range(3, 8)]
     + [lambda k=k, n=n: adv_ul_un_general(k, n)
@@ -315,50 +325,28 @@ def test_item_streams_golden():
     digest = hashlib.sha256()
     games = 0
     for make in STREAM_GRID:
-        n = make().n
-        for pattern in itertools.product((Decision.ACCEPT, Decision.REJECT), repeat=n):
-            adv = make()
+        adv = make()
+        for pattern in itertools.product((Decision.ACCEPT, Decision.REJECT), repeat=adv.n):
             digest.update(
                 f"{adv.name} {json.dumps(adv.describe())} {adv.setting.label()} "
                 f"{adv.setting.count == 'UN'} {adv.target_len.hex()} "
                 f"{adv.declared_bound.hex()}\n".encode()
             )
-            item = adv.first()
+            item, memory = adv.first()
             for pos, decision in enumerate(pattern, 1):
                 assert item is not None
                 digest.update(
                     " ".join(f"{p.start.hex()}:{p.end.hex()}" for p in item.parts).encode()
                     + b"\n"
                 )
-                item = adv.react(decision, pos)
-            assert item is None
+                item, memory = adv.react(memory, decision, pos)
+            assert item is None  # the reaction to position n ends the stream
+            # past the n-th release the stream stays empty
+            for decision in (Decision.ACCEPT, Decision.REJECT):
+                assert adv.react(memory, decision, adv.n + 1)[0] is None
             games += 1
     assert games == 9064
     assert digest.hexdigest() == STREAM_DIGEST
-
-
-@pytest.mark.parametrize(
-    "make",
-    [STREAM_GRID[i] for i in (0, 5, 10, 16, 26, 29)],
-    ids=["ul-un-k2", "ul-un-general", "us-un", "fl-un", "fl-an", "al"],
-)
-def test_protocol_violations_raise(make):
-    adv = make()
-    with pytest.raises(ProtocolError, match="react out of turn: expected position 0, got 1"):
-        adv.react(Decision.ACCEPT, 1)
-    item = adv.first()
-    assert item is not None
-    with pytest.raises(ProtocolError, match=r"first\(\) may only be called once"):
-        adv.first()
-    with pytest.raises(ProtocolError, match="expected position 1, got 2"):
-        adv.react(Decision.ACCEPT, 2)
-    for pos in range(1, adv.n):
-        assert adv.react(Decision.REJECT, pos) is not None
-    assert adv.react(Decision.REJECT, adv.n) is None
-    # past the n-th release the stream stays empty
-    assert adv.react(Decision.ACCEPT, adv.n + 1) is None
-    with pytest.raises(ProtocolError, match="expected position"):
-        adv.react(Decision.ACCEPT, 1)
 
 
 def test_certify_scores_each_distinct_game_once(monkeypatch):
@@ -441,29 +429,34 @@ def test_certify_matches_a_plain_run_game_loop(monkeypatch, make, reverse):
             adv.declared_bound = bound
             return adv
 
-        got = harness._certify(raised, "row", random.Random(11), {})
+        got = harness._certify(raised(), "row", random.Random(11), {})
         assert got == plain_certify(raised, "row", random.Random(11), {})
         firsts.add(got[3] and got[3]["policy"])
     assert None in firsts and len(firsts) >= 2  # passes and failures both
 
 
 @pytest.mark.parametrize("make", CONSTRUCTIONS)
-def test_certify_builds_one_adversary_per_distinct_trace(monkeypatch, make):
-    traces, builds = [], []
-    score = harness._score
+def test_certify_reacts_once_per_distinct_decision_prefix(monkeypatch, make):
+    # one react per node of the suite's decision tree: policies that decide
+    # alike share the reactions, and no prefix is ever replayed
+    traces, reacted = [], []
+    score, react = harness._score, adversaries.Adversary.react
 
     def recording_score(policy, inst, played, *rest):
         traces.append(tuple(played[2]))
         return score(policy, inst, played, *rest)
 
-    def counting_make():
-        builds.append(1)
-        return make()
+    def counting_react(self, memory, decision, position):
+        reacted.append(position)
+        return react(self, memory, decision, position)
 
     monkeypatch.setattr(harness, "_score", recording_score)
-    ok, *_ = harness._certify(counting_make, "row", random.Random(7), {})
+    monkeypatch.setattr(adversaries.Adversary, "react", counting_react)
+    ok, *_ = harness._certify(make(), "row", random.Random(7), {})
     assert ok
-    assert len(builds) == len(set(traces)) < len(traces)
+    prefixes = {t[:i] for t in traces for i in range(1, len(t) + 1)}
+    assert sorted(reacted) == sorted(map(len, prefixes))
+    assert len(prefixes) < sum(map(len, traces))
 
 
 def test_adversary_suite_solves_each_program_once(monkeypatch):
@@ -517,8 +510,8 @@ def test_verify_rows_certify_only_quotas_in_the_k_range(monkeypatch, k_range, n_
     # lies in the k range, and every quota in it that some n admits has rows
     quotas = []
 
-    def certify(make_adversary, label, rng, solved):
-        quotas.append(make_adversary().quota)
+    def certify(adversary, label, rng, solved):
+        quotas.append(adversary.quota)
         return True, label, "", None
 
     monkeypatch.setattr(harness, "_certify", certify)

@@ -223,7 +223,7 @@ class TestCli:
             "--k", "3", "--n", "0",
         )
         assert code == 2
-        assert "need n >= k+1, got 0" in capsys.readouterr().err
+        assert "need 2 <= k <= n-1, got k=3 n=0" in capsys.readouterr().err
         # doa's explicit parameters come as --theta1 --theta2 [--omega] or
         # not at all; a partial set is refused, not replaced by solve_doa's
         for partial in (
