@@ -82,6 +82,11 @@ def adv_al(epsilon: float, k: int, n: int) -> Adversary:
     if not (0.0 < epsilon < 1.0):
         raise ConfigError(f"need 0 < epsilon < 1, got {epsilon}")
     check_quota(k, n)
+    if not epsilon ** (k + 1) > 0.0:
+        raise ConfigError(
+            f"epsilon={epsilon} underflows at k={k}: the smallest rung "
+            f"epsilon^(k+1) rounds to 0"
+        )
 
     def remember(clone, pos, d):
         if clone is None and d is Decision.REJECT:

@@ -24,8 +24,8 @@ class ConfigError(KcoverError, ValueError):
 
 
 class ProtocolError(KcoverError, RuntimeError):
-    """Sequential decision protocol violated (out-of-turn call, quota
-    overrun)."""
+    """Sequential decision protocol violated: a game scored from a policy
+    that did not decide exactly its items, or a quota overrun."""
 
 
 class SolverEmptyError(KcoverError, RuntimeError):

@@ -24,7 +24,7 @@ from .adversaries import (
     adv_us_un,
 )
 from .bounds import bound_table, lb_ul_un, ub_multi, ub_soa, ub_soa_an
-from .errors import ConfigError, SolverEmptyError
+from .errors import ConfigError, SettingError, SolverEmptyError
 from .instance_io import instance_to_dict
 from .intervals import Batch, Instance, Setting, SubInterval, union_length
 from .offline import brute_force_offline, solve_offline
@@ -85,10 +85,10 @@ def oracle_value(inst: Instance) -> float:
     return brute_force_offline(inst)[0]
 
 
-def _score(policy, inst, played, opt, source, source_config, declared_bound):
-    """Build the record of one played game from its :func:`tally`
-    `played` and the offline optimum `opt`."""
-    alg, accepted, trace = played
+def _score(policy, inst, opt, source, source_config, declared_bound):
+    """Build the record of the game `policy` played on `inst` from its
+    :func:`tally` and the offline optimum `opt`."""
+    alg, accepted, trace = tally(policy, inst)
     return GameRecord(
         setting=inst.setting.label(),
         k=inst.quota,
@@ -108,43 +108,42 @@ def _score(policy, inst, played, opt, source, source_config, declared_bound):
     )
 
 
-def _play(policies: Iterable[Policy], adversary: Adversary) -> Iterator[tuple[Instance, tuple]]:
+def _play(policies: Iterable[Policy], adversary: Adversary) -> Iterator[Instance]:
     """Play each policy against one construction through its n releases; yields
-    (instance, tally) per policy.
+    the instance each policy saw, once it has decided every item (the policy
+    keeps its own record of the game).
 
     The construction's items form a decision tree: a node is [the node after
     a rejection, the node after an acceptance, the item released after the
     decisions that lead to it, the adversary's memory of them].  A node no
     earlier policy reached is made by one :meth:`Adversary.react` on its
     parent's memory; the others are read as recorded.  Each distinct
-    decision trace ends at its own leaf, where its instance and tally are
-    built once.
+    decision trace ends at its own leaf, where its instance is built once.
     """
     accept = Decision.ACCEPT
     root = [None, None, *adversary.first()]
-    leaves: dict[int, tuple[Instance, tuple]] = {}
+    leaves: dict[int, Instance] = {}
     for policy in policies:
-        node, items, trace, pos = root, [], [], 1
+        node, items = root, []
         while (item := node[2]) is not None:
             items.append(item)
-            d = policy.next(item, pos)
-            trace.append(d)
+            d = policy.next(item)
             side = d is accept
             if node[side] is None:
-                node[side] = [None, None, *adversary.react(node[3], d, pos)]
+                node[side] = [None, None, *adversary.react(node[3], d, len(items))]
             node = node[side]
-            pos += 1
         if id(node) not in leaves:
-            inst = Instance(adversary.target_len, adversary.quota, adversary.setting, tuple(items))
-            leaves[id(node)] = inst, tally(policy, inst, trace)
+            leaves[id(node)] = Instance(
+                adversary.target_len, adversary.quota, adversary.setting, tuple(items)
+            )
         yield leaves[id(node)]
 
 
 def run_game(policy: Policy, adversary: Adversary):
     """Play policy vs adversary through its n releases; returns (record, instance)."""
-    ((inst, played),) = _play([policy], adversary)
+    (inst,) = _play([policy], adversary)
     record = _score(
-        policy, inst, played, oracle_value(inst), adversary.name,
+        policy, inst, oracle_value(inst), adversary.name,
         adversary.describe(), adversary.declared_bound,
     )
     return record, inst
@@ -152,7 +151,8 @@ def run_game(policy: Policy, adversary: Adversary):
 
 def replay_game(policy: Policy, inst: Instance, source: str = "instance"):
     """Run a policy over a fixed instance file and score it."""
-    return _score(policy, inst, run_policy(policy, inst), oracle_value(inst), source, {}, None)
+    run_policy(policy, inst)
+    return _score(policy, inst, oracle_value(inst), source, {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +171,25 @@ def gen_instance(
     [0, 7].  FL: lengths uniform in [1, m], starts uniform in the remaining
     room of [0, 30].  AL: lengths uniform in [0.05, 5], starts uniform in
     the remaining room of [0, 10].  US: 1-3 parts with stick-broken lengths
-    summing to 1, placed left to right with uniform gaps in [0.05, 0.5]."""
+    summing to 1, placed left to right with uniform gaps in [0.05, 0.5].
+    Before any draw, m is refused outside FL as :class:`Setting` refuses
+    it, and in FL above 30, where no item of that length fits the target."""
+    setting = Setting(length_setting, count_setting, m)
+    if length_setting == "FL" and m > 30.0:
+        raise SettingError(f"FL lengths up to m={m!r} do not fit the [0, 30] target")
     items: list[Batch] = []
     if length_setting == "UL":
         a = 8.0
         for _ in range(n):
             s = rng.uniform(0.0, a - 1.0)
             items.append(Batch.single(s, s + 1.0))
-        setting = Setting("UL", count_setting)
     elif length_setting in ("FL", "AL"):
-        fl = length_setting == "FL"
-        a, lo, hi = (30.0, 1.0, m) if fl else (10.0, 0.05, 5.0)
+        a, lo, hi = (30.0, 1.0, m) if length_setting == "FL" else (10.0, 0.05, 5.0)
         for _ in range(n):
             length = rng.uniform(lo, hi)
             s = rng.uniform(0.0, a - length)
             items.append(Batch.single(s, s + length))
-        setting = Setting(length_setting, count_setting, m if fl else None)
-    elif length_setting == "US":
+    else:  # US
         a = 12.0
         for _ in range(n):
             parts_count = rng.randint(1, 3)
@@ -204,9 +206,6 @@ def gen_instance(
                 if idx < parts_count - 1:
                     cursor += rng.uniform(0.05, max_gap)
             items.append(Batch(tuple(parts)))
-        setting = Setting("US", count_setting)
-    else:
-        raise ValueError(f"unknown length setting {length_setting!r}")
     return Instance(a, k, setting, tuple(items))
 
 
@@ -325,14 +324,13 @@ def _certify(adv: Adversary, label: str, rng: random.Random, solved: dict) -> Ro
     # same items share an optimum: each is found once.
     opts: dict[tuple[Batch, ...], float] = {}
     opt_of: dict[int, float] = {}
-    for (pname, _), policy, (inst, played) in zip(suite, policies, _play(policies, adv)):
+    for (pname, _), policy, inst in zip(suite, policies, _play(policies, adv)):
         if id(inst) not in opt_of:
             if inst.items not in opts:
                 opts[inst.items] = oracle_value(inst)
             opt_of[id(inst)] = opts[inst.items]
         record = _score(
-            policy, inst, played, opt_of[id(inst)], adv.name,
-            adv.describe(), declared,
+            policy, inst, opt_of[id(inst)], adv.name, adv.describe(), declared
         )
         slack = record.ratio_or_inf - declared
         worst_slack = min(worst_slack, slack)

@@ -28,13 +28,16 @@ class Policy:
     """Per-accept threshold schedule, the rule behind every policy; it is
     stateful and single-run, so build a fresh one per game.
 
-    In order: reject once the quota is used; accept the first item when
-    `free_first` is set; accept when the release count `n` is known and the
-    remaining quota covers every remaining release; otherwise accept exactly
-    when the marginal length reaches ``schedule[min(accepted_count, last)]``,
-    so the last threshold repeats.  `config` holds what :meth:`describe`
-    reports after the quota; `n` is read from it (absent or None means
-    unknown), so a policy plays with the count its record shows.
+    The policy is the one record of its game: `state` is the coverage of
+    its accepts, `accepted` their 0-based release indices and `trace` every
+    decision in release order.  In order: reject once the quota is used;
+    accept the first item when `free_first` is set; accept when the release
+    count `n` is known and the remaining quota covers every remaining
+    release; otherwise accept exactly when the marginal length reaches
+    ``schedule[min(len(accepted), last)]``, so the last threshold repeats.
+    `config` holds what :meth:`describe` reports after the quota; `n` is
+    read from it (absent or None means unknown), so a policy plays with the
+    count its record shows.
     """
 
     name = "policy"
@@ -49,40 +52,37 @@ class Policy:
         self.schedule = tuple(schedule)
         self.n: Optional[int] = config.get("n")
         self.config = config
-        self.accepted_count = 0
         self.state = CoverageState.empty()
-        self._cursor = 0
+        self.accepted: list[int] = []
+        self.trace: list[Decision] = []
 
     def describe(self) -> dict:
         return {"quota": self.quota, **self.config}
 
-    def next(self, item: Batch, position: int) -> Decision:
-        """Decide on the item released at `position` (1-based, in order);
-        the item is placed once, for its gain, and the coverage state applies
-        that same splice only when the item is accepted."""
-        if position != self._cursor + 1:
-            raise ProtocolError(
-                f"decision out of turn: expected position {self._cursor + 1}, "
-                f"got {position}"
-            )
-        self._cursor = position
-        if self.accepted_count >= self.quota:
-            return Decision.REJECT
-        gain, splice = self.state.place(item)
-        if not self._decide(gain, position):
-            return Decision.REJECT
-        self.accepted_count += 1
-        self.state.apply(splice)
-        return Decision.ACCEPT
+    def next(self, item: Batch) -> Decision:
+        """Decide on the next item, released at position ``len(trace) + 1``,
+        and record the decision in `trace` (and its 0-based index in
+        `accepted` when it accepts); the item is placed once, for its gain,
+        and the coverage state applies that same splice only on an accept."""
+        position = len(self.trace) + 1
+        decision = Decision.REJECT
+        if len(self.accepted) < self.quota:
+            gain, splice = self.state.place(item)
+            if self._decide(gain, position):
+                decision = Decision.ACCEPT
+                self.accepted.append(position - 1)
+                self.state.apply(splice)
+        self.trace.append(decision)
+        return decision
 
     def _decide(self, gain: float, position: int) -> bool:
         """Accept the item at `position` whose marginal covered length is `gain`?"""
         if position == 1 and self.free_first:
             return True
-        left = self.quota - self.accepted_count
+        left = self.quota - len(self.accepted)
         if self.n is not None and left >= self.n - position + 1:
             return True
-        i = min(self.accepted_count, len(self.schedule) - 1)
+        i = min(len(self.accepted), len(self.schedule) - 1)
         return gain >= self.schedule[i] - numeric.EPS
 
 
@@ -189,33 +189,32 @@ class RejectUntilForcedPolicy(Policy):
         super().__init__(quota, (math.inf,), n=n)
 
 
-def tally(
-    policy: Policy, inst: Instance, trace: list[Decision]
-) -> tuple[float, tuple[int, ...], list[Decision]]:
-    """Score the decisions `policy` made playing `inst`: (covered length of
-    the accepted items, their indices, the trace).  The length is the
-    policy's own coverage total, which equals ``union_length`` of the
-    accepted items bit for bit.  A trace the policy did not play, or more
-    accepts than the quota, is an error."""
-    accepted = tuple(i for i, d in enumerate(trace) if d is Decision.ACCEPT)
-    if len(accepted) != policy.accepted_count:
+def tally(policy: Policy, inst: Instance) -> tuple[float, tuple[int, ...], list[Decision]]:
+    """Score the game `policy` played on `inst` from the policy's own record:
+    (covered length of the accepted items, their indices, the decision
+    trace).  The length is the policy's own coverage total, which equals
+    ``union_length`` of the accepted items bit for bit.  A policy that did
+    not decide exactly the instance's items (half-played, or reused for a
+    second game), or that accepted more than the quota, is an error."""
+    if len(policy.trace) != inst.n:
         raise ProtocolError(
-            f"{policy.name} accepted {policy.accepted_count} items, but the "
-            f"trace holds {len(accepted)} accepts"
+            f"{policy.name} decided {len(policy.trace)} items, but the "
+            f"instance holds {inst.n}"
         )
-    if len(accepted) > inst.quota:
+    if len(policy.accepted) > inst.quota:
         raise ProtocolError(
-            f"{policy.name} accepted {len(accepted)} items with quota {inst.quota}"
+            f"{policy.name} accepted {len(policy.accepted)} items with quota {inst.quota}"
         )
-    return policy.state.total_len, accepted, trace
+    return policy.state.total_len, tuple(policy.accepted), policy.trace
 
 
 def run_policy(
     policy: Policy, inst: Instance
 ) -> tuple[float, tuple[int, ...], list[Decision]]:
-    """Feed a fixed instance to a policy, one item per position.
+    """Feed a fixed instance to a policy, one item at a time.
 
     Returns (covered length, accepted item indices, full decision trace).
     """
-    trace = [policy.next(item, pos) for pos, item in enumerate(inst.items, start=1)]
-    return tally(policy, inst, trace)
+    for item in inst.items:
+        policy.next(item)
+    return tally(policy, inst)

@@ -159,11 +159,8 @@ def doa_objective(
     """
     check_two_phase(k, omega, theta1, theta2)
     check_quota(k, n)
-    point = _program(k, n, omega, np.float64(theta1), np.float64(theta2))
-    if point is None:
-        return None
-    c, s, q, _ = point
-    return float(c), float(s), float(q)
+    cell = _least(k, n, omega, np.float64(theta1), np.float64(theta2))
+    return None if cell is None else (cell[0], cell[4], cell[5])
 
 
 # Grid points per theta axis.  Step 0.001 needs 1,000; a finer step would
@@ -236,7 +233,7 @@ def _band(k, n, omega, t1, c, grid):
 
 
 def _search(k, n, grid, omegas, best):
-    """The least (C, theta1, omega, theta2) among `best` and the grid cells
+    """The least (C, theta1, omega, theta2, s, q) among `best` and the grid cells
     at the switch points `omegas` that can still beat it: the rows with
     c1 = 1 + 2*theta1 <= C, as C >= c1 at every cell (rows with c1 equal to
     C stay for the theta1 tie-break), and on each row the `_band` columns."""
@@ -255,20 +252,20 @@ def _search(k, n, grid, omegas, best):
 
 
 def _least(k, n, omegas, t1, t2):
-    """The least (C, theta1, omega, theta2) among the feasible cells, None
-    when none is.  Each argument is a scalar or an array over the cells, in
-    (theta1, omega, theta2) order, so the first minimum of C is the least
-    of its ties."""
+    """The least (C, theta1, omega, theta2) among the feasible cells, with
+    that cell's s and q after it; None when no cell is feasible.  Each
+    argument is a scalar or an array over the cells, in (theta1, omega,
+    theta2) order, so the first minimum of C is the least of its ties."""
     point = _program(k, n, omegas, t1, t2)
     if point is None:
         return None
-    c, _, _, feasible = point
-    cmax = np.where(feasible, c, np.inf)
+    c, s, q, feasible = point
+    cmax = np.where(feasible, c, np.inf).ravel()
     i = int(np.argmin(cmax))
     if not np.isfinite(cmax[i]):
         return None
-    w, a, b = (x[i] if isinstance(x, np.ndarray) else x for x in (omegas, t1, t2))
-    return float(cmax[i]), float(a), int(w), float(b)
+    w, a, b, s, q = (x[i] if isinstance(x, np.ndarray) else x for x in (omegas, t1, t2, s, q))
+    return float(cmax[i]), float(a), int(w), float(b), float(s), float(q)
 
 
 def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
@@ -302,15 +299,12 @@ def solve_doa(k: int, n: int, step: float = 0.01) -> DoaSolution:
     # equal to it and the visiting order does not change the minimum.
     theta = soa_theta(k, n)
     omegas = np.arange(omega_lo, k + 1)
-    best = _least(k, n, omegas, theta, theta)  # (C, theta1, omega, theta2)
+    best = _least(k, n, omegas, theta, theta)  # (C, theta1, omega, theta2, s, q)
     best = _search(k, n, grid, np.array([default_switch(k)]), best)
     best = _search(k, n, grid, omegas, best)
     if best is None:
         raise SolverEmptyError(
             f"no feasible two-phase triple for k={k} n={n} step={step}"
         )
-    c, th1, omega, th2 = best
-    result = doa_objective(k, n, omega, th1, th2)
-    assert result is not None
-    _, s, q = result
+    c, th1, omega, th2, s, q = best
     return DoaSolution(omega, th1, th2, s, q, c)

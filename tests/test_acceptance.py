@@ -377,6 +377,6 @@ def test_structural_complexity():
         ok = ok and chi.shape == kappa.shape == (n + 1, k + 1)
         pol = AcceptAllPolicy(k)
         _, _, trace = run_policy(pol, inst)
-        ok = ok and len(trace) == n and pol._cursor == n
+        ok = ok and len(trace) == n and len(pol.trace) == n
     verdict("structural-complexity", ok, "memo tables (n+1) x (k+1); one decision per item")
     assert ok

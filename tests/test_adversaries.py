@@ -27,10 +27,11 @@ from kcover import (
     lb_fl_an,
     lb_fl_un,
     lb_ul_un,
+    run_policy,
     solve_offline,
 )
 from kcover import adversaries, harness, policies
-from kcover.harness import full_policy_suite, replay_game, run_game
+from kcover.harness import full_policy_suite, gen_instance, replay_game, run_game
 from kcover.instance_io import instance_to_dict
 
 
@@ -44,7 +45,7 @@ class RejectAt(Policy):
         self.skip = set(skip)
 
     def _decide(self, gain, position):
-        return position not in self.skip and self.accepted_count < self.quota
+        return position not in self.skip and len(self.accepted) < self.quota
 
 
 def ratio_of(policy, adversary):
@@ -261,6 +262,17 @@ class TestArbitraryLengthAdversary:
         _, record, inst = ratio_of(AcceptAllPolicy(2), adv)
         assert record.opt_value == pytest.approx(solve_offline(inst)[0], abs=1e-12)
 
+    def test_epsilon_whose_smallest_rung_underflows_is_refused(self):
+        # a rejection at position 1 freezes the stream on [0, eps^(k+1)]
+        with pytest.raises(ConfigError, match=r"epsilon=1e-200 underflows at k=2"):
+            adv_al(1e-200, 2, 6)
+        with pytest.raises(ConfigError, match=r"epsilon=1e-100 underflows at k=3"):
+            adv_al(1e-100, 3, 8)
+        r, record, _ = ratio_of(AcceptAllPolicy(2), adv_al(1e-100, 2, 6))
+        assert r == record.declared_bound == 1e100
+        r, _, _ = ratio_of(RejectAt(2, {1}), adv_al(1e-100, 2, 6))
+        assert r >= 1e100
+
 
 def test_adaptivity_window(rng):
     # the reaction to position p only shapes items at positions > p: two
@@ -442,9 +454,9 @@ def test_certify_reacts_once_per_distinct_decision_prefix(monkeypatch, make):
     traces, reacted = [], []
     score, react = harness._score, adversaries.Adversary.react
 
-    def recording_score(policy, inst, played, *rest):
-        traces.append(tuple(played[2]))
-        return score(policy, inst, played, *rest)
+    def recording_score(policy, *rest):
+        traces.append(tuple(policy.trace))
+        return score(policy, *rest)
 
     def counting_react(self, memory, decision, position):
         reacted.append(position)
@@ -457,6 +469,24 @@ def test_certify_reacts_once_per_distinct_decision_prefix(monkeypatch, make):
     prefixes = {t[:i] for t in traces for i in range(1, len(t) + 1)}
     assert sorted(reacted) == sorted(map(len, prefixes))
     assert len(prefixes) < sum(map(len, traces))
+
+
+@pytest.mark.parametrize("make", CONSTRUCTIONS)
+def test_policy_holds_the_record_of_its_game(make, rng):
+    # the policy is the one record of a game: run_game's record and
+    # run_policy's tally read its trace and accepts
+    adv = make()
+    suite = full_policy_suite(adv.setting.length, adv.quota, adv.n, adv.setting.m, rng)
+    for name, factory in suite:
+        live = factory()
+        record, inst = run_game(live, adv)
+        assert record.trace == [d.value for d in live.trace], name
+        assert record.accepted == tuple(live.accepted), name
+        assert live.accepted == [i for i, d in enumerate(live.trace) if d is Decision.ACCEPT]
+        replayed = factory()
+        _, accepted, trace = run_policy(replayed, inst)
+        assert trace == replayed.trace == live.trace, name
+        assert accepted == tuple(replayed.accepted) == record.accepted, name
 
 
 def test_adversary_suite_solves_each_program_once(monkeypatch):
@@ -491,6 +521,20 @@ def test_suite_without_a_feasible_program_has_no_doa(monkeypatch):
         assert "doa" not in names and "soa" in names
     assert calls == [(4, 10)]
     assert solved == {(4, 10): None}
+
+
+def test_gen_instance_checks_the_flex_cap(rng):
+    # m is the FL cap and nothing else: needed there, at most the [0, 30]
+    # target, and refused elsewhere as Setting refuses it
+    with pytest.raises(SettingError, match="FL needs a finite length cap m > 1, got None"):
+        gen_instance(rng, "FL", 5, 3)
+    with pytest.raises(SettingError, match=r"m=40.0 do not fit the \[0, 30\] target"):
+        gen_instance(rng, "FL", 5, 3, 40.0)
+    for length in ("UL", "AL", "US"):
+        with pytest.raises(SettingError, match="m is only meaningful in FL, got m=2.0"):
+            gen_instance(rng, length, 5, 3, 2.0)
+    inst = gen_instance(rng, "FL", 5, 3, 30.0)
+    assert inst.setting.m == 30.0 and all(b.parts[0].start >= 0.0 for b in inst.items)
 
 
 def test_multi_thresholds_draw_as_uniform_does():

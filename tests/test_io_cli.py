@@ -309,6 +309,19 @@ class TestCli:
         )
         assert not csv_path.exists()
 
+    def test_al_epsilon_whose_smallest_rung_underflows_exits_2(self, capsys):
+        # refused when the construction is built, before any item is played
+        game = ("run", "--policy", "accept-all", "--adversary", "al", "--k", "2")
+        assert run_cli(*game, "--epsilon", "1e-200") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: epsilon=1e-200 underflows at k=2: the smallest rung "
+            "epsilon^(k+1) rounds to 0\n"
+        )
+        assert run_cli(*game, "--epsilon", "1e-100") == 0
+        assert "ratio=1e+100" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "source",
         [(), ("--adversary", "ul-un-k2", "--instance", "inst.json")],

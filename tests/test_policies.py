@@ -37,10 +37,7 @@ class RejectAllStub(Policy):
 
 
 def feed(policy, pairs):
-    return [
-        policy.next(Batch.single(a, b), i + 1).value
-        for i, (a, b) in enumerate(pairs)
-    ]
+    return [policy.next(Batch.single(a, b)).value for a, b in pairs]
 
 
 class TestThresholdPolicy:
@@ -238,12 +235,6 @@ class TestRunPolicy:
         assert accepted == (3, 4)
         assert value == pytest.approx(2.0)
 
-    def test_out_of_turn_call(self):
-        pol = ThresholdPolicy(2, 5)
-        pol.next(Batch.single(0, 1), 1)
-        with pytest.raises(ProtocolError):
-            pol.next(Batch.single(1, 2), 3)
-
     def test_anytime_on_unknown_count(self, rng):
         inst = gen_instance(rng, "UL", 6, 3, count_setting="AN")
         value, accepted, trace = run_policy(AnytimeThresholdPolicy(3), inst)
@@ -318,18 +309,19 @@ def test_each_item_absorbed_at_most_once(monkeypatch, rng):
 
 
 def test_tally_refuses_a_trace_the_policy_did_not_play(rng):
-    # tally scores a game from the policy's own coverage state, so a trace
-    # that policy did not play is refused, not scored from the wrong state.
+    # tally scores a game from the policy's own record, so a policy that
+    # decided fewer items than the instance holds, or was reused for a
+    # second game, is refused, not scored from the wrong state.
     inst = gen_instance(rng, "UL", 8, 3)
-    played = AcceptAllPolicy(3)
-    _, _, trace = run_policy(played, inst)
-    with pytest.raises(ProtocolError, match="trace holds 3 accepts"):
-        tally(AcceptAllPolicy(3), inst, trace)
     half = AcceptAllPolicy(3)
-    half.next(inst.items[0], 1)
-    with pytest.raises(ProtocolError, match="accepted 1 items"):
-        tally(half, inst, trace)
-    assert tally(played, inst, trace)[1] == (0, 1, 2)
+    half.next(inst.items[0])
+    with pytest.raises(ProtocolError, match="decided 1 items"):
+        tally(half, inst)
+    played = AcceptAllPolicy(3)
+    assert run_policy(played, inst)[1] == (0, 1, 2)
+    assert tally(played, inst)[1] == (0, 1, 2)
+    with pytest.raises(ProtocolError, match="decided 16 items"):
+        run_policy(played, inst)
 
 
 def test_schedules_stop_at_their_last_threshold(rng):
