@@ -27,7 +27,7 @@ from .bounds import bound_table, lb_ul_un, ub_multi, ub_soa, ub_soa_an
 from .errors import ConfigError, SettingError, SolverEmptyError
 from .instance_io import instance_to_dict
 from .intervals import Batch, Instance, Setting, SubInterval, union_length
-from .offline import brute_force_offline, solve_offline
+from .offline import brute_force_offline, one_run_items, solve_offline
 from .policies import (
     AcceptAllPolicy,
     AnytimeThresholdPolicy,
@@ -78,9 +78,10 @@ class GameRecord:
 
 
 def oracle_value(inst: Instance) -> float:
-    """Offline optimum: the DP for plain sub-intervals, enumeration for
-    multi-part unit-sum batches."""
-    if all(b.is_singleton for b in inst.items):
+    """Offline optimum: the DP when every item is one run of touching parts
+    (a plain sub-interval, or unit-sum pieces that touch within EPS), the
+    enumeration when some item has two or more runs."""
+    if one_run_items(inst):
         return solve_offline(inst)[0]
     return brute_force_offline(inst)[0]
 
@@ -241,8 +242,10 @@ def _reference_optimum(inst: Instance) -> float:
 
 
 def verify_oracle(trials: int, max_n: int, seed: int) -> Iterator[Row]:
-    """DP vs enumeration on random instances of every setting; multi-part
-    instances, which the DP refuses, against :func:`_reference_optimum`."""
+    """Enumeration vs the DP on random instances of every setting, on every
+    instance the DP takes (each item one run of touching parts); instances
+    with an item of several runs, which the DP refuses, against
+    :func:`_reference_optimum`."""
     rng = random.Random(seed)
     settings = [("UL", None), ("FL", 1.5), ("FL", 2.0), ("FL", 5.0), ("AL", None), ("US", None)]
     for length, m in settings:
@@ -254,7 +257,7 @@ def verify_oracle(trials: int, max_n: int, seed: int) -> Iterator[Row]:
             inst = gen_instance(rng, length, n, k, m)
             bf = brute_force_offline(inst)[0]
             # (payload key, value) to compare with the enumeration.
-            if all(b.is_singleton for b in inst.items):
+            if one_run_items(inst):
                 key, value = "dp", solve_offline(inst)[0]
             else:
                 key, value = "reference", _reference_optimum(inst)
@@ -306,29 +309,33 @@ def full_policy_suite(
     return suite
 
 
-def _certify(adv: Adversary, label: str, rng: random.Random, solved: dict) -> Row:
+def _certify(adv: Adversary, label: str, rng: random.Random, solved: dict,
+             opts: dict) -> Row:
     """Play one construction against the certification suite built for its
     own setting, quota and release count: does every policy's ratio reach
     the declared bound?
 
     The suite plays one decision tree (:func:`_play`): the adversary reacts
     once per distinct decision prefix, as its next item depends only on the
-    earlier decisions (``STREAM_DIGEST`` pins the streams)."""
+    earlier decisions (``STREAM_DIGEST`` pins the streams).  `solved` is
+    :func:`full_policy_suite`'s memo, and `opts` memoises the offline
+    optimum per (quota, runs of each item), which is all it depends on."""
     declared = adv.declared_bound
     suite = full_policy_suite(
         adv.setting.length, adv.quota, adv.n, adv.setting.m, rng, solved=solved
     )
     policies = [factory() for _, factory in suite]
     worst_slack, bad = float("inf"), None
-    # Policies that decide alike share an instance, and instances with the
-    # same items share an optimum: each is found once.
-    opts: dict[tuple[Batch, ...], float] = {}
+    # Policies that decide alike share an instance, and instances whose
+    # items have the same runs share an optimum at one quota: each is found
+    # once.
     opt_of: dict[int, float] = {}
     for (pname, _), policy, inst in zip(suite, policies, _play(policies, adv)):
         if id(inst) not in opt_of:
-            if inst.items not in opts:
-                opts[inst.items] = oracle_value(inst)
-            opt_of[id(inst)] = opts[inst.items]
+            key = inst.quota, tuple(tuple(b.runs()) for b in inst.items)
+            if key not in opts:
+                opts[key] = oracle_value(inst)
+            opt_of[id(inst)] = opts[key]
         record = _score(
             policy, inst, opt_of[id(inst)], adv.name, adv.describe(), declared
         )
@@ -349,8 +356,11 @@ def verify_adversaries(
     k_range: tuple[int, int], n_range: tuple[int, int], seed: int
 ) -> Iterator[Row]:
     """Every bound construction forces its declared ratio on the test suite."""
-    # one solve_doa per (k, n): the chain, flex and unit-sum rows share it
-    certify = functools.partial(_certify, rng=random.Random(seed), solved={})
+    # One solve_doa per (k, n), which the chain, flex and unit-sum rows
+    # share, and one optimum per (quota, item runs): a unit-sum row's items
+    # are the chain row's units cut into touching thirds, so it reuses the
+    # chain row's optima.
+    certify = functools.partial(_certify, rng=random.Random(seed), solved={}, opts={})
     klo, khi = k_range
     nlo, nhi = n_range
     if klo <= 2 <= khi:
@@ -426,8 +436,9 @@ def check_verify_args(
         raise ConfigError(
             f"k={klo}..{khi} n={n_range[0]}..{nhi} holds no quota with 2 <= k <= n-1"
         )
-    # Unit-sum rows (k >= 3, k+1 <= n) run up to n = nhi, and their optimum
-    # is found by enumeration.
+    # Unit-sum rows (k >= 3, k+1 <= n) run up to n = nhi.  Their items are
+    # one run each, so the DP scores them at any n; the guard still caps
+    # them at the enumeration's n until the verify grid is sized past it.
     if nhi > offline._MAX_N and max(klo, 3) <= min(khi, nhi - 1):
         raise ConfigError(
             f"--n {n_range[0]}..{nhi} reaches n={nhi}, but the unit-sum rows "

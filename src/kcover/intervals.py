@@ -78,6 +78,22 @@ class Batch:
     def is_singleton(self) -> bool:
         return len(self.parts) == 1
 
+    def runs(self) -> list[tuple[float, float]]:
+        """(start, end) of each run of touching parts, left to right: in
+        (start, end) order, a part starting at most EPS past the greatest
+        end of the run before it joins that run, as :func:`prefix_unions`
+        merges pieces.  Touching parts cover the one interval of their run,
+        so a batch of one run places and scores as that interval.  Computed
+        per call under the EPS in force, never cached."""
+        eps = numeric.EPS
+        runs: list[tuple[float, float]] = []
+        for a, e in sorted((p.start, p.end) for p in self.parts):
+            if runs and a <= runs[-1][1] + eps:
+                runs[-1] = (runs[-1][0], max(runs[-1][1], e))
+            else:
+                runs.append((a, e))
+        return runs
+
     def __repr__(self) -> str:
         return "Batch(" + ", ".join(repr(p) for p in self.parts) + ")"
 
@@ -179,20 +195,26 @@ class CoverageState:
     def place(self, batch: Batch):
         """(gain, splice): the covered length `batch` would add, and the
         splice that :meth:`apply` absorbs it with while this state is
-        unchanged.  A one-part batch builds no state: the new total is
-        summed from the splice point with :meth:`apply`'s additions, in one
-        C-level ``reduce`` over the components right of the part (none for
-        a part right of them all), so the gain is the change of
-        ``total_len`` bit for bit.  A multi-part batch's splice is a copy
-        with its parts applied in turn."""
+        unchanged.  A batch of one run (:meth:`Batch.runs`), one part or
+        several touching ones, builds no state: it is placed as its run's
+        interval, whose splice is the one its parts applied in turn end
+        with, and the new total is summed from the splice point with
+        :meth:`apply`'s additions, in one C-level ``reduce`` over the
+        components right of the run (none for a run right of them all), so
+        the gain is the change of ``total_len`` bit for bit.  A batch of
+        several runs is spliced as a copy with its runs applied in turn."""
         parts, sums = batch.parts, self.sums
         if len(parts) > 1:
-            new = self.copy()
-            for p in parts:
-                new.apply(new._locate(p.start, p.end))
-            return new.sums[-1] - sums[-1], new
-        (p,) = parts
-        splice = lo, hi, a, b = self._locate(p.start, p.end)
+            (a, b), *rest = runs = batch.runs()
+            if rest:
+                new = self.copy()
+                for a, b in runs:
+                    new.apply(new._locate(a, b))
+                return new.sums[-1] - sums[-1], new
+        else:
+            (p,) = parts
+            a, b = p.start, p.end
+        splice = lo, hi, a, b = self._locate(a, b)
         total = sums[lo] + (b - a)
         if hi < len(sums) - 1:
             total = reduce(add, map(sub, self.ends[hi:], self.starts[hi:]), total)

@@ -1,10 +1,13 @@
 """Exact offline baselines: a dynamic program over end-sorted items and a
 subset-enumeration oracle used to verify it.
 
-The DP processes sub-intervals in non-decreasing end order.  For each item
-it knows the deepest-overlapping predecessor (the intersecting item with
-the left-most start) and the nearest disjoint predecessor, and combines two
-value tables.  Items intersect when they touch within EPS, as
+The DP takes each item as one interval: its one part, or the run its
+touching parts form (:meth:`~kcover.intervals.Batch.runs`), which covers
+the same length; items of several runs are refused.  It processes the
+items in non-decreasing end order.  For each item it knows the
+deepest-overlapping predecessor (the intersecting item with the left-most
+start) and the nearest disjoint predecessor, and combines two value
+tables.  Items intersect when they touch within EPS, as
 :func:`~kcover.intervals.union_length` merges pieces.
 
 * ``chi[i][j]``   -- best coverage using at most j accepts from the first i
@@ -29,14 +32,15 @@ contiguous per column, and handed out as float64 ``.T`` views indexed
 ``[i][j]``.  IEEE add and max are exact, so every cell equals what a
 cell-by-cell loop computes.
 
-The enumeration oracle merges each item's own touching parts, sorts all
-parts of all items once and scores a block of subsets at a time: each row
-merges the parts its subset keeps with numpy operations over all rows.  It
-finds the components ``union_length`` finds and adds their lengths in the
-same left-to-right order, so every score equals ``union_length`` of that
-subset bit for bit; the first maximum in ``itertools.combinations`` order
-wins, as in a plain loop over subsets.  Blocks hold at most
-``_BLOCK_ROWS`` subsets, so memory does not grow with C(n, k).
+The enumeration oracle merges each item's own touching parts into runs, as
+the DP does, sorts all runs of all items once and scores a block of
+subsets at a time: each row merges the runs its subset keeps with numpy
+operations over all rows.  It finds the components ``union_length`` finds
+and adds their lengths in the same left-to-right order, so every score
+equals ``union_length`` of that subset bit for bit; the first maximum in
+``itertools.combinations`` order wins, as in a plain loop over subsets.
+Blocks hold at most ``_BLOCK_ROWS`` subsets, so memory does not grow with
+C(n, k).
 """
 
 from __future__ import annotations
@@ -52,40 +56,54 @@ import numpy as np
 
 from . import numeric
 from .errors import SettingError, SizeGuardError
-from .intervals import Instance, off_unit_length, prefix_unions, union_length
+from .intervals import Instance, SubInterval, off_unit_length, prefix_unions, union_length
 
 
 @dataclass(frozen=True)
 class SortedInstance:
-    """Items of a singleton-batch instance, sorted by (end, start, index)."""
+    """Items of a one-run instance, each as its run's interval, sorted by
+    (end, start, index)."""
 
     order: list[int]            # sorted position -> original index
     starts: list[float]         # in sorted order
     ends: list[float]
 
 
-def _refuse_batches(inst: Instance, caller: str) -> None:
-    """Refuse multi-part batches; `caller` is named in the error."""
+def _one_runs(inst: Instance, caller: str) -> list[tuple[float, float]]:
+    """Each item's one run of touching parts
+    (:meth:`~kcover.intervals.Batch.runs`), the interval the DP takes for
+    it; an item of several runs is refused, with `caller` named in the
+    error."""
+    ivs = []
     for i, b in enumerate(inst.items):
-        if not b.is_singleton:
+        runs = b.runs()
+        if len(runs) > 1:
             raise SettingError(
-                f"{caller} works on plain sub-intervals; items[{i}] is a "
-                "multi-part batch -- use brute_force_offline for unit-sum input"
+                f"{caller} takes items whose parts touch; items[{i}] has "
+                f"{len(runs)} runs of touching parts -- use brute_force_offline for it"
             )
+        ivs.extend(runs)
+    return ivs
+
+
+def one_run_items(inst: Instance) -> bool:
+    """Whether :func:`solve_offline` takes `inst`: every item is one run of
+    touching parts."""
+    return all(b.is_singleton or len(b.runs()) == 1 for b in inst.items)
 
 
 def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
-    """The sorted items; `caller` is named in the multi-part batch error.
+    """The sorted items; `caller` is named in the multi-run item error.
 
-    One pass takes each item's one part, and fails on a multi-part batch.
-    ``np.lexsort`` is stable, so items with equal (end, start) keep their
-    release order, the index tie-break.
+    One pass takes each item's one part; only where some item has several
+    parts are the items taken as their runs instead, so a singleton
+    instance pays nothing per item.  ``np.lexsort`` is stable, so items
+    with equal (end, start) keep their release order, the index tie-break.
     """
     try:
         ivs = [part for (part,) in [b.parts for b in inst.items]]
     except ValueError:
-        _refuse_batches(inst, caller)
-        raise
+        ivs = [SubInterval(a, e) for a, e in _one_runs(inst, caller)]
     starts = np.array([p.start for p in ivs])
     ends = np.array([p.end for p in ivs])
     order = np.lexsort((starts, ends))
@@ -189,8 +207,11 @@ def solve_offline(
 ) -> tuple[float, tuple[int, ...]]:
     """Optimal coverage with at most `quota` accepts, plus achieving indices.
 
-    Works for any singleton-batch instance (UL, FL, AL).  Multi-part
-    unit-sum batches are rejected; use :func:`brute_force_offline` there.
+    Works for any instance whose items are each one run of touching parts
+    (:meth:`~kcover.intervals.Batch.runs`): every UL, FL and AL instance,
+    and unit-sum ones whose pieces touch within EPS.  An item's run is the
+    interval it covers, so the DP scores the item as that interval.  Items
+    of several runs are refused; use :func:`brute_force_offline` there.
     """
     q = _quota(inst, quota)
     if q == 0:
@@ -232,13 +253,12 @@ def solve_offline_unit(
     inst: Instance, quota: Optional[int] = None
 ) -> tuple[float, tuple[int, ...]]:
     """The offline optimum of a unit-length instance: :func:`solve_offline`,
-    after refusing multi-part batches and items that are not unit-length."""
-    _refuse_batches(inst, "solve_offline_unit")
-    for i, b in enumerate(inst.items):
-        if off_unit_length(b.parts[0].length, b.parts[0].end):
+    after refusing items of several runs and runs that are not unit-length."""
+    for i, (a, e) in enumerate(_one_runs(inst, "solve_offline_unit")):
+        if off_unit_length(e - a, e):
             raise SettingError(
                 f"solve_offline_unit needs unit-length items; items[{i}] has "
-                f"length {b.parts[0].length!r}"
+                f"length {e - a!r}"
             )
     # bench/workloads.py and bench/tracer.py still call this name
     return solve_offline(inst, quota)
@@ -317,10 +337,9 @@ def _block_totals(keep: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
 
 def _merged_parts(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Starts, ends and owning items of the parts the enumeration scores,
-    sorted by (start, end, owner).  Each item's own parts are merged first
-    where they touch within EPS (in (start, end) order, a part starting at
-    most EPS past the run's greatest end joins the run), as
-    :func:`~kcover.intervals.prefix_unions` merges pieces.
+    sorted by (start, end, owner): each item's runs of touching parts
+    (:meth:`~kcover.intervals.Batch.runs`), the rule the DP and the
+    coverage state merge an item's parts by.
 
     A merged run lies inside one component of every subset that keeps its
     item, and that component has the same least start and greatest end: no
@@ -330,17 +349,7 @@ def _merged_parts(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     :func:`_block_totals` gives the same totals bit for bit with fewer
     ``+ 0.0`` terms.
     """
-    eps = numeric.EPS
-    parts = []
-    for i, b in enumerate(inst.items):
-        runs: list[list[float]] = []
-        for a, e in sorted((p.start, p.end) for p in b.parts):
-            if runs and a <= runs[-1][1] + eps:
-                runs[-1][1] = max(runs[-1][1], e)
-            else:
-                runs.append([a, e])
-        parts.extend((a, e, i) for a, e in runs)
-    parts.sort()
+    parts = sorted((a, e, i) for i, b in enumerate(inst.items) for a, e in b.runs())
     return tuple(np.array(col) for col in zip(*parts))
 
 

@@ -362,25 +362,35 @@ def test_item_streams_golden():
 
 
 def test_certify_scores_each_distinct_game_once(monkeypatch):
-    # Policies that decide alike realise the same instance; the adversary
-    # suite runs the offline oracle once per distinct game, not per policy.
+    # Policies that decide alike realise the same instance, and instances
+    # whose items have the same runs of touching parts have the same
+    # optimum: the adversary suite runs the offline oracle once per distinct
+    # (quota, item runs), across constructions.  The unit-sum rows' items are
+    # the chain rows' units cut into touching thirds, so they reuse the
+    # chain rows' optima, and the oracle runs fewer times than there are
+    # distinct games.
     games, solved = [], []
     score, oracle = harness._score, harness.oracle_value
 
+    def runs(inst):
+        return inst.quota, tuple(tuple(b.runs()) for b in inst.items)
+
     def counting_score(policy, inst, *rest):
-        games.append((inst.quota, inst.items))
+        games.append(inst)
         return score(policy, inst, *rest)
 
     def counting_oracle(inst):
-        solved.append((inst.quota, inst.items))
+        solved.append(runs(inst))
         return oracle(inst)
 
     monkeypatch.setattr(harness, "_score", counting_score)
     monkeypatch.setattr(harness, "oracle_value", counting_oracle)
     rows = list(harness.verify_adversaries((2, 4), (5, 7), seed=7))
     assert all(ok for ok, *_ in rows)
-    assert len(solved) == len(set(games)) < len(games)
-    assert len(set(solved)) == len(solved)
+    assert any(label.startswith("unit-sum-adversary") for _, label, *_ in rows)
+    distinct = {(inst.quota, inst.items) for inst in games}
+    assert len(set(solved)) == len(solved) == len({runs(inst) for inst in games})
+    assert len(solved) < len(distinct) < len(games)
 
 
 # One construction of each kind, at sizes where the suite's policies split
@@ -441,7 +451,7 @@ def test_certify_matches_a_plain_run_game_loop(monkeypatch, make, reverse):
             adv.declared_bound = bound
             return adv
 
-        got = harness._certify(raised(), "row", random.Random(11), {})
+        got = harness._certify(raised(), "row", random.Random(11), {}, {})
         assert got == plain_certify(raised, "row", random.Random(11), {})
         firsts.add(got[3] and got[3]["policy"])
     assert None in firsts and len(firsts) >= 2  # passes and failures both
@@ -464,7 +474,7 @@ def test_certify_reacts_once_per_distinct_decision_prefix(monkeypatch, make):
 
     monkeypatch.setattr(harness, "_score", recording_score)
     monkeypatch.setattr(adversaries.Adversary, "react", counting_react)
-    ok, *_ = harness._certify(make(), "row", random.Random(7), {})
+    ok, *_ = harness._certify(make(), "row", random.Random(7), {}, {})
     assert ok
     prefixes = {t[:i] for t in traces for i in range(1, len(t) + 1)}
     assert sorted(reacted) == sorted(map(len, prefixes))
@@ -554,7 +564,7 @@ def test_verify_rows_certify_only_quotas_in_the_k_range(monkeypatch, k_range, n_
     # lies in the k range, and every quota in it that some n admits has rows
     quotas = []
 
-    def certify(adversary, label, rng, solved):
+    def certify(adversary, label, rng, solved, opts):
         quotas.append(adversary.quota)
         return True, label, "", None
 

@@ -309,6 +309,43 @@ def test_absorb_matches_sort_and_sweep_bit_for_bit(bs, rnd):
             check_against_sweep(bs)
 
 
+@pytest.mark.parametrize("eps", [None, 0.0, 0.5])
+def test_one_run_batch_places_as_one_splice(monkeypatch, rng, eps):
+    # a batch whose parts touch within EPS is placed as its run's interval:
+    # place returns a splice, not a state, whose gain and resulting state
+    # are those of its parts applied one by one to a copy, bit for bit; a
+    # batch of two or more runs is still spliced as a state.  Each part
+    # starts 0, EPS/2, or EPS (give or take one ulp) past the one before.
+    if eps is not None:
+        monkeypatch.setattr(numeric, "EPS", eps)
+    e = numeric.EPS
+    kinds = set()
+    for _ in range(300):
+        state = CoverageState.empty()
+        for _ in range(rng.randint(0, 6)):
+            a = rng.uniform(0.0, 8.0)
+            state.add(single(a, a + rng.uniform(0.05, 1.5)))
+        cursor, parts = rng.uniform(0.0, 8.0), []
+        for _ in range(rng.randint(2, 4)):
+            edge = cursor + e
+            start = rng.choice([cursor, cursor + e / 2, edge, math.nextafter(edge, math.inf),
+                                max(cursor, math.nextafter(edge, -math.inf))])
+            cursor = start + rng.uniform(0.05, 0.5)
+            parts.append(iv(start, cursor))
+        b = Batch(tuple(parts))
+        ref = state.copy()
+        for p in parts:
+            ref.apply(ref._locate(p.start, p.end))
+        gain, splice = state.place(b)
+        one_run = len(b.runs()) == 1
+        kinds.add(one_run)
+        assert (type(splice) is tuple) == one_run
+        assert float(gain).hex() == float(ref.total_len - state.total_len).hex()
+        state.apply(splice)
+        assert bits(state) == bits(ref)
+    assert kinds == {True, False}
+
+
 def test_many_disjoint_items():
     state = CoverageState.empty()
     total, x = 0.0, 0.0

@@ -165,6 +165,21 @@ class TestCli:
         replay = read_instance(saved)
         assert replay.n == 10
 
+    def test_run_unit_sum_game_past_the_enumeration_guard(self, tmp_path, capsys):
+        # the unit-sum construction's thirds touch, so each item is one run
+        # and the DP scores the game at n = 40, past the enumeration's 20;
+        # its optimum is the chain game's, whose items are those runs
+        opts = {}
+        for name in ("us-un", "ul-un-general"):
+            rec = tmp_path / f"{name}.json"
+            code = run_cli(
+                "run", "--policy", "soa", "--adversary", name, "--k", "5", "--n", "40",
+                "--out", str(rec),
+            )
+            assert code == 0, capsys.readouterr().err
+            opts[name] = json.loads(rec.read_text())["opt_value"]
+        assert opts["us-un"] == opts["ul-un-general"]
+
     def test_run_instance_file(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         write_instance(make_instance(), path)

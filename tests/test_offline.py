@@ -88,8 +88,8 @@ class TestSolveOffline:
             with pytest.raises(SettingError) as exc:
                 solve(inst)
             assert str(exc.value) == (
-                f"{name} works on plain sub-intervals; items[0] is a multi-part "
-                "batch -- use brute_force_offline for unit-sum input"
+                f"{name} takes items whose parts touch; items[0] has 2 runs of "
+                "touching parts -- use brute_force_offline for it"
             )
 
 
@@ -393,6 +393,51 @@ def test_dp_matches_enumeration_at_large_eps(monkeypatch, rng, eps):
             assert union_length([inst.items[i] for i in picks]) == pytest.approx(
                 value, abs=1e-9
             )
+
+
+def one_run_us_instance(rng, gaps):
+    """A unit-sum instance of at most 12 items, each cut into 1-3
+    stick-broken pieces whose gaps are drawn from `gaps`."""
+    n, k = random_nk(rng, 12)
+    items = []
+    for _ in range(n):
+        weights = [rng.uniform(0.2, 1.0) for _ in range(rng.randint(1, 3))]
+        cursor, pieces = rng.uniform(0.0, 10.0), []
+        for w in weights:
+            start = cursor + (rng.choice(gaps) if pieces else 0.0)
+            cursor = start + w / sum(weights)
+            pieces.append((start, cursor))
+        items.append(batch(*pieces))
+    return Instance(12.0, k, Setting("US", "UN"), tuple(items))
+
+
+@pytest.mark.parametrize("eps", [None, 0.3])
+def test_dp_takes_one_run_unit_sum_items(monkeypatch, rng, eps):
+    # pieces that touch within EPS form one run, the one interval they
+    # cover: the DP scores each such item as its run and must agree with
+    # the enumeration, its picks must cover its value, and an item of two
+    # runs is refused by its index
+    if eps is not None:
+        monkeypatch.setattr(numeric, "EPS", eps)
+    e = numeric.EPS
+    for _ in range(200):
+        inst = one_run_us_instance(rng, [0.0, e / 2, e])
+        assert offline.one_run_items(inst)
+        for quota in (inst.quota, rng.randint(1, inst.n)):
+            value, picks = solve_offline(inst, quota)
+            assert value == pytest.approx(brute_force_offline(inst, quota)[0], abs=1e-9)
+            assert union_length([inst.items[i] for i in picks]) == pytest.approx(
+                value, abs=1e-9
+            )
+    split = batch((0.0, 0.5), (0.6 + 2 * e, 1.1 + 2 * e))
+    inst = replace(inst, items=inst.items + (split,))
+    assert not offline.one_run_items(inst)
+    with pytest.raises(SettingError) as exc:
+        solve_offline(inst)
+    assert str(exc.value) == (
+        f"solve_offline takes items whose parts touch; items[{inst.n - 1}] has 2 "
+        "runs of touching parts -- use brute_force_offline for it"
+    )
 
 
 def milp_offline(inst, quota):
