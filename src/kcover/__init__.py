@@ -49,8 +49,6 @@ from .intervals import (
     Instance,
     Setting,
     SubInterval,
-    absorb,
-    added_length,
     union_length,
 )
 from .offline import brute_force_offline, build_predecessors, solve_offline

@@ -89,6 +89,14 @@ def _multi_threshold(k, n, setting, m, thresholds):
     return MultiThresholdPolicy(check_schedule(thresholds, k))
 
 
+def _two_phase(k, n, setting, m, **triple):
+    if setting == "AL" and triple["theta1"] is None:
+        raise ConfigError(
+            "no default two-phase triple exists for arbitrary lengths; pass theta1 and theta2"
+        )
+    return TwoPhaseThresholdPolicy(k, n, **triple)
+
+
 # Policy builders take the game's k, n, length setting and m first; a None
 # default leaves the choice to the policy.
 _POLICIES = {
@@ -96,8 +104,7 @@ _POLICIES = {
             lambda k, n, setting, m, theta: ThresholdPolicy(k, n, theta, setting, m)),
     "soa-an": ({"theta": None},
                lambda k, n, setting, m, theta: AnytimeThresholdPolicy(k, theta, setting, m)),
-    "doa": ({"theta1": None, "theta2": None, "omega": None},
-            lambda k, n, setting, m, **triple: TwoPhaseThresholdPolicy(k, n, **triple)),
+    "doa": ({"theta1": None, "theta2": None, "omega": None}, _two_phase),
     "accept-all": ({}, lambda k, n, setting, m: AcceptAllPolicy(k)),
     "reject-until-forced": ({}, lambda k, n, setting, m: RejectUntilForcedPolicy(k, n)),
     "multi-threshold": ({"thresholds": None}, _multi_threshold),

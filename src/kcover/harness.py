@@ -274,7 +274,6 @@ def full_policy_suite(
     n: Optional[int],
     m: Optional[float],
     rng: random.Random,
-    multis: int = 3,
     solved: Optional[dict] = None,
 ) -> list[tuple[str, Callable[[], Policy]]]:
     """Factories for the certification test suite, one fresh policy per game.
@@ -303,7 +302,7 @@ def full_policy_suite(
             suite.append(("doa", lambda: TwoPhaseThresholdPolicy(**config)))
     suite.append(("accept-all", lambda: AcceptAllPolicy(k)))
     suite.append(("reject-until-forced", lambda: RejectUntilForcedPolicy(k, n)))
-    for i in range(multis):
+    for i in range(3):
         t = tuple(random_multi_thresholds(rng, k))
         suite.append((f"multi-{i}", lambda t=t: MultiThresholdPolicy(t)))
     return suite
@@ -312,8 +311,8 @@ def full_policy_suite(
 def _certify(adv: Adversary, label: str, rng: random.Random, solved: dict,
              opts: dict) -> Row:
     """Play one construction against the certification suite built for its
-    own setting, quota and release count: does every policy's ratio reach
-    the declared bound?
+    own setting, quota and release count (none when the count is unknown,
+    AN): does every policy's ratio reach the declared bound?
 
     The suite plays one decision tree (:func:`_play`): the adversary reacts
     once per distinct decision prefix, as its next item depends only on the
@@ -321,8 +320,9 @@ def _certify(adv: Adversary, label: str, rng: random.Random, solved: dict,
     :func:`full_policy_suite`'s memo, and `opts` memoises the offline
     optimum per (quota, runs of each item), which is all it depends on."""
     declared = adv.declared_bound
+    n = adv.n if adv.setting.count == "UN" else None
     suite = full_policy_suite(
-        adv.setting.length, adv.quota, adv.n, adv.setting.m, rng, solved=solved
+        adv.setting.length, adv.quota, n, adv.setting.m, rng, solved=solved
     )
     policies = [factory() for _, factory in suite]
     worst_slack, bad = float("inf"), None
@@ -417,7 +417,8 @@ def check_verify_args(
 ) -> None:
     """Refuse verify arguments that would make a suite empty or invalid:
     unknown suites, then the flags each chosen suite reads (`trials` and
-    `max_n` the oracle suite, `k_range` and `n_range` the adversary suite)."""
+    `max_n` the oracle suite, `k_range` and `n_range` the adversary suite).
+    The DP scores every construction, so only `max_n` meets the size guard."""
     for name in suites:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}, choose from {', '.join(SUITES)}")
@@ -435,14 +436,6 @@ def check_verify_args(
     if max(klo, 2) > min(khi, nhi - 1):
         raise ConfigError(
             f"k={klo}..{khi} n={n_range[0]}..{nhi} holds no quota with 2 <= k <= n-1"
-        )
-    # Unit-sum rows (k >= 3, k+1 <= n) run up to n = nhi.  Their items are
-    # one run each, so the DP scores them at any n; the guard still caps
-    # them at the enumeration's n until the verify grid is sized past it.
-    if nhi > offline._MAX_N and max(klo, 3) <= min(khi, nhi - 1):
-        raise ConfigError(
-            f"--n {n_range[0]}..{nhi} reaches n={nhi}, but the unit-sum rows "
-            f"enumerate subsets only up to n={offline._MAX_N}"
         )
 
 

@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Seeds are fixed; everything here is deterministic.
 """
 
+import collections
 import hashlib
-import json
 import random
 import statistics
 import subprocess
@@ -31,8 +31,8 @@ from kcover import (
     ub_soa,
     ub_soa_an,
 )
+from kcover import harness
 from kcover.harness import (
-    full_policy_suite,
     gen_instance,
     oracle_value,
     random_multi_thresholds,
@@ -43,7 +43,7 @@ from kcover.harness import (
     verify_oracle,
 )
 from kcover.numeric import EPS
-from kcover.policies import MultiThresholdPolicy, run_policy
+from kcover.policies import run_policy
 
 SEED = 20260808
 TOL = 1e-6
@@ -77,63 +77,63 @@ def test_oracle_equivalence():
     assert elapsed < 60.0
 
 
-def test_quota_two_adversary_certification():
-    rng = random.Random(SEED + 1)
-    failures = []
-    games = 0
-    for n in (5, 10, 50):
-        suite = full_policy_suite("UL", 2, n, None, rng, multis=20)
-        for name, factory in suite:
-            adv = adv_ul_un_k2(n)
-            record, _ = run_game(factory(), adv)
-            games += 1
-            if record.ratio_or_inf < adv.declared_bound - TOL:
-                failures.append((name, n, record.ratio))
-    ok = not failures
+def certify(cases, seed, monkeypatch):
+    """Certify each (label, construction, bound) through the verify suite's
+    own ``harness._certify``, with one rng and one `solved` and `opts` memo
+    for the whole test, after checking that the construction declares that
+    bound.  Returns the failed rows and the games played per policy name."""
+    games = collections.Counter()
+    score = harness._score
+
+    def counting_score(policy, *rest):
+        games[policy.name] += 1
+        return score(policy, *rest)
+
+    monkeypatch.setattr(harness, "_score", counting_score)
+    rng, solved, opts = random.Random(seed), {}, {}
+    failed = []
+    for label, adv, bound in cases:
+        assert adv.declared_bound == bound, label
+        row = harness._certify(adv, label, rng, solved, opts)
+        if not row[0]:
+            failed.append(row)
+    return failed, games
+
+
+def test_quota_two_adversary_certification(monkeypatch):
+    cases = [(f"n={n}", adv_ul_un_k2(n), lb_ul_un(2, n)) for n in range(3, 51)]
+    failed, games = certify(cases, SEED + 1, monkeypatch)
+    multi = games["multi-threshold"]
     verdict(
         "quota-two-adversary",
-        ok,
-        f"{games} games vs sqrt(2), failures={failures}",
+        not failed and multi >= 60,
+        f"{sum(games.values())} games ({multi} multi-threshold) vs sqrt(2), "
+        f"failures={[row[1] for row in failed]}",
     )
-    assert not failures
+    assert not failed, failed[:3]
+    assert multi >= 60
 
 
-def test_general_adversary_certification():
-    rng = random.Random(SEED + 2)
-    failures = []
-    games = 0
+def test_general_adversary_certification(monkeypatch):
+    cases = []
     for k in range(3, 9):
         for n in range(k + 1, 15):
-            suite = full_policy_suite("UL", k, n, None, rng)
-            for name, factory in suite:
-                adv = adv_ul_un_general(k, n)
-                record, _ = run_game(factory(), adv)
-                games += 1
-                if record.ratio_or_inf < lb_ul_un(k, n) - TOL:
-                    failures.append(("UL", name, k, n, record.ratio))
+            cases.append((f"UL k={k} n={n}", adv_ul_un_general(k, n), lb_ul_un(k, n)))
             for m in (2.0, 5.0):
-                suite = full_policy_suite("FL", k, n, m, rng)
-                for name, factory in suite:
-                    adv = adv_fl_un(k, n, m)
-                    record, _ = run_game(factory(), adv)
-                    games += 1
-                    if record.ratio_or_inf < lb_fl_un(k, n, m) - TOL:
-                        failures.append(("FL", name, k, n, m, record.ratio))
+                cases.append(
+                    (f"FL k={k} n={n} m={m:g}", adv_fl_un(k, n, m), lb_fl_un(k, n, m))
+                )
             for parts in (1, 3):
-                suite = full_policy_suite("US", k, n, None, rng)
-                for name, factory in suite:
-                    adv = adv_us_un(k, n, parts)
-                    record, _ = run_game(factory(), adv)
-                    games += 1
-                    if record.ratio_or_inf < lb_us_un(k, n) - TOL:
-                        failures.append(("US", name, k, n, parts, record.ratio))
-    ok = not failures
+                cases.append(
+                    (f"US k={k} n={n} parts={parts}", adv_us_un(k, n, parts), lb_us_un(k, n))
+                )
+    failed, games = certify(cases, SEED + 2, monkeypatch)
     verdict(
         "general-adversary",
-        ok,
-        f"{games} games over k=3..8, n=k+1..14, failures={len(failures)}",
+        not failed,
+        f"{sum(games.values())} games over k=3..8, n=k+1..14, failures={len(failed)}",
     )
-    assert not failures, failures[:5]
+    assert not failed, failed[:5]
 
 
 def test_threshold_policy_upper_bound_compliance():
@@ -193,26 +193,17 @@ def test_threshold_policy_upper_bound_compliance():
     assert not failures
 
 
-def test_arbitrary_length_unboundedness():
-    rng = random.Random(SEED + 4)
+def test_arbitrary_length_unboundedness(monkeypatch):
     epsilon = 1e-3
-    failures = []
-    games = 0
-    for k in (2, 3, 5):
-        n = 2 * k + 2
-        for name, factory in full_policy_suite("AL", k, n, None, rng):
-            adv = adv_al(epsilon, k, n)
-            record, _ = run_game(factory(), adv)
-            games += 1
-            if record.ratio_or_inf < 1.0 / epsilon - TOL:
-                failures.append((name, k, record.ratio))
-    ok = not failures
+    cases = [(f"k={k}", adv_al(epsilon, k, 2 * k + 2), 1.0 / epsilon) for k in (2, 3, 5)]
+    failed, games = certify(cases, SEED + 4, monkeypatch)
     verdict(
         "arbitrary-length-unbounded",
-        ok,
-        f"{games} games forced past {1/epsilon:g}, failures={failures}",
+        not failed,
+        f"{sum(games.values())} games forced past {1/epsilon:g}, "
+        f"failures={[row[1] for row in failed]}",
     )
-    assert not failures
+    assert not failed, failed
 
 
 def test_figure_sweep_reproduction(sweep_result):

@@ -16,11 +16,9 @@ from kcover import (
     StructureError,
     SettingError,
     SubInterval,
-    absorb,
-    added_length,
     union_length,
 )
-from kcover.intervals import prefix_unions
+from kcover.intervals import absorb, added_length, prefix_unions
 from kcover.offline import solve_offline_unit
 
 

@@ -180,6 +180,21 @@ class TestCli:
             opts[name] = json.loads(rec.read_text())["opt_value"]
         assert opts["us-un"] == opts["ul-un-general"]
 
+    def test_run_doa_on_arbitrary_lengths_needs_thetas(self, capsys):
+        # solve_doa's triple is a unit-length program: AL has none, as soa
+        # has no default theta there
+        assert run_cli("run", "--policy", "doa", "--adversary", "al", "--k", "2") == 2
+        assert capsys.readouterr().err == (
+            "error: no default two-phase triple exists for arbitrary lengths; "
+            "pass theta1 and theta2\n"
+        )
+        code = run_cli(
+            "run", "--policy", "doa", "--adversary", "al", "--k", "2",
+            "--theta1", "0.3", "--theta2", "0.6",
+        )
+        assert code == 0
+        assert "policy=doa source=al" in capsys.readouterr().out
+
     def test_run_instance_file(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         write_instance(make_instance(), path)
@@ -522,34 +537,43 @@ class TestCli:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "k_range, n_range", [("3..3", "21..21"), ("2..5", "19..21"), ("3..30", "4..25")]
+        "k_range, n_range",
+        [("3..3", "19..21"), ("3..3", "21..21"), ("2..5", "19..21"), ("3..30", "4..25")],
     )
-    def test_verify_n_past_the_enumeration_guard_exits_2(self, k_range, n_range, tmp_path,
-                                                         capsys):
-        # a unit-sum row with n > 20 would be enumerated: refused before the
-        # out directory is made and before any suite runs
-        out = tmp_path / "d"
-        code = run_cli(
-            "verify", "--suite", "adversary", "--k", k_range, "--n", n_range,
-            "--trials", "1", "--out", str(out),
-        )
-        assert code == 2
-        captured = capsys.readouterr()
-        nlo, nhi = n_range.split("..")
-        assert captured.err == (
-            f"error: --n {nlo}..{nhi} reaches n={nhi}, but the unit-sum rows "
-            "enumerate subsets only up to n=20\n"
-        )
-        assert captured.out == ""
-        assert not out.exists()
+    def test_verify_n_past_the_enumeration_guard_is_scored_by_the_dp(
+        self, k_range, n_range, monkeypatch, capsys
+    ):
+        # every construction's items are one run each, so no row enumerates
+        def refuse(inst):
+            raise AssertionError(f"enumerated n={inst.n}")
 
-    @pytest.mark.parametrize(
-        "suites, k_range",
-        [(("oracle",), (3, 3)), (("oracle", "bounds"), (2, 9)), (harness.SUITES, (2, 2))],
-    )
-    def test_verify_n_past_the_guard_is_fine_without_unit_sum_rows(self, suites, k_range):
-        # the oracle and bounds suites read no --n, and k = 2 rows use the DP
-        harness.check_verify_args(1, 10, k_range, (19, 21), suites)
+        monkeypatch.setattr(harness, "brute_force_offline", refuse)
+        code = run_cli("verify", "--suite", "adversary", "--k", k_range, "--n", n_range)
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "PASS unit-sum-adversary k=3 n=21 parts=3:" in out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("gap", [0.25, 0.0], ids=["two-runs", "touching"])
+    def test_run_unit_sum_file_meets_the_guard_only_with_multi_run_items(
+        self, gap, tmp_path, capsys
+    ):
+        # n = 21: an item of two runs is left to the enumeration, which
+        # refuses it; with each item's parts touching, the DP scores the file
+        items = [[[i, i + 0.5], [i + 0.5 + gap, i + 1.0 + gap]] for i in range(21)]
+        path = tmp_path / "us.json"
+        path.write_text(json.dumps({
+            "target_len": 22.0, "quota": 3,
+            "setting": {"length": "US", "count": "UN"}, "items": items,
+        }))
+        code = run_cli("run", "--policy", "soa", "--instance", str(path))
+        captured = capsys.readouterr()
+        if gap:
+            assert code == 2
+            assert captured.err == "error: n=21 exceeds the enumeration guard max_n=20\n"
+        else:
+            assert code == 0, captured.err
+            assert "opt=3 " in captured.out
 
     def test_unknown_suite_refused_before_any_suite_runs(self, monkeypatch):
         ran = []
@@ -781,6 +805,7 @@ class TestRunTables:
         chosen = {
             "soa": ["--theta", "0.5"] if adversary == "al" else [],
             "soa-an": ["--theta", "0.5"] if adversary == "al" else [],
+            "doa": ["--theta1", "0.3", "--theta2", "0.6"] if adversary == "al" else [],
             "multi-threshold": ["--thresholds", ",".join(["0.9", "0.5", "0.2"][:k])],
         }.get(policy, [])
         first, again = tmp_path / "first.json", tmp_path / "again.json"
