@@ -132,16 +132,16 @@ def ub_soa_an(k: int, setting: str = "UL", m: Optional[float] = None) -> float:
 
 
 def ub_multi(thresholds: Sequence[float], k: int) -> float:
-    """Worst-case ratio of a non-increasing multi-threshold policy.
-
-    max(k / (1 + sum of thresholds 2..k), 1 + 2*theta_2).  Minimised over
-    constant lists this equals :func:`ub_soa_an`, so no non-increasing
-    schedule beats the single count-free threshold.
-    """
+    """Upper bound on OPT / ALG over every game a non-increasing
+    multi-threshold policy plays at quota k: max(k / (1 + sum of thresholds
+    2..k), 1 + 2*theta_2), capped at k, since ALG >= 1 (the first item is
+    accepted) and OPT <= k; the cap acts only at k = 2 with theta_2 > 1/2.
+    Minimised over constant lists this equals :func:`ub_soa_an`, so no
+    non-increasing schedule beats the single count-free threshold."""
     thresholds = check_schedule(thresholds, k)
     check_quota(k)
     tail = sum(thresholds[1:])
-    return max(k / (1.0 + tail), 1.0 + 2.0 * thresholds[1])
+    return min(max(k / (1.0 + tail), 1.0 + 2.0 * thresholds[1]), float(k))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ KCOVER_EPS overrides the comparison tolerance (default 1e-9).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -27,8 +28,8 @@ from .adversaries import (
 from .bounds import bound_table
 from .errors import ConfigError, KcoverError
 from .harness import (
-    PLOT_SCRIPT,
     SUITES,
+    SweepRow,
     check_verify_args,
     replay_game,
     run_game,
@@ -46,11 +47,6 @@ from .policies import (
     TwoPhaseThresholdPolicy,
 )
 from .thresholds import check_schedule, solve_doa
-
-CSV_COLUMNS = (
-    "k, soa_ub (threshold-policy bound), doa_c (two-phase objective), "
-    "lower_bound, doa_omega, doa_theta1, doa_theta2, status"
-)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -188,13 +184,13 @@ def cmd_run(args) -> int:
             print(f"realized instance written to {args.save_instance}")
     _print_record(record)
     if args.out:
-        write_json(record.to_dict(), args.out)
+        write_json(dataclasses.asdict(record), args.out)
         print(f"record written to {args.out}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    _check_writable(args.out, args.plot_script)
+    _check_writable(args.out)
     t0 = time.perf_counter()
     rows = run_sweep(args.n, args.k_min, args.k_max, args.step)
     elapsed = time.perf_counter() - t0
@@ -203,9 +199,6 @@ def cmd_sweep(args) -> int:
     out.write_text(csv_text, encoding="utf-8")
     print(f"sweep n={args.n} k={args.k_min}..{args.k_max} step={args.step:g} "
           f"rows={len(rows)} elapsed={elapsed:.1f}s -> {out}")
-    if args.plot_script:
-        Path(args.plot_script).write_text(PLOT_SCRIPT, encoding="utf-8")
-        print(f"plot script written to {args.plot_script}")
     return 0
 
 
@@ -301,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save-instance", help="write the realized instance here")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep", help=f"bound sweep CSV; columns: {CSV_COLUMNS}")
+    columns = ", ".join(f.name for f in dataclasses.fields(SweepRow))
+    p = sub.add_parser("sweep", help=f"bound sweep CSV; columns: {columns}")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=99)
     p.add_argument("--step", type=_finite_float, default=0.01)
     p.add_argument("--out", default="sweep.csv")
-    p.add_argument("--plot-script", help="also write a matplotlib plot script")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the oracle/adversary/bounds suites")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import numeric, offline
@@ -50,7 +50,7 @@ SUITES = ("oracle", "adversary", "bounds")
 
 @dataclass
 class GameRecord:
-    """Everything one game produced, ready for serialisation."""
+    """Everything one game produced; its ``asdict`` is the ``run --out`` JSON."""
 
     setting: str
     k: int
@@ -71,10 +71,6 @@ class GameRecord:
     @property
     def ratio_or_inf(self) -> float:
         return float("inf") if self.ratio is None else self.ratio
-
-    def to_dict(self) -> dict:
-        """The record as JSON: one key per field, in field order."""
-        return asdict(self)
 
 
 def oracle_value(inst: Instance) -> float:
@@ -527,41 +523,3 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
     out = [",".join(f.name for f in fields(SweepRow))]
     out += [",".join(map(_fmt, astuple(r))) for r in rows]
     return "\n".join(out) + "\n"
-
-
-PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-\"\"\"Render the three sweep curves (threshold-policy bound, two-phase
-objective, lower bound) from a sweep CSV.  Usage: plot_sweep.py [csv [png]]\"\"\"
-import csv
-import sys
-
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else "sweep.csv"
-out = sys.argv[2] if len(sys.argv) > 2 else "sweep.png"
-
-ks, soa, doa, low = [], [], [], []
-with open(path, newline="") as fh:
-    for row in csv.DictReader(fh):
-        ks.append(int(row["k"]))
-        soa.append(float(row["soa_ub"]))
-        doa.append(float(row["doa_c"]) if row["doa_c"] else None)
-        low.append(float(row["lower_bound"]))
-
-plt.figure(figsize=(7, 4.5))
-plt.plot(ks, soa, label="single-threshold bound")
-plt.plot(
-    [k for k, d in zip(ks, doa) if d is not None],
-    [d for d in doa if d is not None],
-    label="two-phase objective",
-)
-plt.plot(ks, low, label="lower bound")
-plt.xlabel("quota k")
-plt.ylabel("worst-case ratio")
-plt.legend()
-plt.tight_layout()
-plt.savefig(out, dpi=150)
-print(f"wrote {out}")
-"""
-

@@ -143,7 +143,7 @@ class CoverageState:
 
     One kernel places an item: :meth:`place` returns its gain and the splice
     it was computed for, and :meth:`apply` absorbs that splice in place, so
-    a decision places its item once; :meth:`add` is the two in a row.
+    a decision places its item once.
 
     Component i is [starts[i], ends[i]]; components are sorted left to right
     and each starts more than EPS after the previous one ends.  ``reach[i]``
@@ -249,15 +249,11 @@ class CoverageState:
         sums[lo + 1:] = accumulate(map(sub, ends[lo + 1:], starts[lo + 1:]),
                                    initial=sums[lo] + (b - a))
 
-    def add(self, batch: Batch) -> None:
-        """Accept `batch`: :meth:`place`, then :meth:`apply` its splice."""
-        self.apply(self.place(batch)[1])
-
 
 def absorb(state: CoverageState, batch: Batch) -> CoverageState:
     """New state after accepting `batch`; `state` is untouched."""
     new = state.copy()
-    new.add(batch)
+    new.apply(new.place(batch)[1])
     return new
 
 

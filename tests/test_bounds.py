@@ -47,6 +47,10 @@ class TestAlpha:
         for k in range(3, 200):
             assert 3 <= chain_alpha(k) <= k
 
+    def test_domain(self):
+        with pytest.raises(ConfigError, match="chain_alpha needs k >= 3, got 2"):
+            chain_alpha(2)
+
 
 class TestUnitLowerBounds:
     def test_quota_two(self):
@@ -141,6 +145,12 @@ class TestMultiThresholdBound:
             k = rng.randint(2, 50)
             ts = sorted((rng.uniform(0.05, 1.0) for _ in range(k)), reverse=True)
             assert ub_multi(ts, k) >= ub_soa_an(k) - 1e-9
+
+    def test_capped_at_quota(self):
+        # ALG >= 1 (the first item is accepted) and OPT <= k, so no game at
+        # k = 2 exceeds 2, though 1 + 2*theta_2 does once theta_2 > 1/2
+        assert ub_multi([0.9, 0.8], 2) == 2.0
+        assert ub_multi([1.0, 1.0, 1.0], 3) == 3.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -88,7 +88,7 @@ class TestAddedAbsorb:
         s = sweep([iv(0, 1), iv(2, 3), iv(4, 5)])
         before = bits(s)
         c = s.copy()
-        c.add(Batch((iv(0.5, 2.5), iv(6, 6.5))))
+        c.apply(c.place(Batch((iv(0.5, 2.5), iv(6, 6.5))))[1])
         assert bits(s) == before
         assert (c.starts, c.ends, c.sums) == ([0, 4, 6], [3, 5, 6.5], [0, 3, 4, 4.5])
 
@@ -269,9 +269,9 @@ def bits(state):
 
 
 def check_against_sweep(bs):
-    """absorb (every component), in-place add (every component after every
-    batch), added_length, prefix_unions (every prefix) and union_length
-    against the reference merge, bit for bit."""
+    """absorb (every component), place then apply in place (every component
+    after every batch), added_length, prefix_unions (every prefix) and
+    union_length against the reference merge, bit for bit."""
     state, live = CoverageState.empty(), CoverageState.empty()
     for i, b in enumerate(bs):
         before = bits(state)
@@ -281,7 +281,7 @@ def check_against_sweep(bs):
         state = new
         gain = union_length(bs[: i + 1]) - union_length(bs[:i])
         assert float(added_length(live, b)).hex() == float(gain).hex()
-        live.add(b)
+        live.apply(live.place(b)[1])
         assert bits(live) == bits(sweep([p for c in bs[: i + 1] for p in c.parts]))
     parts = [p for b in bs for p in b.parts]
     assert bits(state) == bits(sweep(parts))
@@ -322,7 +322,7 @@ def test_one_run_batch_places_as_one_splice(monkeypatch, rng, eps):
         state = CoverageState.empty()
         for _ in range(rng.randint(0, 6)):
             a = rng.uniform(0.0, 8.0)
-            state.add(single(a, a + rng.uniform(0.05, 1.5)))
+            state.apply(state.place(single(a, a + rng.uniform(0.05, 1.5)))[1])
         cursor, parts = rng.uniform(0.0, 8.0), []
         for _ in range(rng.randint(2, 4)):
             edge = cursor + e

@@ -108,9 +108,18 @@ class TestInstanceIO:
             (make_doc(items=[[[0]]]), "items[0][0]: expected [o, d]"),
             (make_doc(setting={"length": "US", "count": "UN"}, items=[[[0, 0.6], [0.5, 0.9]]]),
              "items[0]: batch parts overlap or are unsorted: [0, 0.6] then [0.5, 0.9]"),
+            (make_doc(setting={"length": "UL", "count": "XX"}),
+             "setting: unknown count setting 'XX'"),
+            (make_doc(items=[[[-0.5, 0.5]], [[0.4, 1.4]], [[2, 3]]]),
+             "items[0][0]: start -0.5 must be >= 0"),
+            (make_doc(items=[[[0, 0.5], [1, 1.5]], [[0.4, 1.4]], [[2, 3]]]),
+             "items[0]: multi-part batch outside the US setting"),
+            (make_doc(target_len=0), "target_len must be positive"),
+            (make_doc(items=[]), "instance needs at least one item"),
         ],
         ids=["top-level", "float-quota", "bool-quota", "setting", "length", "items",
-             "empty-item", "short-pair", "overlapping-parts"],
+             "empty-item", "short-pair", "overlapping-parts", "count", "negative-start",
+             "two-part-ul", "zero-target", "no-items"],
     )
     def test_schema_error_exits_2(self, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -430,17 +439,22 @@ class TestCli:
 
     def test_sweep_writes_csv_and_plot(self, tmp_path, capsys):
         csv_path = tmp_path / "s.csv"
-        plot_path = tmp_path / "plot.py"
         code = run_cli(
             "sweep", "--n", "30", "--k-min", "2", "--k-max", "12",
             "--step", "0.05", "--out", str(csv_path),
-            "--plot-script", str(plot_path),
         )
         assert code == 0
         lines = csv_path.read_text().splitlines()
         assert lines[0].startswith("k,soa_ub,doa_c,lower_bound")
         assert len(lines) == 12
-        assert "matplotlib" in plot_path.read_text()
+
+    def test_sweep_plot_script_flag_removed(self, tmp_path, capsys):
+        # the CSV is the sweep's one output
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--out", str(tmp_path / "s.csv"), "--plot-script", "x.py")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --plot-script x.py" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
     def test_infinite_instance_length_exits_2(self, tmp_path, capsys):
@@ -613,13 +627,12 @@ class TestCli:
         "argv",
         [
             ("sweep", "--step", "0.005", "--out", "MISSING"),
-            ("sweep", "--out", "CSV", "--plot-script", "MISSING"),
             ("run", "--policy", "doa", "--adversary", "ul-un-general", "--k", "5",
              "--n", "12", "--out", "MISSING"),
             ("run", "--policy", "soa", "--adversary", "ul-un-k2", "--save-instance",
              "MISSING"),
         ],
-        ids=["sweep-out", "sweep-plot-script", "run-out", "run-save-instance"],
+        ids=["sweep-out", "run-out", "run-save-instance"],
     )
     def test_bad_output_path_fails_before_any_work(
         self, argv, tmp_path, monkeypatch, capsys
@@ -628,14 +641,12 @@ class TestCli:
         for name in ("run_sweep", "run_game"):
             monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
         missing = str(tmp_path / "no-such-dir" / "out")
-        csv_path = tmp_path / "s.csv"
-        argv = [{"MISSING": missing, "CSV": str(csv_path)}.get(a, a) for a in argv]
+        argv = [missing if a == "MISSING" else a for a in argv]
         assert run_cli(*argv) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
         assert captured.out == ""
         assert calls == []
-        assert not csv_path.exists()
 
     def test_quota_range_message_shared(self, tmp_path, capsys):
         path = tmp_path / "k-is-n.json"
@@ -779,6 +790,24 @@ class TestRunTables:
         )
         assert captured.out == "" and not saved.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--adversary", "al", "--epsilon", "1.5"), "need 0 < epsilon < 1, got 1.5"),
+            (("--adversary", "us-un", "--parts", "0"), "need parts >= 1, got 0"),
+            (("--adversary", "fl-an", "--k", "3", "--n", "5"),
+             "need n >= 2k for the length-m tail, got 5"),
+        ],
+        ids=["al-epsilon", "us-un-parts", "fl-an-count"],
+    )
+    def test_construction_argument_refused(self, argv, message, capsys):
+        assert run_cli("run", "--policy", "accept-all", *argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_solve_doa_zero_step_exits_2(self, capsys):
+        assert run_cli("solve-doa", "--k", "3", "--n", "10", "--step", "0") == 2
+        assert capsys.readouterr().err == "error: step must be in (0, 1], got 0.0\n"
+
     @pytest.mark.parametrize("flag", ["--horizon", "--parts-per-batch"])
     def test_removed_flag_exits_2(self, flag, capsys):
         # the release count is --n for every construction, the parts --parts
@@ -894,7 +923,7 @@ class TestSweepRows:
 
 
 # SHA-256 over the `run --out` files of these games, in this order, recorded
-# while `GameRecord.to_dict` still listed its keys by hand.  It pins the key
+# while the record's JSON keys were still listed by hand.  It pins the key
 # order, the JSON shape of every field and each float's repr.  The games
 # sum no floats with sum(), so the digest does not depend on the Python
 # version.

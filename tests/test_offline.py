@@ -53,6 +53,11 @@ class TestSolveOffline:
         inst = al_instance([(0, 1), (2, 3)], 2)
         assert solve_offline(inst, quota=0) == (0.0, ())
 
+    def test_negative_quota_refused(self):
+        inst = al_instance([(0, 1), (2, 3)], 2)
+        with pytest.raises(SettingError, match="quota must be >= 0, got -1"):
+            solve_offline(inst, -1)
+
     def test_nested_intervals(self):
         # the inner item must not shadow the outer one
         inst = al_instance([(0.2, 0.4), (0.0, 1.0)], 2)

@@ -97,6 +97,11 @@ def test_empty_schedule_refused():
         Policy(3, ())
 
 
+def test_zero_quota_refused():
+    with pytest.raises(ConfigError, match="quota must be >= 1, got 0"):
+        Policy(0, (0.5,))
+
+
 class TestAnytimePolicy:
     def test_k3_boundary(self):
         theta = soa_an_theta(3)

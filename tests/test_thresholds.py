@@ -47,6 +47,8 @@ class TestSoaTheta:
             soa_theta(10, 10)
         with pytest.raises(ConfigError):
             soa_theta(3, 10, "AL")
+        with pytest.raises(ConfigError, match="no default threshold for setting 'XX'"):
+            soa_theta(3, 10, "XX")
 
     def test_range(self):
         for n in (5, 20, 200):
@@ -55,6 +57,11 @@ class TestSoaTheta:
         for m in (1.5, 2.0, 5.0):
             for k in range(2, 20):
                 assert 0.0 < soa_theta(k, 40, "FL", m) <= m
+
+
+def test_empty_schedule_refused():
+    with pytest.raises(ConfigError, match="need at least one threshold"):
+        thresholds.check_schedule([])
 
 
 class TestSoaAnTheta:
