@@ -45,9 +45,7 @@ C(n, k).
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
@@ -56,7 +54,7 @@ import numpy as np
 
 from . import numeric
 from .errors import SettingError, SizeGuardError
-from .intervals import Instance, SubInterval, off_unit_length, prefix_unions, union_length
+from .intervals import Instance, SubInterval, prefix_unions, union_length
 
 
 @dataclass(frozen=True)
@@ -69,17 +67,16 @@ class SortedInstance:
     ends: list[float]
 
 
-def _one_runs(inst: Instance, caller: str) -> list[tuple[float, float]]:
+def _one_runs(inst: Instance) -> list[tuple[float, float]]:
     """Each item's one run of touching parts
     (:meth:`~kcover.intervals.Batch.runs`), the interval the DP takes for
-    it; an item of several runs is refused, with `caller` named in the
-    error."""
+    it; an item of several runs is refused."""
     ivs = []
     for i, b in enumerate(inst.items):
         runs = b.runs()
         if len(runs) > 1:
             raise SettingError(
-                f"{caller} takes items whose parts touch; items[{i}] has "
+                f"solve_offline takes items whose parts touch; items[{i}] has "
                 f"{len(runs)} runs of touching parts -- use brute_force_offline for it"
             )
         ivs.extend(runs)
@@ -92,8 +89,8 @@ def one_run_items(inst: Instance) -> bool:
     return all(b.is_singleton or len(b.runs()) == 1 for b in inst.items)
 
 
-def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
-    """The sorted items; `caller` is named in the multi-run item error.
+def _sort_instance(inst: Instance) -> SortedInstance:
+    """The sorted items.
 
     One pass takes each item's one part; only where some item has several
     parts are the items taken as their runs instead, so a singleton
@@ -103,7 +100,7 @@ def _sort_instance(inst: Instance, caller: str) -> SortedInstance:
     try:
         ivs = [part for (part,) in [b.parts for b in inst.items]]
     except ValueError:
-        ivs = [SubInterval(a, e) for a, e in _one_runs(inst, caller)]
+        ivs = [SubInterval(a, e) for a, e in _one_runs(inst)]
     starts = np.array([p.start for p in ivs])
     ends = np.array([p.end for p in ivs])
     order = np.lexsort((starts, ends))
@@ -216,7 +213,7 @@ def solve_offline(
     q = _quota(inst, quota)
     if q == 0:
         return 0.0, ()
-    s = _sort_instance(inst, "solve_offline")
+    s = _sort_instance(inst)
     chi, kappa, (phi1, sizes), (psi1, rest) = _dp_tables(s, q)
     n = inst.n
 
@@ -253,14 +250,7 @@ def solve_offline_unit(
     inst: Instance, quota: Optional[int] = None
 ) -> tuple[float, tuple[int, ...]]:
     """The offline optimum of a unit-length instance: :func:`solve_offline`,
-    after refusing items of several runs and runs that are not unit-length."""
-    for i, (a, e) in enumerate(_one_runs(inst, "solve_offline_unit")):
-        if off_unit_length(e - a, e):
-            raise SettingError(
-                f"solve_offline_unit needs unit-length items; items[{i}] has "
-                f"length {e - a!r}"
-            )
-    # bench/workloads.py and bench/tracer.py still call this name
+    kept under this name only until ``bench/`` stops calling it."""
     return solve_offline(inst, quota)
 
 
@@ -272,24 +262,10 @@ _MAX_N = 20
 _BLOCK_ROWS = 1024
 
 
-def _combination_blocks(n: int, r: int):
-    """Every r-subset of range(n) in ``itertools.combinations`` order, as
-    bool masks of shape (n, rows) with at most ``_BLOCK_ROWS`` rows each:
-    ``mask[i, row]`` says whether the row's subset holds item i.  An
-    enumeration that fits in one block is built once and cached."""
-    if math.comb(n, r) <= _BLOCK_ROWS:
-        return _single_block(n, r)
-    return _mask_blocks(n, r, _BLOCK_ROWS)
-
-
-@functools.cache
-def _single_block(n: int, r: int) -> tuple[np.ndarray]:
-    (mask,) = _mask_blocks(n, r, _BLOCK_ROWS)
-    mask.setflags(write=False)
-    return (mask,)
-
-
 def _mask_blocks(n: int, r: int, rows: int):
+    """Every r-subset of range(n) in ``itertools.combinations`` order, as
+    bool masks of shape (n, rows) with at most `rows` rows each:
+    ``mask[i, row]`` says whether the row's subset holds item i."""
     combos = itertools.combinations(range(n), r)
     while True:
         flat = itertools.chain.from_iterable(itertools.islice(combos, rows))
@@ -374,7 +350,7 @@ def brute_force_offline(
     starts, ends, owner = _merged_parts(inst)
     best_val = -np.inf
     best_set: tuple[int, ...] = ()
-    for mask in _combination_blocks(n, q):
+    for mask in _mask_blocks(n, q, _BLOCK_ROWS):
         totals = _block_totals(mask[owner], starts, ends)
         row = int(np.argmax(totals))
         if totals[row] > best_val:

@@ -117,21 +117,21 @@ def check_schedule(thresholds: Sequence[float], k: Optional[int] = None) -> tupl
 
 @dataclass(frozen=True)
 class DoaSolution:
-    """Feasible two-phase parameter triple with its certified objective."""
+    """Feasible two-phase parameter triple with its program value C."""
 
     omega: int
     theta1: float
     theta2: float
     s: float
     q: float
-    value: float  # worst-case ratio objective C
+    value: float  # program value C; a played ratio can exceed it
 
 
 def _program(k, n, omega, t1, t2):
     """The two-phase program, elementwise over numpy arrays or float64
     scalars: (C, s, q, feasible), where C is the worst of the four ratio
     terms and feasible marks where the component count s lies in
-    [1, omega-1], the only points where C is a certified bound.  None when
+    [1, omega-1], the only points where the program defines C.  None when
     no point is feasible."""
     s = (k + (1.0 - omega) * t1 - 2.0 * t2) / (1.0 + 2.0 * t2 - t1)
     feasible = (s >= 1.0 - numeric.EPS) & (s <= omega - 1.0 + numeric.EPS)
@@ -150,12 +150,13 @@ def _program(k, n, omega, t1, t2):
 def doa_objective(
     k: int, n: int, omega: int, theta1: float, theta2: float
 ) -> Optional[tuple[float, float, float]]:
-    """Worst-case ratio of the two-phase policy at one parameter triple.
+    """The two-phase program's value C at one parameter triple.
 
-    Returns (C, s, q), or None when the derived component count s falls
-    outside [1, omega-1]: the four-term objective is only a certified bound
-    inside that range, so out-of-range triples are disqualified, never
-    clamped.
+    C is the program's value, not a certified bound: the policy's played
+    worst case can exceed it.  Returns (C, s, q), or None when the derived
+    component count s falls outside [1, omega-1]: the program is defined
+    only inside that range, so out-of-range triples are disqualified,
+    never clamped.
     """
     check_two_phase(k, omega, theta1, theta2)
     check_quota(k, n)

@@ -23,7 +23,7 @@ def al_instance(pairs, k, count="AN", target=None):
 
 def sorted_items(inst):
     """The instance's items in the exact DP's (end, start, index) order."""
-    return offline._sort_instance(inst, "solve_offline")
+    return offline._sort_instance(inst)
 
 
 def dp_tables(inst):

@@ -19,7 +19,7 @@ from kcover import (
     union_length,
 )
 from kcover.intervals import absorb, added_length, prefix_unions
-from kcover.offline import solve_offline_unit
+from kcover.offline import solve_offline
 
 
 def iv(a, b):
@@ -28,6 +28,14 @@ def iv(a, b):
 
 def single(a, b):
     return Batch.single(a, b)
+
+
+def accept_all(batches):
+    """The coverage state after placing and applying each batch in turn."""
+    state = CoverageState.empty()
+    for b in batches:
+        state.apply(state.place(b)[1])
+    return state
 
 
 def sweep(parts):
@@ -64,14 +72,14 @@ class TestUnionLength:
 class TestAddedAbsorb:
     def test_duplicate_adds_nothing(self):
         st_ = sweep([iv(0, 1)])
-        assert added_length(st_, single(0, 1)) == pytest.approx(0.0)
+        assert st_.place(single(0, 1))[0] == pytest.approx(0.0)
 
     def test_fresh_interval(self):
-        assert added_length(CoverageState.empty(), single(2, 3)) == pytest.approx(1.0)
+        assert CoverageState.empty().place(single(2, 3))[0] == pytest.approx(1.0)
 
     def test_bridging_gap(self):
         st_ = sweep([iv(0, 1), iv(2, 3)])
-        assert added_length(st_, single(0.5, 2.5)) == pytest.approx(1.0)
+        assert st_.place(single(0.5, 2.5))[0] == pytest.approx(1.0)
 
     def test_absorb_counts(self):
         s0 = CoverageState.empty()
@@ -81,7 +89,7 @@ class TestAddedAbsorb:
         assert (s2.total_len, s2.component_count) == (pytest.approx(2.0), 2)
         s3 = absorb(s2, single(0.5, 2.5))
         assert (s3.total_len, s3.component_count) == (pytest.approx(3.0), 1)
-        # absorbed inputs stayed frozen
+        # absorb leaves its input unchanged
         assert s2.component_count == 2
 
     def test_add_on_a_copy_leaves_the_original(self):
@@ -95,7 +103,7 @@ class TestAddedAbsorb:
     def test_added_matches_absorb(self):
         s = sweep([iv(1, 2)])
         b = single(1.5, 3)
-        assert added_length(s, b) == pytest.approx(absorb(s, b).total_len - s.total_len)
+        assert added_length(s, b) == s.place(b)[0] == absorb(s, b).total_len - s.total_len
 
 
 class TestValidation:
@@ -122,13 +130,13 @@ class TestValidation:
 
     def test_unit_length_allows_rounding_of_the_end(self, monkeypatch):
         # [s, s + 1.0] has float length 1.0000000000000004 here; EPS = 0
-        # must still take it as a unit item, and so must solve_offline_unit
+        # must still take it as a unit item, and the DP scores it as it is
         monkeypatch.setattr(numeric, "EPS", 0.0)
         s = 3.785144227477605
         item = single(s, s + 1.0)
         assert item.parts[0].length != 1.0
         inst = Instance(5, 2, Setting("UL", "AN"), (item,))
-        assert solve_offline_unit(inst)[0] == item.parts[0].length
+        assert solve_offline(inst)[0] == item.parts[0].length
         with pytest.raises(SettingError, match="unit-length item"):
             Instance(5, 2, Setting("UL", "AN"), (single(0.0, 1.0 + 1e-12),))
         with pytest.raises(SettingError, match="unit-sum batch"):
@@ -179,10 +187,7 @@ def batches(draw, max_count=6):
 @given(batches(), st.integers(0, 120), st.integers(1, 30))
 def test_added_length_nonnegative_and_monotone(bs, a, w):
     v = single(a / 10.0, (a + w) / 10.0)
-    state = CoverageState.empty()
-    for b in bs:
-        state = absorb(state, b)
-    assert added_length(state, v) >= -1e-12
+    assert accept_all(bs).place(v)[0] >= -1e-12
     assert union_length(bs + [v]) >= union_length(bs) - 1e-12
 
 
@@ -193,13 +198,7 @@ def test_submodular(bs, data, a, w):
     keep = data.draw(st.lists(st.booleans(), min_size=len(bs), max_size=len(bs)))
     sub = [b for b, k in zip(bs, keep) if k]
     v = single(a / 10.0, (a + w) / 10.0)
-    state_a = CoverageState.empty()
-    for b in sub:
-        state_a = absorb(state_a, b)
-    state_b = CoverageState.empty()
-    for b in bs:
-        state_b = absorb(state_b, b)
-    assert added_length(state_a, v) >= added_length(state_b, v) - 1e-9
+    assert accept_all(sub).place(v)[0] >= accept_all(bs).place(v)[0] - 1e-9
 
 
 @settings(max_examples=120, deadline=None)
@@ -207,12 +206,7 @@ def test_submodular(bs, data, a, w):
 def test_absorb_order_irrelevant(bs, rnd):
     shuffled = list(bs)
     rnd.shuffle(shuffled)
-    s1 = CoverageState.empty()
-    for b in bs:
-        s1 = absorb(s1, b)
-    s2 = CoverageState.empty()
-    for b in shuffled:
-        s2 = absorb(s2, b)
+    s1, s2 = accept_all(bs), accept_all(shuffled)
     assert s1.component_count == s2.component_count
     assert s1.total_len == pytest.approx(s2.total_len, abs=1e-9)
     for a, b, c, d in zip(s1.starts, s1.ends, s2.starts, s2.ends):
@@ -223,10 +217,7 @@ def test_absorb_order_irrelevant(bs, rnd):
 @settings(max_examples=120, deadline=None)
 @given(batches())
 def test_union_equals_absorbed_total(bs):
-    state = CoverageState.empty()
-    for b in bs:
-        state = absorb(state, b)
-    assert state.total_len == pytest.approx(union_length(bs), abs=1e-9)
+    assert accept_all(bs).total_len == pytest.approx(union_length(bs), abs=1e-9)
 
 
 EPS = numeric.EPS
@@ -269,22 +260,20 @@ def bits(state):
 
 
 def check_against_sweep(bs):
-    """absorb (every component), place then apply in place (every component
-    after every batch), added_length, prefix_unions (every prefix) and
-    union_length against the reference merge, bit for bit."""
-    state, live = CoverageState.empty(), CoverageState.empty()
+    """place then apply in place (the gain, and every component after every
+    batch), prefix_unions (every prefix) and union_length against the
+    reference merge, bit for bit."""
+    state = CoverageState.empty()
     for i, b in enumerate(bs):
-        before = bits(state)
-        new = absorb(state, b)
-        assert added_length(state, b) == new.total_len - state.total_len
-        assert bits(state) == before  # the input state is untouched
-        state = new
-        gain = union_length(bs[: i + 1]) - union_length(bs[:i])
-        assert float(added_length(live, b)).hex() == float(gain).hex()
-        live.apply(live.place(b)[1])
-        assert bits(live) == bits(sweep([p for c in bs[: i + 1] for p in c.parts]))
+        before, total = bits(state), state.total_len
+        gain, splice = state.place(b)
+        assert bits(state) == before  # placing changes nothing
+        state.apply(splice)
+        assert gain == state.total_len - total
+        want = union_length(bs[: i + 1]) - union_length(bs[:i])
+        assert float(gain).hex() == float(want).hex()
+        assert bits(state) == bits(sweep([p for c in bs[: i + 1] for p in c.parts]))
     parts = [p for b in bs for p in b.parts]
-    assert bits(state) == bits(sweep(parts))
     for end, start in zip(state.ends, state.starts[1:]):
         assert start > end + numeric.EPS  # canonical: no two components touch
     parts.sort(key=lambda p: (p.end, p.start))
@@ -352,7 +341,7 @@ def test_many_disjoint_items():
         length = 0.1 + (i * 7 % 13) / 10
         b = single(x, x + length)
         total += b.parts[0].length
-        state = absorb(state, b)
+        state.apply(state.place(b)[1])
         x += length
     assert state.component_count == 4000
     assert state.total_len == total

@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import math
 import random
 from dataclasses import replace
 
@@ -20,7 +19,7 @@ from kcover import (
 )
 from kcover import harness, numeric, offline
 from kcover.harness import gen_instance, random_nk
-from kcover.intervals import CoverageState, absorb, prefix_unions
+from kcover.intervals import CoverageState, prefix_unions
 from kcover.offline import solve_offline_unit
 
 from conftest import al_instance, batch, dp_tables, sorted_items, unit_instance
@@ -86,16 +85,12 @@ class TestSolveOffline:
         b1 = Batch((Batch.single(0, 0.5).parts[0], Batch.single(1, 1.5).parts[0]))
         b2 = Batch((Batch.single(2, 2.5).parts[0], Batch.single(3, 3.5).parts[0]))
         inst = Instance(5, 2, Setting("US", "AN"), (b1, b2))
-        for solve, name in [
-            (solve_offline, "solve_offline"),
-            (solve_offline_unit, "solve_offline_unit"),
-        ]:
-            with pytest.raises(SettingError) as exc:
-                solve(inst)
-            assert str(exc.value) == (
-                f"{name} takes items whose parts touch; items[0] has 2 runs of "
-                "touching parts -- use brute_force_offline for it"
-            )
+        with pytest.raises(SettingError) as exc:
+            solve_offline(inst)
+        assert str(exc.value) == (
+            "solve_offline takes items whose parts touch; items[0] has 2 runs of "
+            "touching parts -- use brute_force_offline for it"
+        )
 
 
 class TestPredecessors:
@@ -136,8 +131,8 @@ class TestPredecessors:
 
 
 class TestUnitSolver:
-    """``solve_offline_unit`` refuses what is not unit-length, then returns
-    :func:`solve_offline`; the benchmark still calls it by name."""
+    """``solve_offline_unit`` returns :func:`solve_offline`; the benchmark
+    still calls it by name."""
 
     def test_disjoint_chain(self):
         inst = unit_instance([(i, i + 1) for i in range(6)], 3, count="AN")
@@ -149,14 +144,6 @@ class TestUnitSolver:
         inst = unit_instance([(0, 1)] * 4, 2, count="AN")
         value, _ = solve_offline_unit(inst)
         assert value == pytest.approx(1.0)
-
-    def test_rejects_non_unit(self):
-        inst = al_instance([(0, 1), (0, 2.5)], 2)
-        with pytest.raises(SettingError) as exc:
-            solve_offline_unit(inst)
-        assert str(exc.value) == (
-            "solve_offline_unit needs unit-length items; items[1] has length 2.5"
-        )
 
     def test_matches_general_dp(self, rng):
         for _ in range(200):
@@ -335,7 +322,7 @@ def test_merged_parts_score_like_unmerged_parts(monkeypatch, rng, eps):
         merged, plain = offline._merged_parts(inst), unmerged_parts(inst)
         assert len(merged[0]) == runs < len(plain[0])
         for q in range(1, inst.n + 1):
-            for mask in offline._combination_blocks(inst.n, q):
+            for mask in offline._mask_blocks(inst.n, q, offline._BLOCK_ROWS):
                 got = offline._block_totals(mask[merged[2]], *merged[:2])
                 want = offline._block_totals(mask[plain[2]], *plain[:2])
                 assert got.tobytes() == want.tobytes()
@@ -344,21 +331,10 @@ def test_merged_parts_score_like_unmerged_parts(monkeypatch, rng, eps):
 
 def test_combination_blocks_are_bounded():
     for n, r in [(5, 2), (12, 6), (16, 8), (20, 1)]:
-        masks = list(offline._combination_blocks(n, r))
+        masks = list(offline._mask_blocks(n, r, offline._BLOCK_ROWS))
         assert all(m.shape[0] == n and m.shape[1] <= offline._BLOCK_ROWS for m in masks)
         rows = [tuple(map(int, c.nonzero()[0])) for m in masks for c in m.T]
         assert rows == list(itertools.combinations(range(n), r))
-
-
-def test_single_blocks_stay_cached():
-    # every one-block enumeration the guard allows stays cached: a verify
-    # run touches dozens of them, and none is rebuilt
-    pairs = [(n, r) for n in range(1, offline._MAX_N + 1) for r in range(1, n + 1)
-             if math.comb(n, r) <= offline._BLOCK_ROWS]
-    (first,) = offline._combination_blocks(*pairs[0])
-    for n, r in pairs:
-        offline._combination_blocks(n, r)
-    assert offline._combination_blocks(*pairs[0])[0] is first
 
 
 def test_oracle_equivalence_sample(rng):
@@ -544,12 +520,12 @@ def test_quota_override_beyond_n():
 
 
 def reference_prefix_unions(inst, s):
-    """Union length of the first i sorted items as one ``absorb`` call per
-    item: the loop that ``prefix_unions`` replaced in the DP."""
+    """Union length of the first i sorted items as one ``place`` and
+    ``apply`` per item: the loop that ``prefix_unions`` replaced in the DP."""
     pref = [0]
     state = CoverageState.empty()
     for t in s.order:
-        state = absorb(state, inst.items[t])
+        state.apply(state.place(inst.items[t])[1])
         pref.append(state.total_len)
     return pref
 
@@ -598,7 +574,7 @@ def with_quota(inst, quota):
 def test_dp_diagonal_is_union_of_sorted_prefix(rng):
     # chi[i][i] accepts all of the first i sorted items, so it is the union
     # length of that prefix; the prefix unions themselves are checked
-    # against absorb in test_prefix_unions_match_absorb_loop
+    # against the coverage state in test_prefix_unions_match_absorb_loop
     for inst in singleton_cases(rng):
         s = sorted_items(inst)
         chi, _ = dp_tables(with_quota(inst, max(2, inst.n)))
