@@ -8,7 +8,9 @@ items in non-decreasing end order.  For each item it knows the
 deepest-overlapping predecessor (the intersecting item with the left-most
 start) and the nearest disjoint predecessor, and combines two value
 tables.  Items intersect when they touch within EPS, as
-:func:`~kcover.intervals.union_length` merges pieces.
+:func:`~kcover.intervals.union_length` merges pieces.  Below
+``_NUMPY_PREDECESSORS`` items one linear scan finds the predecessors; at
+or above it, O(log n) numpy passes do.
 
 * ``chi[i][j]``   -- best coverage using at most j accepts from the first i
                      sorted items;
@@ -27,10 +29,16 @@ prefix unions: the union length of the first i sorted items, which
 :func:`~kcover.intervals.prefix_unions` gives in one O(n) pass.  Column j
 depends only on column j-1, so each table is filled one quota column at a
 time by numpy operations over all n items.  Columns past n would repeat
-column n, so the solver stops there.  Tables are stored ``(q+1) x (n+1)``,
-contiguous per column, and handed out as float64 ``.T`` views indexed
-``[i][j]``.  IEEE add and max are exact, so every cell equals what a
-cell-by-cell loop computes.
+column n, so the solver stops there.  The fill ends sooner, at the
+tables' fixed point: once column j >= 2 equals column j-1 bit for bit in
+both tables and chi's rows j+1..min(q, n) already hold the prefix unions,
+every later column equals column j.  The tables end there, and the solver
+reads their last column in place of every later one.  So the DP costs
+O(j* n + n log n), where j* <= min(k, n) is the column the fill ends at.
+Tables are allocated ``(q+1) x (n+1)``, contiguous per column, and their
+filled columns handed out as float64 ``.T`` views indexed ``[i][j]``.
+IEEE add and max are exact, so every cell equals what a cell-by-cell loop
+computes.
 
 The enumeration oracle merges each item's own touching parts into runs, as
 the DP does, sorts all runs of all items once and scores a block of
@@ -63,8 +71,8 @@ class SortedInstance:
     (end, start, index)."""
 
     order: list[int]            # sorted position -> original index
-    starts: list[float]         # in sorted order
-    ends: list[float]
+    starts: np.ndarray          # float64, in sorted order
+    ends: np.ndarray
 
 
 def _one_runs(inst: Instance) -> list[tuple[float, float]]:
@@ -104,11 +112,20 @@ def _sort_instance(inst: Instance) -> SortedInstance:
     starts = np.array([p.start for p in ivs])
     ends = np.array([p.end for p in ivs])
     order = np.lexsort((starts, ends))
-    return SortedInstance(order.tolist(), starts[order].tolist(), ends[order].tolist())
+    return SortedInstance(order.tolist(), starts[order], ends[order])
 
 
-def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Optional[int]]]:
-    """For each sorted item i return (psi, phi), both 0-based or None.
+# Fewest items for which build_predecessors runs its numpy passes: below it
+# the scan's per-item cost is less than numpy's fixed cost per call.  On a
+# 2-core x86-64 host the scan took 3.7, 37 and 142 us against numpy's 22.6,
+# 34 and 47 us at 8, 80 and 256 random UL items, and the two met at 72 to
+# 80 UL, FL and AL items.
+_NUMPY_PREDECESSORS = 80
+
+
+def build_predecessors(s: SortedInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the DP reads for each sorted item i: (psi+1, phi+1) as intp
+    arrays, 0 where the predecessor is absent.
 
     psi(i): among j < i intersecting item i (end + EPS >= start of i) with
     a strictly smaller start, the one with the left-most start (ties:
@@ -118,34 +135,72 @@ def build_predecessors(s: SortedInstance) -> tuple[list[Optional[int]], list[Opt
 
     Ends are sorted, so the intersecting predecessors are a suffix t..i-1
     of the items before i, found by bisecting ``end + EPS`` as
-    :class:`~kcover.intervals.CoverageState` bisects its ``reach``.
-    `minima` holds every j < i whose start is strictly below all later
-    starts; its first entry >= t is the suffix's left-most start, the
-    smallest index among equal starts.
+    :class:`~kcover.intervals.CoverageState` bisects its ``reach``; psi is
+    the suffix's left-most least start where that start is below item i's,
+    and phi the first item ending where item t-1 ends.  Below
+    ``_NUMPY_PREDECESSORS`` items one linear scan finds them
+    (:func:`_scan_predecessors`); at or above it, O(log n) numpy passes do
+    (:func:`_numpy_predecessors`).
     """
-    starts, ends = s.starts, s.ends
+    if len(s.starts) < _NUMPY_PREDECESSORS:
+        return _scan_predecessors(s.starts.tolist(), s.ends.tolist())
+    return _numpy_predecessors(s.starts, s.ends)
+
+
+def _scan_predecessors(starts: list[float], ends: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`build_predecessors` as one pass over the items.  `minima`
+    holds every j < i whose start is at most every later start; its first
+    entry >= t is the suffix's left-most least start."""
     eps = numeric.EPS
     reach = [end + eps for end in ends]
-    psi: list[Optional[int]] = [None] * len(starts)
-    phi: list[Optional[int]] = [None] * len(starts)
+    psi1 = [0] * len(starts)
+    phi1 = [0] * len(starts)
     minima: list[int] = []
     for i, o_i in enumerate(starts):
         t = bisect_left(reach, o_i, 0, i)  # first predecessor with end + EPS >= o_i
         if t <= i - 1:
             q = minima[bisect_left(minima, t)]
             if starts[q] < o_i:
-                psi[i] = q
+                psi1[i] = q + 1
         if t >= 1:  # the first of the ends equal to the nearest one
-            phi[i] = bisect_left(ends, ends[t - 1], 0, t - 1)
+            phi1[i] = bisect_left(ends, ends[t - 1], 0, t - 1) + 1
         while minima and starts[minima[-1]] > o_i:
             minima.pop()
         minima.append(i)
-    return psi, phi
+    return np.array(psi1, dtype=np.intp), np.array(phi1, dtype=np.intp)
 
 
-def _index(preds: list[Optional[int]]) -> np.ndarray:
-    """Table rows of the predecessors: p+1, or row 0 when p is absent."""
-    return np.array([0 if p is None else p + 1 for p in preds], dtype=np.intp)
+def _numpy_predecessors(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`build_predecessors` in numpy passes over all items.
+
+    ``searchsorted`` finds t and phi; t <= i needs no clip, since item
+    i's own end + EPS passes its start.  psi is a range minimum over [t, i),
+    read from a sparse table (Bender and Farach-Colton, "The LCA Problem
+    Revisited", 2000): level k holds the left-most least start of every
+    window of 2**k items, and [t, i) is the union of the two windows of
+    level floor(log2(i - t)) that start at t and end at i.  The left one
+    wins ties, so the pick is the left-most least start.  Levels are built
+    only up to the one the widest range needs.
+    """
+    n = len(starts)
+    idx = np.arange(n)
+    t = np.searchsorted(ends + numeric.EPS, starts)
+    phi1 = np.where(t > 0, np.searchsorted(ends, ends[t - 1]) + 1, 0)
+    psi1 = np.zeros(n, dtype=np.intp)
+    rows = np.flatnonzero(t < idx)
+    if len(rows):
+        lo = t[rows]
+        level = np.frexp(rows - lo)[1] - 1  # floor(log2) of each range's width
+        table = np.empty((level.max() + 1, n), dtype=np.intp)
+        table[0] = idx
+        for k in range(1, len(table)):
+            half, m = 1 << (k - 1), n - (1 << k) + 1
+            left, right = table[k - 1, :m], table[k - 1, half:half + m]
+            table[k, :m] = np.where(starts[left] <= starts[right], left, right)
+        a, b = table[level, lo], table[level, rows - (1 << level)]
+        best = np.where(starts[a] <= starts[b], a, b)
+        psi1[rows] = np.where(starts[best] < starts[rows], best + 1, 0)
+    return psi1, phi1
 
 
 def _dp_tables(s: SortedInstance, q: int):
@@ -158,20 +213,24 @@ def _dp_tables(s: SortedInstance, q: int):
     strictly, and only from j == 2 on: column 0 is zero, and at j == 1 item
     i stands alone.  Rows up to j of column j of ``chi`` are the prefix
     unions.  The row of predecessor p is p+1, or 0 when p is absent.
+
+    The tables end at their fixed point: they hold columns 0..j for the
+    first j >= 2 whose columns equal columns j-1 in both tables while chi's
+    rows j+1..min(q, n) hold the prefix unions, since every later column up
+    to q would equal column j; all q+1 columns when there is no such j.
     """
     n = len(s.order)
-    psi, phi = build_predecessors(s)
-    pref = np.array(prefix_unions(zip(s.ends, s.starts)), dtype=float)
-
-    starts, ends = np.array(s.starts), np.array(s.ends)
+    psi1, phi1 = build_predecessors(s)
+    starts, ends = s.starts, s.ends
+    pref = np.array(prefix_unions(zip(ends.tolist(), starts.tolist())), dtype=float)
     sizes = ends - starts
-    phi1, psi1 = _index(phi), _index(psi)
     # psi ends past item i's start or at most EPS before it; without psi,
     # -inf never wins.
     rest = np.where(psi1 > 0, sizes - (ends[psi1 - 1] - starts), -np.inf)
 
     chi = np.zeros((q + 1, n + 1))
     kappa = np.zeros((q + 1, n + 1))
+    top = min(q, n)
     for j in range(1, q + 1):
         col = kappa[j, 1:]
         chi[j - 1].take(phi1, out=col)
@@ -185,8 +244,23 @@ def _dp_tables(s: SortedInstance, q: int):
         if j < n:  # max(reject, accept) down the column
             col[j + 1:] = kappa[j, j + 1:]
             np.maximum.accumulate(col[j:], out=col[j:])
+        # Column j+1 is filled from column j as column j was from column
+        # j-1 (both take the intersecting transition), except that its row
+        # j+1 is set to the prefix union.  So once both tables' column j
+        # equals column j-1 bit for bit and chi's rows j+1..min(q, n)
+        # already hold the prefix unions, every later column equals
+        # column j.  The chi[n] cells are compared first, as the cheapest.
+        if (
+            j > 1
+            and chi[j, n] == chi[j - 1, n]
+            and chi[j, j + 1: top + 1].tobytes() == pref[j + 1: top + 1].tobytes()
+            and chi[j].tobytes() == chi[j - 1].tobytes()
+            and kappa[j].tobytes() == kappa[j - 1].tobytes()
+        ):
+            q = j
+            break
 
-    return chi.T, kappa.T, (phi1, sizes), (psi1, rest)
+    return chi[: q + 1].T, kappa[: q + 1].T, (phi1, sizes), (psi1, rest)
 
 
 def _quota(inst: Instance, quota: Optional[int]) -> int:
@@ -221,14 +295,16 @@ def solve_offline(
     # row j on, column j of chi is the running maximum of kappa's, so row i
     # accepts its item exactly where the column rises: walking back from row
     # i, the walk stops at the first row that reaches chi[i][j], which
-    # bisection finds.
+    # bisection finds.  Columns past the tables' last repeat it, so column j
+    # is read from column min(j, last).
+    last = chi.shape[1] - 1
     cols = chi.T
     chosen: list[int] = []
     i, j, in_chi = n, q, True
     while i > 0:
         if in_chi:
             if i > j:
-                col = cols[j]
+                col = cols[min(j, last)]
                 i = bisect_left(col, col[i], j, i)
             if i <= j:
                 chosen.extend(range(i))
@@ -238,12 +314,12 @@ def solve_offline(
         if j == 1:
             break
         # the fill's own sums: a tie keeps the disjoint transition, through chi
-        f, p = phi1[item], psi1[item]
-        in_chi = chi[f, j - 1] + sizes[item] >= kappa[p, j - 1] + rest[item]
+        f, p, c = phi1[item], psi1[item], min(j - 1, last)
+        in_chi = chi[f, c] + sizes[item] >= kappa[p, c] + rest[item]
         i = int(f if in_chi else p)
         j -= 1
     picked = tuple(sorted(s.order[t] for t in chosen))
-    return float(chi[n, q]), picked
+    return float(chi[n, last]), picked
 
 
 def solve_offline_unit(

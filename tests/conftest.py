@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from kcover import Batch, Instance, Setting, offline
@@ -28,9 +29,12 @@ def sorted_items(inst):
 
 def dp_tables(inst):
     """chi and kappa of the exact DP at the instance's own quota, even past
-    n, as views indexed ``[i][j]``."""
+    n, indexed ``[i][j]``.  Tables that end at their fixed point are
+    extended to all quota + 1 columns by repeating their last column, the
+    column the solver reads in their place."""
     chi, kappa, _, _ = offline._dp_tables(sorted_items(inst), inst.quota)
-    return chi, kappa
+    cols = np.minimum(np.arange(inst.quota + 1), chi.shape[1] - 1)
+    return chi[:, cols], kappa[:, cols]
 
 
 @pytest.fixture

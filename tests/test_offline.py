@@ -18,17 +18,20 @@ from kcover import (
     union_length,
 )
 from kcover import harness, numeric, offline
-from kcover.harness import gen_instance, random_nk
+from kcover.adversaries import adv_ul_un_general
+from kcover.harness import gen_instance, random_nk, run_game
 from kcover.intervals import CoverageState, prefix_unions
 from kcover.offline import solve_offline_unit
+from kcover.policies import ThresholdPolicy
 
 from conftest import al_instance, batch, dp_tables, sorted_items, unit_instance
 
 
-def quarter_grid_instance(rng, unit):
+def quarter_grid_instance(rng, unit, n=None):
     """Items on a quarter grid: many duplicates, touching pairs and equal
-    ends, all exact in binary, so every DP tie is a real tie."""
-    n, k = random_nk(rng, 14)
+    ends, all exact in binary, so every DP tie is a real tie.  Without `n`,
+    n and k are drawn for at most 14 items."""
+    n, k = random_nk(rng, 14) if n is None else (n, 2)
     pairs = []
     for _ in range(n):
         a = rng.randint(0, 12) / 4
@@ -93,41 +96,64 @@ class TestSolveOffline:
         )
 
 
+def predecessor_rows_by_definition(s, eps):
+    """psi+1 and phi+1 of every sorted item from their definitions, one
+    scan over all earlier items each; 0 where there is none."""
+    starts, ends = s.starts.tolist(), s.ends.tolist()
+    psi1, phi1 = [], []
+    for i, o_i in enumerate(starts):
+        meets = [j for j in range(i) if ends[j] + eps >= o_i and starts[j] < o_i]
+        apart = [j for j in range(i) if ends[j] + eps < o_i]
+        psi1.append(1 + min(meets, key=lambda j: (starts[j], j), default=-1))
+        phi1.append(1 + min(apart, key=lambda j: (-ends[j], j), default=-1))
+    return psi1, phi1
+
+
 class TestPredecessors:
     def test_reference_configuration(self):
         inst = al_instance([(0, 1), (0.5, 1.5), (2, 3)], 2)
-        s = sorted_items(inst)
-        psi, phi = build_predecessors(s)
-        assert psi[2] is None and phi[2] == 1
-        assert psi[1] == 0 and phi[1] is None
-        assert psi[0] is None and phi[0] is None
+        psi1, phi1 = build_predecessors(sorted_items(inst))
+        assert psi1.dtype == phi1.dtype == np.intp
+        assert psi1.tolist() == [0, 1, 0]
+        assert phi1.tolist() == [0, 0, 2]
 
     def test_matches_definitions_by_brute_force(self, monkeypatch, rng):
         # Quarter-grid items repeat starts and ends, so both tie rules
         # (smallest index) decide many of these predecessors.  Items meet
         # when they touch within EPS, as union_length merges them: at EPS
         # 0.25 and 0.3 a quarter-unit gap meets, at the default it does not.
+        # Both paths run on every input; the larger inputs sit on both sides
+        # of the size where build_predecessors switches to numpy, and their
+        # ranges of intersecting predecessors need up to eight sparse-table
+        # levels.
         cases = [quarter_grid_instance(rng, unit=rng.random() < 0.5) for _ in range(300)]
+        cases += [quarter_grid_instance(rng, unit=rng.random() < 0.5, n=n)
+                  for n in (3, 79, 80, 81, 255, 256, 400)]
+        cases.append(disjoint_instance(rng, 300))
+        # every item holds [2, 3]: each one meets all earlier items
+        cases.append(al_instance([(rng.randint(0, 8) / 4, rng.randint(12, 20) / 4)
+                                  for _ in range(300)], 2))
+        assert {offline._NUMPY_PREDECESSORS - 1, offline._NUMPY_PREDECESSORS} <= {
+            inst.n for inst in cases}
         for eps in (numeric.EPS, 0.25, 0.3):
             monkeypatch.setattr(numeric, "EPS", eps)
             for s in map(sorted_items, cases):
-                psi, phi = build_predecessors(s)
-                for i, o_i in enumerate(s.starts):
-                    meets = [j for j in range(i)
-                             if s.ends[j] + eps >= o_i and s.starts[j] < o_i]
-                    apart = [j for j in range(i) if s.ends[j] + eps < o_i]
-                    assert psi[i] == min(meets, key=lambda j: (s.starts[j], j), default=None)
-                    assert phi[i] == min(apart, key=lambda j: (-s.ends[j], j), default=None)
+                want = predecessor_rows_by_definition(s, eps)
+                for got in (offline._scan_predecessors(s.starts.tolist(), s.ends.tolist()),
+                            offline._numpy_predecessors(s.starts, s.ends),
+                            build_predecessors(s)):
+                    assert [rows.dtype for rows in got] == [np.intp, np.intp]
+                    assert [rows.tolist() for rows in got] == list(want)
 
     def test_deep_overlap_beats_near_end(self):
         # ends 8.2, 8.5, 8.9, 9.2, 9.6, 10 -> the deeper-overlapping
-        # predecessor (9.2) is picked over 9.6, and the nearest disjoint one
-        # is 8.9.
+        # predecessor (9.2, row 4) is picked over 9.6, and the nearest
+        # disjoint one is 8.9 (row 3).
         ends = [8.2, 8.5, 8.9, 9.2, 9.6, 10.0]
         inst = unit_instance([(e - 1, e) for e in ends], 3, count="AN", target=10)
-        psi, phi = build_predecessors(sorted_items(inst))
-        assert psi[5] == 3
-        assert phi[5] == 2
+        psi1, phi1 = build_predecessors(sorted_items(inst))
+        assert psi1[5] == 4
+        assert phi1[5] == 3
 
 
 class TestUnitSolver:
@@ -561,7 +587,7 @@ def test_prefix_unions_match_absorb_loop(monkeypatch, rng, eps):
         monkeypatch.setattr(numeric, "EPS", eps)
     for inst in cases:
         s = sorted_items(inst)
-        got = prefix_unions(zip(s.ends, s.starts))
+        got = prefix_unions(zip(s.ends.tolist(), s.starts.tolist()))
         want = reference_prefix_unions(inst, s)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
@@ -594,6 +620,24 @@ def test_quota_past_n_fills_n_columns(rng):
         chi, _ = dp_tables(with_quota(inst, 3 * n + 2))
         assert chi[n][n:].tobytes() == np.full(2 * n + 3, chi[n][n]).tobytes()
         assert chi[n][n] == solve_offline(inst, n)[0]
+
+
+def test_tables_end_at_their_fixed_point():
+    # On the unit chain the tables stop changing after a few of the k = 75
+    # columns; the fill ends there and the solver reads its last column in
+    # place of every later one.
+    k, n = 75, 750
+    _, inst = run_game(ThresholdPolicy(k, n), adv_ul_un_general(k, n))
+    chi, kappa, _, _ = offline._dp_tables(sorted_items(inst), k)
+    assert chi.shape == kappa.shape == (n + 1, 4)
+    # Every item holds the point 4, and the first 6 items are the first 6
+    # in end order, whose union [0, 6] no 6 items exceed: the DP and the
+    # enumeration both pick them.
+    pairs = [(0, 4), (1, 5), (3.5, 6), (0.5, 6)] + [(3.5, 6)] * 4 + [(3.75, 6), (4, 6)]
+    inst = al_instance(pairs, 6)
+    chi, kappa, _, _ = offline._dp_tables(sorted_items(inst), 6)
+    assert chi.shape == kappa.shape == (11, 4)
+    assert solve_offline(inst) == brute_force_offline(inst) == (6.0, (0, 1, 2, 3, 4, 5))
 
 
 # SHA-256 over repr(value) and the picks of the exact DP on the inputs of
