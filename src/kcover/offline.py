@@ -30,11 +30,15 @@ prefix unions: the union length of the first i sorted items, which
 depends only on column j-1, so each table is filled one quota column at a
 time by numpy operations over all n items.  Columns past n would repeat
 column n, so the solver stops there.  The fill ends sooner, at the
-tables' fixed point: once column j >= 2 equals column j-1 bit for bit in
-both tables and chi's rows j+1..min(q, n) already hold the prefix unions,
-every later column equals column j.  The tables end there, and the solver
-reads their last column in place of every later one.  So the DP costs
-O(j* n + n log n), where j* <= min(k, n) is the column the fill ends at.
+tables' fixed point: the first column j >= 2 that equals column j-1 bit
+for bit in both tables and whose later columns c are certified to be
+column j with chi's rows up to c pinned to the prefix unions.  The DP's
+sums may differ from those by an ulp, so :func:`_fixed_point` checks that
+(B) re-seeding chi's running maximum at a pinned row, and (A) reading a
+pinned row of chi in kappa's disjoint transition, change no cell.  The
+solver reads a later column c from the last one, with rows r <= c read as
+the prefix unions.  So the DP costs O(j* n + n log n), where
+j* <= min(k, n) is the column the fill ends at.
 Tables are allocated ``(q+1) x (n+1)``, contiguous per column, and their
 filled columns handed out as float64 ``.T`` views indexed ``[i][j]``.
 IEEE add and max are exact, so every cell equals what a cell-by-cell loop
@@ -97,13 +101,23 @@ def one_run_items(inst: Instance) -> bool:
     return all(b.is_singleton or len(b.runs()) == 1 for b in inst.items)
 
 
+# Fewest items for which _sort_instance first tries one sort of the ends:
+# on a 2-core x86-64 host np.lexsort took 1.5, 7.2 and 184 us against 4.5,
+# 6.0 and 25 us for np.argsort and its check for equal ends, at 12, 320 and
+# 2000 items in random order.
+_ARGSORT_MIN = 320
+
+
 def _sort_instance(inst: Instance) -> SortedInstance:
     """The sorted items.
 
     One pass takes each item's one part; only where some item has several
     parts are the items taken as their runs instead, so a singleton
-    instance pays nothing per item.  ``np.lexsort`` is stable, so items
-    with equal (end, start) keep their release order, the index tie-break.
+    instance pays nothing per item.  ``np.lexsort`` sorts (end, start)
+    stably, so items with equal (end, start) keep their release order, the
+    index tie-break.  From ``_ARGSORT_MIN`` items on, where all ends
+    differ, sorting the ends alone gives the same order at a fraction of
+    the cost.
     """
     try:
         ivs = [part for (part,) in [b.parts for b in inst.items]]
@@ -111,6 +125,11 @@ def _sort_instance(inst: Instance) -> SortedInstance:
         ivs = [SubInterval(a, e) for a, e in _one_runs(inst)]
     starts = np.array([p.start for p in ivs])
     ends = np.array([p.end for p in ivs])
+    if len(ends) >= _ARGSORT_MIN:
+        order = np.argsort(ends)
+        by_end = ends[order]
+        if not (by_end[1:] == by_end[:-1]).any():
+            return SortedInstance(order.tolist(), starts[order], by_end)
     order = np.lexsort((starts, ends))
     return SortedInstance(order.tolist(), starts[order], ends[order])
 
@@ -204,20 +223,20 @@ def _numpy_predecessors(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarra
 
 
 def _dp_tables(s: SortedInstance, q: int):
-    """Fill chi and kappa; return their ``[i][j]`` views and the two
+    """Fill chi and kappa; return their ``[i][j]`` views, the two
     transitions of ``kappa``, each as (predecessor rows, length item i
     adds): the disjoint one through ``chi[phi+1][j-1]`` and the
-    intersecting one through ``kappa[psi+1][j-1]``.
+    intersecting one through ``kappa[psi+1][j-1]``, and the prefix unions.
 
     ``kappa[i][j]`` takes the intersecting transition where it wins
     strictly, and only from j == 2 on: column 0 is zero, and at j == 1 item
     i stands alone.  Rows up to j of column j of ``chi`` are the prefix
     unions.  The row of predecessor p is p+1, or 0 when p is absent.
 
-    The tables end at their fixed point: they hold columns 0..j for the
-    first j >= 2 whose columns equal columns j-1 in both tables while chi's
-    rows j+1..min(q, n) hold the prefix unions, since every later column up
-    to q would equal column j; all q+1 columns when there is no such j.
+    The tables end at their fixed point, the first column j >= 2 that
+    :func:`_fixed_point` certifies: every later column c up to q is then
+    column j with chi's rows up to c pinned to the prefix unions.  They
+    hold all q+1 columns when no column is certified.
     """
     n = len(s.order)
     psi1, phi1 = build_predecessors(s)
@@ -244,23 +263,56 @@ def _dp_tables(s: SortedInstance, q: int):
         if j < n:  # max(reject, accept) down the column
             col[j + 1:] = kappa[j, j + 1:]
             np.maximum.accumulate(col[j:], out=col[j:])
-        # Column j+1 is filled from column j as column j was from column
-        # j-1 (both take the intersecting transition), except that its row
-        # j+1 is set to the prefix union.  So once both tables' column j
-        # equals column j-1 bit for bit and chi's rows j+1..min(q, n)
-        # already hold the prefix unions, every later column equals
-        # column j.  The chi[n] cells are compared first, as the cheapest.
+        # The tables end at column j if it equals column j-1 in both tables
+        # and every later column is certified; chi[n] is compared first, as
+        # the cheapest.
         if (
             j > 1
             and chi[j, n] == chi[j - 1, n]
-            and chi[j, j + 1: top + 1].tobytes() == pref[j + 1: top + 1].tobytes()
             and chi[j].tobytes() == chi[j - 1].tobytes()
             and kappa[j].tobytes() == kappa[j - 1].tobytes()
+            and _fixed_point(j, top, chi[j], kappa[j], pref, (phi1, sizes), (psi1, rest))
         ):
             q = j
             break
 
-    return chi[: q + 1].T, kappa[: q + 1].T, (phi1, sizes), (psi1, rest)
+    return chi[: q + 1].T, kappa[: q + 1].T, (phi1, sizes), (psi1, rest), pref
+
+
+def _fixed_point(j, top, x, kap, pref, disjoint, intersecting) -> bool:
+    """Whether every later column c of the fill is (x, kap) with chi's rows
+    up to c pinned to the prefix unions, given that column j, (x, kap),
+    equals column j-1 bit for bit in both tables; top is min(q, n).
+
+    Column c+1 is filled from column c as column j was from column j-1,
+    except that it reads pinned rows of chi where column j read x, and
+    re-seeds chi's running maximum at row c+1.  A pinned row r that equals
+    x[r] changes nothing, so by induction on c it suffices that, for every
+    row r in (j, top] where they differ, bit for bit with the fill's own
+    operations:
+
+    * (B) re-seeding leaves chi's rows below unchanged:
+      ``max(pref[r], kap[r+1]) == x[r+1]`` where r < n;
+    * (A) a pinned row read in place of x leaves kappa unchanged:
+      ``max(pref[r] + size, kap[psi+1] + rest) == kap[i+1]`` for every
+      item i with phi+1 == r.
+
+    Rows past j are positive lengths, so ``!=`` finds the rows whose bits
+    differ.  Where x already holds the prefix unions, no row does.
+    """
+    differs = pref[j + 1: top + 1] != x[j + 1: top + 1]
+    if not differs.any():
+        return True
+    rows = np.flatnonzero(differs) + (j + 1)
+    below = rows[rows < len(x) - 1]
+    if np.maximum(pref[below], kap[below + 1]).tobytes() != x[below + 1].tobytes():
+        return False
+    (phi1, sizes), (psi1, rest) = disjoint, intersecting
+    pinned = np.zeros(len(x), dtype=bool)
+    pinned[rows] = True
+    items = np.flatnonzero(pinned[phi1])
+    accept = pref[phi1[items]] + sizes[items]
+    return np.maximum(accept, kap[psi1[items]] + rest[items]).tobytes() == kap[items + 1].tobytes()
 
 
 def _quota(inst: Instance, quota: Optional[int]) -> int:
@@ -288,15 +340,17 @@ def solve_offline(
     if q == 0:
         return 0.0, ()
     s = _sort_instance(inst)
-    chi, kappa, (phi1, sizes), (psi1, rest) = _dp_tables(s, q)
+    chi, kappa, (phi1, sizes), (psi1, rest), pref = _dp_tables(s, q)
     n = inst.n
 
     # Walk back from chi[n][q]; in_chi says which table the cell is in.  From
     # row j on, column j of chi is the running maximum of kappa's, so row i
     # accepts its item exactly where the column rises: walking back from row
     # i, the walk stops at the first row that reaches chi[i][j], which
-    # bisection finds.  Columns past the tables' last repeat it, so column j
-    # is read from column min(j, last).
+    # bisection finds.  Columns past the tables' last are their last column
+    # with chi's rows up to the column pinned to the prefix unions
+    # (:func:`_fixed_point`), so chi[r][c] is read as pref[r] where r <= c,
+    # and from column min(c, last) otherwise.
     last = chi.shape[1] - 1
     cols = chi.T
     chosen: list[int] = []
@@ -305,7 +359,8 @@ def solve_offline(
         if in_chi:
             if i > j:
                 col = cols[min(j, last)]
-                i = bisect_left(col, col[i], j, i)
+                x = col[i]
+                i = j if pref[j] >= x else bisect_left(col, x, j + 1, i)
             if i <= j:
                 chosen.extend(range(i))
                 break
@@ -315,11 +370,12 @@ def solve_offline(
             break
         # the fill's own sums: a tie keeps the disjoint transition, through chi
         f, p, c = phi1[item], psi1[item], min(j - 1, last)
-        in_chi = chi[f, c] + sizes[item] >= kappa[p, c] + rest[item]
+        x = pref[f] if f < j else chi[f, c]
+        in_chi = x + sizes[item] >= kappa[p, c] + rest[item]
         i = int(f if in_chi else p)
         j -= 1
     picked = tuple(sorted(s.order[t] for t in chosen))
-    return float(chi[n, last]), picked
+    return float(pref[n] if q == n else chi[n, last]), picked
 
 
 def solve_offline_unit(

@@ -30,11 +30,20 @@ def sorted_items(inst):
 def dp_tables(inst):
     """chi and kappa of the exact DP at the instance's own quota, even past
     n, indexed ``[i][j]``.  Tables that end at their fixed point are
-    extended to all quota + 1 columns by repeating their last column, the
-    column the solver reads in their place."""
-    chi, kappa, _, _ = offline._dp_tables(sorted_items(inst), inst.quota)
-    cols = np.minimum(np.arange(inst.quota + 1), chi.shape[1] - 1)
-    return chi[:, cols], kappa[:, cols]
+    extended to all quota + 1 columns as the solver reads them: each later
+    column c repeats the last one, with chi's rows up to min(c, n) pinned
+    to the prefix unions."""
+    chi, kappa, _, _, pref = offline._dp_tables(sorted_items(inst), inst.quota)
+    return extend_tables(chi, kappa, pref, inst.quota)
+
+
+def extend_tables(chi, kappa, pref, quota):
+    """Stopped ``[i][j]`` tables extended to quota + 1 columns."""
+    cols = np.minimum(np.arange(quota + 1), chi.shape[1] - 1)
+    chi, kappa = chi[:, cols], kappa[:, cols]
+    for c in range(quota + 1):
+        chi[: c + 1, c] = pref[: c + 1]
+    return chi, kappa
 
 
 @pytest.fixture

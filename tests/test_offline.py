@@ -24,7 +24,7 @@ from kcover.intervals import CoverageState, prefix_unions
 from kcover.offline import solve_offline_unit
 from kcover.policies import ThresholdPolicy
 
-from conftest import al_instance, batch, dp_tables, sorted_items, unit_instance
+from conftest import al_instance, batch, dp_tables, extend_tables, sorted_items, unit_instance
 
 
 def quarter_grid_instance(rng, unit, n=None):
@@ -402,10 +402,10 @@ def test_dp_matches_enumeration_at_large_eps(monkeypatch, rng, eps):
             )
 
 
-def one_run_us_instance(rng, gaps):
-    """A unit-sum instance of at most 12 items, each cut into 1-3
-    stick-broken pieces whose gaps are drawn from `gaps`."""
-    n, k = random_nk(rng, 12)
+def one_run_us_instance(rng, gaps, n=None):
+    """A unit-sum instance of `n` items, or of at most 12 without it, each
+    cut into 1-3 stick-broken pieces whose gaps are drawn from `gaps`."""
+    n, k = random_nk(rng, 12) if n is None else (n, 2)
     items = []
     for _ in range(n):
         weights = [rng.uniform(0.2, 1.0) for _ in range(rng.randint(1, 3))]
@@ -592,6 +592,17 @@ def test_prefix_unions_match_absorb_loop(monkeypatch, rng, eps):
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
+def test_sort_order_is_end_start_index(rng):
+    # from _ARGSORT_MIN items on, distinct ends take one sort of the ends,
+    # and equal ones the stable (end, start) sort, as every smaller
+    # instance does; all give the (end, start, index) order
+    cases = list(singleton_cases(rng)) + [disjoint_instance(rng, offline._ARGSORT_MIN)]
+    cases += [gen_instance(rng, "AL", 2000, 100), quarter_grid_instance(rng, False, 400)]
+    for inst in cases:
+        key = [(b.runs()[0][1], b.runs()[0][0], i) for i, b in enumerate(inst.items)]
+        assert sorted_items(inst).order == sorted(range(inst.n), key=key.__getitem__)
+
+
 def with_quota(inst, quota):
     """The instance at another quota; AN, so the quota may pass n."""
     return replace(inst, quota=quota, setting=replace(inst.setting, count="AN"))
@@ -628,16 +639,113 @@ def test_tables_end_at_their_fixed_point():
     # place of every later one.
     k, n = 75, 750
     _, inst = run_game(ThresholdPolicy(k, n), adv_ul_un_general(k, n))
-    chi, kappa, _, _ = offline._dp_tables(sorted_items(inst), k)
+    chi, kappa, *_ = offline._dp_tables(sorted_items(inst), k)
     assert chi.shape == kappa.shape == (n + 1, 4)
     # Every item holds the point 4, and the first 6 items are the first 6
     # in end order, whose union [0, 6] no 6 items exceed: the DP and the
     # enumeration both pick them.
     pairs = [(0, 4), (1, 5), (3.5, 6), (0.5, 6)] + [(3.5, 6)] * 4 + [(3.75, 6), (4, 6)]
     inst = al_instance(pairs, 6)
-    chi, kappa, _, _ = offline._dp_tables(sorted_items(inst), 6)
+    chi, kappa, *_ = offline._dp_tables(sorted_items(inst), 6)
     assert chi.shape == kappa.shape == (11, 4)
     assert solve_offline(inst) == brute_force_offline(inst) == (6.0, (0, 1, 2, 3, 4, 5))
+
+
+def assert_extends_to_full_fill(monkeypatch, inst, quota):
+    """The stopped tables, extended as the solver reads them, and its
+    solution equal those of a fill that never stops; returns the columns
+    the stopped tables hold."""
+    runs = []
+    for stop in (True, False):
+        with monkeypatch.context() as m:
+            if not stop:  # no column is certified, so all are filled
+                m.setattr(offline, "_fixed_point", lambda *args: False)
+            chi, kappa, *_, pref = offline._dp_tables(sorted_items(inst), quota)
+            value, picks = solve_offline(inst, quota)
+        runs.append((chi, kappa, pref, (value.hex(), picks)))
+    (chi, kappa, pref, got), (full_chi, full_kappa, _, want) = runs
+    extended = extend_tables(chi, kappa, pref, full_chi.shape[1] - 1)
+    for table, full in zip(extended, (full_chi, full_kappa)):
+        assert table.tobytes() == np.ascontiguousarray(full).tobytes()
+    assert got == want
+    return chi.shape[1]
+
+
+@pytest.mark.parametrize("length, m", [("UL", None), ("FL", 2.0), ("AL", None)])
+def test_fixed_point_at_bench_size(monkeypatch, length, m):
+    # n = 2000, k = 100, as the benchmark's replays.  On AL the tables stop
+    # changing at column 5, while some of chi's rows past it differ from
+    # the prefix unions by an ulp: they end there only because every later
+    # column is certified with its rows pinned to the prefix unions.
+    inst = gen_instance(random.Random(1), length, 2000, 100, m)
+    held = assert_extends_to_full_fill(monkeypatch, inst, inst.quota)
+    if length == "AL":
+        assert held <= 6
+
+
+def with_shared_ends(rng, inst):
+    """`inst` with about 40% of its items replaced by a copy of an earlier
+    item or, outside US, by a piece of one that ends where it ends: prefix
+    unions that some items leave unchanged, summed in other orders."""
+    items = list(inst.items)
+    for t in range(1, len(items)):
+        if rng.random() < 0.4:
+            item = items[rng.randrange(t)]
+            if inst.setting.length != "US" and rng.random() < 0.5:
+                part = item.parts[0]
+                item = Batch.single(rng.uniform(part.start, part.end), part.end)
+            items[t] = item
+    length = "US" if inst.setting.length == "US" else "AL"
+    return Instance(inst.target_len, inst.quota, Setting(length, "AN"), tuple(items))
+
+
+@pytest.mark.parametrize("eps", [0.0, None, 0.3])
+def test_fixed_point_is_exact(monkeypatch, eps):
+    # Stopped tables, extended with their pinned rows, equal a fill that
+    # never stops, and so do the solutions, on one-run instances of every
+    # setting with quotas past n, as drawn and with shared ends.  Some
+    # columns equal the column before them in both tables but are refused,
+    # as reading a pinned row would change a later column, so conditions
+    # (A) and (B) are exercised.
+    rng = random.Random(20261101)
+    if eps is not None:
+        monkeypatch.setattr(numeric, "EPS", eps)
+    refused = 0
+
+    def counted(*args):
+        nonlocal refused
+        certified = fixed_point(*args)
+        refused += not certified
+        return certified
+
+    fixed_point = offline._fixed_point
+    monkeypatch.setattr(offline, "_fixed_point", counted)
+    e = numeric.EPS
+    for _ in range(10):
+        for length in ("UL", "FL", "AL", "US"):
+            n = rng.randint(30, 400)
+            if length == "US":
+                inst = one_run_us_instance(rng, [0.0, e / 2, e], n)
+            else:
+                inst = spread_instance(rng, length, n, rng.randint(2, 40))
+            for case in (inst, with_shared_ends(rng, inst)):
+                assert_extends_to_full_fill(monkeypatch, case, rng.randint(2, n + 3))
+    assert refused > 0
+
+
+@pytest.mark.parametrize("eps", [0.0, None, 0.3])
+def test_backtrack_reads_pinned_rows(monkeypatch, eps):
+    # Tenths are inexact in binary, so the DP's sums and the prefix unions
+    # round apart.  The tables end at column 4; at quota 9 the backtrack's
+    # bisection must read chi[9][9] as the prefix union of the first 9
+    # items, not as row 9 of the last column, to pick what a fill that
+    # never stops picks.
+    if eps is not None:
+        monkeypatch.setattr(numeric, "EPS", eps)
+    pairs = [(3, 5), (3, 8), (5, 7), (1, 4), (3, 9), (6, 9), (2, 6), (7, 13), (7, 13), (4, 5)]
+    inst = al_instance([(a * 0.1, b * 0.1) for a, b in pairs], 9)
+    for quota in range(1, inst.n + 4):
+        assert assert_extends_to_full_fill(monkeypatch, inst, quota) <= 5
 
 
 # SHA-256 over repr(value) and the picks of the exact DP on the inputs of
