@@ -101,23 +101,13 @@ def one_run_items(inst: Instance) -> bool:
     return all(b.is_singleton or len(b.runs()) == 1 for b in inst.items)
 
 
-# Fewest items for which _sort_instance first tries one sort of the ends:
-# on a 2-core x86-64 host np.lexsort took 1.5, 7.2 and 184 us against 4.5,
-# 6.0 and 25 us for np.argsort and its check for equal ends, at 12, 320 and
-# 2000 items in random order.
-_ARGSORT_MIN = 320
-
-
 def _sort_instance(inst: Instance) -> SortedInstance:
     """The sorted items.
 
     One pass takes each item's one part; only where some item has several
     parts are the items taken as their runs instead, so a singleton
-    instance pays nothing per item.  ``np.lexsort`` sorts (end, start)
-    stably, so items with equal (end, start) keep their release order, the
-    index tie-break.  From ``_ARGSORT_MIN`` items on, where all ends
-    differ, sorting the ends alone gives the same order at a fraction of
-    the cost.
+    instance pays nothing per item.  ``np.lexsort`` is stable, so items
+    with equal (end, start) keep their release order, the index tie-break.
     """
     try:
         ivs = [part for (part,) in [b.parts for b in inst.items]]
@@ -125,11 +115,6 @@ def _sort_instance(inst: Instance) -> SortedInstance:
         ivs = [SubInterval(a, e) for a, e in _one_runs(inst)]
     starts = np.array([p.start for p in ivs])
     ends = np.array([p.end for p in ivs])
-    if len(ends) >= _ARGSORT_MIN:
-        order = np.argsort(ends)
-        by_end = ends[order]
-        if not (by_end[1:] == by_end[:-1]).any():
-            return SortedInstance(order.tolist(), starts[order], by_end)
     order = np.lexsort((starts, ends))
     return SortedInstance(order.tolist(), starts[order], ends[order])
 

@@ -592,17 +592,6 @@ def test_prefix_unions_match_absorb_loop(monkeypatch, rng, eps):
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
-def test_sort_order_is_end_start_index(rng):
-    # from _ARGSORT_MIN items on, distinct ends take one sort of the ends,
-    # and equal ones the stable (end, start) sort, as every smaller
-    # instance does; all give the (end, start, index) order
-    cases = list(singleton_cases(rng)) + [disjoint_instance(rng, offline._ARGSORT_MIN)]
-    cases += [gen_instance(rng, "AL", 2000, 100), quarter_grid_instance(rng, False, 400)]
-    for inst in cases:
-        key = [(b.runs()[0][1], b.runs()[0][0], i) for i, b in enumerate(inst.items)]
-        assert sorted_items(inst).order == sorted(range(inst.n), key=key.__getitem__)
-
-
 def with_quota(inst, quota):
     """The instance at another quota; AN, so the quota may pass n."""
     return replace(inst, quota=quota, setting=replace(inst.setting, count="AN"))
@@ -735,17 +724,36 @@ def test_fixed_point_is_exact(monkeypatch, eps):
 
 @pytest.mark.parametrize("eps", [0.0, None, 0.3])
 def test_backtrack_reads_pinned_rows(monkeypatch, eps):
+    # Past the tables' last column the backtrack must read chi's rows up to
+    # the column as the prefix unions, to pick what a fill that never stops
+    # picks.
+    #
     # Tenths are inexact in binary, so the DP's sums and the prefix unions
-    # round apart.  The tables end at column 4; at quota 9 the backtrack's
-    # bisection must read chi[9][9] as the prefix union of the first 9
-    # items, not as row 9 of the last column, to pick what a fill that
-    # never stops picks.
+    # round apart.  The tables end at column 4; at quota 9 the bisection
+    # must read chi[9][9] as the prefix union of the first 9 items, not as
+    # row 9 of the last column.
+    #
+    # The second instance's items run from a * 2**50 + b to c * 2**50 + d.
+    # Floats from 2**53 to 2**55 are 2 or 4 apart, so the DP's sums round
+    # at the units.  The tables end at column 5, where chi[6] is 2**54 but
+    # the prefix union of the first 6 sorted items is 2**54 - 2.  At quota
+    # 7 the backtrack accepts the last sorted item in column 7, whose
+    # disjoint predecessor row is 6: read as the stored 2**54, its disjoint
+    # sum ties the intersecting one at 1.125 * 2**54 + 4 and the tie keeps
+    # it; read as the pinned prefix union, it loses by 4.
     if eps is not None:
         monkeypatch.setattr(numeric, "EPS", eps)
-    pairs = [(3, 5), (3, 8), (5, 7), (1, 4), (3, 9), (6, 9), (2, 6), (7, 13), (7, 13), (4, 5)]
-    inst = al_instance([(a * 0.1, b * 0.1) for a, b in pairs], 9)
-    for quota in range(1, inst.n + 4):
-        assert assert_extends_to_full_fill(monkeypatch, inst, quota) <= 5
+    tenths = [(3, 5), (3, 8), (5, 7), (1, 4), (3, 9), (6, 9), (2, 6), (7, 13), (7, 13), (4, 5)]
+    unit = 2.0 ** 50
+    coords = [(14, 4, 18, 8), (3, 5, 8, 8), (9, 2, 16, 4), (0, 6, 5, 13),
+              (3, 5, 5, 7), (3, 5, 11, 8), (16, 8, 18, 12), (8, 0, 15, 4)]
+    cases = [
+        (al_instance([(a * 0.1, b * 0.1) for a, b in tenths], 9), 5),
+        (al_instance([(a * unit + b, c * unit + d) for a, b, c, d in coords], 8), 6),
+    ]
+    for inst, held in cases:
+        for quota in range(1, inst.n + 4):
+            assert assert_extends_to_full_fill(monkeypatch, inst, quota) <= held
 
 
 # SHA-256 over repr(value) and the picks of the exact DP on the inputs of
