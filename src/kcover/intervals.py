@@ -71,7 +71,8 @@ class Batch:
 
     @property
     def total_part_length(self) -> float:
-        """Sum of part lengths (equals the union length; parts are disjoint)."""
+        """Sum of the part lengths, which the unit-sum check reads.  Parts
+        may overlap by up to EPS, so it can exceed the union length."""
         return sum(p.length for p in self.parts)
 
     @property

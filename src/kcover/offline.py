@@ -1,58 +1,28 @@
 """Exact offline baselines: a dynamic program over end-sorted items and a
 subset-enumeration oracle used to verify it.
 
-The DP takes each item as one interval: its one part, or the run its
-touching parts form (:meth:`~kcover.intervals.Batch.runs`), which covers
-the same length; items of several runs are refused.  It processes the
-items in non-decreasing end order.  For each item it knows the
-deepest-overlapping predecessor (the intersecting item with the left-most
-start) and the nearest disjoint predecessor, and combines two value
-tables.  Items intersect when they touch within EPS, as
-:func:`~kcover.intervals.union_length` merges pieces.  Below
-``_NUMPY_PREDECESSORS`` items one linear scan finds the predecessors; at
-or above it, O(log n) numpy passes do.
+The DP takes each item as one interval (:func:`_one_runs`), reads the
+items in (end, start, index) order and fills two value tables:
 
 * ``chi[i][j]``   -- best coverage using at most j accepts from the first i
                      sorted items;
 * ``kappa[i][j]`` -- same, but item i itself must be accepted.
 
-The intersecting transition must recurse through ``kappa`` so that the
-subtracted overlap is actually covered by the accepted predecessor; with one
-accept there is no accepted predecessor, so column 1 never takes it.  Item
-i is either rejected or accepted, so ``chi[i][j] = max(chi[i-1][j],
-kappa[i][j])`` once i > j; a tie keeps the rejection.  The DP stores the
-two value tables and nothing else: backtracking re-derives every choice
+Item i is either rejected or accepted, so ``chi[i][j] = max(chi[i-1][j],
+kappa[i][j])`` once i > j; a tie keeps the rejection.  Kappa's
+intersecting transition recurses through kappa so that the subtracted
+overlap is actually covered by the accepted predecessor.  The DP stores
+the two tables and nothing else: backtracking re-derives every choice
 from them with the fill's own additions and comparisons.
 
-In column j, rows i <= j accept all of the first i items, so they hold the
-prefix unions: the union length of the first i sorted items, which
-:func:`~kcover.intervals.prefix_unions` gives in one O(n) pass.  Column j
-depends only on column j-1, so each table is filled one quota column at a
-time by numpy operations over all n items.  Columns past n would repeat
-column n, so the solver stops there.  The fill ends sooner, at the
-tables' fixed point: the first column j >= 2 that equals column j-1 bit
-for bit in both tables and whose later columns c are certified to be
-column j with chi's rows up to c pinned to the prefix unions.  The DP's
-sums may differ from those by an ulp, so :func:`_fixed_point` checks that
-(B) re-seeding chi's running maximum at a pinned row, and (A) reading a
-pinned row of chi in kappa's disjoint transition, change no cell.  The
-solver reads a later column c from the last one, with rows r <= c read as
-the prefix unions.  So the DP costs O(j* n + n log n), where
-j* <= min(k, n) is the column the fill ends at.
-Tables are allocated ``(q+1) x (n+1)``, contiguous per column, and their
-filled columns handed out as float64 ``.T`` views indexed ``[i][j]``.
-IEEE add and max are exact, so every cell equals what a cell-by-cell loop
-computes.
-
-The enumeration oracle merges each item's own touching parts into runs, as
-the DP does, sorts all runs of all items once and scores a block of
-subsets at a time: each row merges the runs its subset keeps with numpy
-operations over all rows.  It finds the components ``union_length`` finds
-and adds their lengths in the same left-to-right order, so every score
-equals ``union_length`` of that subset bit for bit; the first maximum in
-``itertools.combinations`` order wins, as in a plain loop over subsets.
-Blocks hold at most ``_BLOCK_ROWS`` subsets, so memory does not grow with
-C(n, k).
+Column j depends only on column j-1, so each table is filled one quota
+column at a time by numpy operations over all n items, up to the tables'
+fixed point (:func:`_fixed_point`).  So the DP costs O(j* n + n log n),
+where j* <= min(k, n) is the column the fill ends at.  Tables are
+allocated ``(q+1) x (n+1)``, contiguous per column, and their filled
+columns handed out as float64 ``.T`` views indexed ``[i][j]``.  Each cell
+is the add and max of the operands a cell-by-cell loop reads, so it equals
+what that loop computes bit for bit.
 """
 
 from __future__ import annotations
@@ -234,34 +204,40 @@ def _dp_tables(s: SortedInstance, q: int):
 
     chi = np.zeros((q + 1, n + 1))
     kappa = np.zeros((q + 1, n + 1))
+    disjoint, intersecting = (phi1, sizes), (psi1, rest)
     top = min(q, n)
     for j in range(1, q + 1):
-        col = kappa[j, 1:]
-        chi[j - 1].take(phi1, out=col)
-        col += sizes
-        if j > 1:
-            cand = kappa[j - 1].take(psi1)
-            cand += rest
-            np.maximum(col, cand, out=col)
+        _accept(chi[j - 1], kappa[j - 1] if j > 1 else None, disjoint, intersecting, kappa[j, 1:])
         col = chi[j]
         col[: j + 1] = pref[: j + 1]
-        if j < n:  # max(reject, accept) down the column
-            col[j + 1:] = kappa[j, j + 1:]
-            np.maximum.accumulate(col[j:], out=col[j:])
+        col[j + 1:] = kappa[j, j + 1:]  # max(reject, accept) down the column
+        np.maximum.accumulate(col[j:], out=col[j:])
         # The tables end at column j if it equals column j-1 in both tables
         # and every later column is certified; chi[n] is compared first, as
-        # the cheapest.
+        # the cheapest, and chi[1][n] > 0 = chi[0][n].
         if (
-            j > 1
-            and chi[j, n] == chi[j - 1, n]
+            chi[j, n] == chi[j - 1, n]
             and chi[j].tobytes() == chi[j - 1].tobytes()
             and kappa[j].tobytes() == kappa[j - 1].tobytes()
-            and _fixed_point(j, top, chi[j], kappa[j], pref, (phi1, sizes), (psi1, rest))
+            and _fixed_point(j, top, chi[j], kappa[j], pref, disjoint, intersecting)
         ):
             q = j
             break
 
-    return chi[: q + 1].T, kappa[: q + 1].T, (phi1, sizes), (psi1, rest), pref
+    return chi[: q + 1].T, kappa[: q + 1].T, disjoint, intersecting, pref
+
+
+def _accept(x, kap, disjoint, intersecting, out=None):
+    """The fill's kappa column step, into `out`: kappa's column after chi's
+    column x and kappa's column kap, which is None at column 1."""
+    (phi1, sizes), (psi1, rest) = disjoint, intersecting
+    out = x.take(phi1, out=out)
+    out += sizes
+    if kap is not None:
+        cand = kap.take(psi1)
+        cand += rest
+        np.maximum(out, cand, out=out)
+    return out
 
 
 def _fixed_point(j, top, x, kap, pref, disjoint, intersecting) -> bool:
@@ -271,33 +247,25 @@ def _fixed_point(j, top, x, kap, pref, disjoint, intersecting) -> bool:
 
     Column c+1 is filled from column c as column j was from column j-1,
     except that it reads pinned rows of chi where column j read x, and
-    re-seeds chi's running maximum at row c+1.  A pinned row r that equals
-    x[r] changes nothing, so by induction on c it suffices that, for every
-    row r in (j, top] where they differ, bit for bit with the fill's own
-    operations:
+    re-seeds chi's running maximum at row c+1.  The DP's sums may differ
+    from the prefix unions by an ulp, so by induction on c it suffices
+    that, bit for bit with the fill's own operations:
 
     * (B) re-seeding leaves chi's rows below unchanged:
-      ``max(pref[r], kap[r+1]) == x[r+1]`` where r < n;
-    * (A) a pinned row read in place of x leaves kappa unchanged:
-      ``max(pref[r] + size, kap[psi+1] + rest) == kap[i+1]`` for every
-      item i with phi+1 == r.
-
-    Rows past j are positive lengths, so ``!=`` finds the rows whose bits
-    differ.  Where x already holds the prefix unions, no row does.
+      ``max(pref[r], kap[r+1]) == x[r+1]`` for every row r in
+      (j, min(top, n-1)]; where x[r] is already pref[r], the running
+      maximum gives it;
+    * (A) :func:`_accept` on x with its rows up to top pinned gives kap:
+      each item reads one row of x, and an unpinned read gives kap, as
+      column j equals column j-1.
     """
-    differs = pref[j + 1: top + 1] != x[j + 1: top + 1]
-    if not differs.any():
-        return True
-    rows = np.flatnonzero(differs) + (j + 1)
-    below = rows[rows < len(x) - 1]
-    if np.maximum(pref[below], kap[below + 1]).tobytes() != x[below + 1].tobytes():
-        return False
-    (phi1, sizes), (psi1, rest) = disjoint, intersecting
-    pinned = np.zeros(len(x), dtype=bool)
-    pinned[rows] = True
-    items = np.flatnonzero(pinned[phi1])
-    accept = pref[phi1[items]] + sizes[items]
-    return np.maximum(accept, kap[psi1[items]] + rest[items]).tobytes() == kap[items + 1].tobytes()
+    last = min(top, len(x) - 2)  # rows r in (j, last] have a row r+1
+    reseeded = np.maximum(pref[j + 1:last + 1], kap[j + 2:last + 2])
+    pinned = np.concatenate((pref[: top + 1], x[top + 1:]))
+    return (
+        reseeded.tobytes() == x[j + 2:last + 2].tobytes()
+        and _accept(pinned, kap, disjoint, intersecting).tobytes() == kap[1:].tobytes()
+    )
 
 
 def _quota(inst: Instance, quota: Optional[int]) -> int:

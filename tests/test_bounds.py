@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -173,15 +174,26 @@ def test_sandwich_all_settings():
 
 def test_verify_bounds_reports_first_sandwich_violation(monkeypatch):
     # the dumped counterexample is the first violating row, as in every
-    # other verify check, not the last one the grid reaches
+    # other verify check, not the last one the grid reaches; with every
+    # multi-threshold list below ub_soa_an, that is the first list drawn
     def two_violations(k, n, m):
         return [BoundReport(s, k, n, m, 2.0, 1.0, "test") for s in ("first", "second")]
 
+    def below_floor(thresholds, k):
+        return ub_soa_an(k) - 1.0
+
     monkeypatch.setattr(harness, "bound_table", two_violations)
-    dumps = {label: bad for _, label, _, bad in harness.verify_bounds(seed=1)}
-    assert dumps["bound-sandwich"] == {
+    monkeypatch.setattr(harness, "ub_multi", below_floor)
+    rows = {label: (ok, bad) for ok, label, _, bad in harness.verify_bounds(seed=1)}
+    assert rows["bound-sandwich"] == (False, {
         "setting": "first", "k": 2, "n": 3, "lower": 2.0, "upper": 1.0,
-    }
+    })
+    rng = random.Random(1)
+    k = rng.randint(2, 50)
+    thresholds = harness.random_multi_thresholds(rng, k)
+    assert rows["multi-threshold-floor"] == (False, {
+        "k": k, "thresholds": thresholds, "gap": below_floor(thresholds, k) - ub_soa_an(k),
+    })
 
 
 def test_bound_table_shape():

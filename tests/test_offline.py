@@ -54,6 +54,7 @@ class TestSolveOffline:
     def test_quota_zero(self):
         inst = al_instance([(0, 1), (2, 3)], 2)
         assert solve_offline(inst, quota=0) == (0.0, ())
+        assert brute_force_offline(inst, quota=0) == (0.0, ())
 
     def test_negative_quota_refused(self):
         inst = al_instance([(0, 1), (2, 3)], 2)
@@ -662,14 +663,15 @@ def assert_extends_to_full_fill(monkeypatch, inst, quota):
 
 @pytest.mark.parametrize("length, m", [("UL", None), ("FL", 2.0), ("AL", None)])
 def test_fixed_point_at_bench_size(monkeypatch, length, m):
-    # n = 2000, k = 100, as the benchmark's replays.  On AL the tables stop
-    # changing at column 5, while some of chi's rows past it differ from
-    # the prefix unions by an ulp: they end there only because every later
-    # column is certified with its rows pinned to the prefix unions.
+    # n = 2000, k = 100, as the benchmark's replays, whose cost rests on the
+    # columns the tables hold: a certificate that refuses more fills more.
+    # On AL the tables stop changing at column 5, while some of chi's rows
+    # past it differ from the prefix unions by an ulp: they end there only
+    # because every later column is certified with its rows pinned to the
+    # prefix unions.
     inst = gen_instance(random.Random(1), length, 2000, 100, m)
     held = assert_extends_to_full_fill(monkeypatch, inst, inst.quota)
-    if length == "AL":
-        assert held <= 6
+    assert held <= {"UL": 10, "FL": 19, "AL": 6}[length]
 
 
 def with_shared_ends(rng, inst):
