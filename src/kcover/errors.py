@@ -15,8 +15,9 @@ class SettingError(KcoverError, ValueError):
 
 
 class SizeGuardError(KcoverError, ValueError):
-    """Exhaustive search refused because it is too large: an enumeration
-    over too many items, or a threshold grid with too many points."""
+    """Work refused because it is too large: an enumeration over too many
+    items, DP tables over their memory guard, or a threshold grid with too
+    many points."""
 
 
 class ConfigError(KcoverError, ValueError):

@@ -3,6 +3,8 @@
 Everything here but the coverage state is immutable and pure; the other
 modules build on these primitives.  Lengths are plain doubles; touching
 pieces (gap within the global tolerance) merge into one covered component.
+An instance is validated in one pass over its parts, and holds them as
+read-only arrays too, built on first use, which the offline solvers read.
 """
 
 from __future__ import annotations
@@ -10,10 +12,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import numeric
 from .errors import SettingError, StructureError
@@ -25,7 +29,7 @@ COUNT_SETTINGS = ("UN", "AN")
 
 @dataclass(frozen=True)
 class SubInterval:
-    """Closed interval [start, end] with strictly positive length."""
+    """Closed interval [start, end] with strictly positive, finite length."""
 
     start: float
     end: float
@@ -37,6 +41,8 @@ class SubInterval:
             raise StructureError(
                 f"interval [{self.start!r}, {self.end!r}] has non-positive length"
             )
+        if self.end == math.inf:
+            raise StructureError(f"interval [{self.start!r}, inf] has an infinite end")
 
     @property
     def length(self) -> float:
@@ -68,16 +74,6 @@ class Batch:
     @classmethod
     def single(cls, start: float, end: float) -> "Batch":
         return cls((SubInterval(start, end),))
-
-    @property
-    def total_part_length(self) -> float:
-        """Sum of the part lengths, which the unit-sum check reads.  Parts
-        may overlap by up to EPS, so it can exceed the union length."""
-        return sum(p.length for p in self.parts)
-
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.parts) == 1
 
     def runs(self) -> list[tuple[float, float]]:
         """(start, end) of each run of touching parts, left to right: in
@@ -288,44 +284,6 @@ class Setting:
         return f"{self.length}-{self.count}"
 
 
-def end_rounding(end: float) -> float:
-    """A few ulps of `end`: how far a length computed from endpoints that
-    reach `end` may miss the length they were built from ([s, s + 1.0] has
-    float length 1 only up to the rounding of s + 1.0)."""
-    return 8 * math.ulp(end)
-
-
-def off_unit_length(length: float, end: float) -> bool:
-    """Whether a length computed from endpoints that reach `end` misses 1
-    by more than EPS and by more than `end_rounding(end)`."""
-    miss = abs(length - 1.0)
-    return miss > numeric.EPS and miss > end_rounding(end)
-
-
-def _check_item_shape(setting: Setting, batch: Batch, where: str) -> None:
-    if setting.length == "US":
-        if off_unit_length(batch.total_part_length, batch.parts[-1].end):
-            raise SettingError(
-                f"{where}: unit-sum batch has total length "
-                f"{batch.total_part_length!r}"
-            )
-        return
-    if not batch.is_singleton:
-        raise SettingError(f"{where}: multi-part batch outside the US setting")
-    length = batch.parts[0].length
-    if setting.length == "UL":
-        if off_unit_length(length, batch.parts[0].end):
-            raise SettingError(f"{where}: unit-length item has length {length!r}")
-    elif setting.length == "FL":
-        # relative to m above 1: a length computed from endpoints near t*m
-        # is off by about an ulp of t*m, past 1e-9 once m is in the millions
-        m, slack = setting.m, end_rounding(batch.parts[0].end)
-        if (length < 1.0 - max(numeric.EPS, slack)
-                or length > m + max(numeric.EPS * max(1.0, m), slack)):
-            raise SettingError(f"{where}: FL item length {length!r} outside [1, {m}]")
-    # AL: any positive length.
-
-
 @dataclass(frozen=True)
 class Instance:
     """A full release sequence over the target [0, target_len] with quota."""
@@ -336,18 +294,56 @@ class Instance:
     items: tuple[Batch, ...]
 
     def __post_init__(self):
-        if not self.target_len > 0.0:
+        """One pass over the parts, item by item: every part ends in the
+        target, and the item has the setting's shape.  A size computed from
+        endpoints that reach an item's last end may miss the size it was
+        built from by a few ulps of that end ([s, s + 1.0] has float length
+        1 only up to the rounding of s + 1.0), so a size is refused only if
+        it misses by more than EPS and by more than 8 ulps of that end."""
+        target, kind, m = self.target_len, self.setting.length, self.setting.m
+        if not target > 0.0:
             raise SettingError("target_len must be positive")
+        if target == math.inf:
+            raise SettingError("target_len must be finite, got inf")
         if not self.items:
             raise SettingError("instance needs at least one item")
         check_quota(self.quota, self.n if self.setting.count == "UN" else None)
-        for i, batch in enumerate(self.items):
-            for p in batch.parts:
-                if p.end > self.target_len + numeric.EPS:
-                    raise SettingError(
-                        f"items[{i}]: part {p} outside [0, {self.target_len}]"
-                    )
-            _check_item_shape(self.setting, batch, f"items[{i}]")
+        eps = numeric.EPS
+        reach = target + eps
+        if kind == "FL":
+            # relative to m > 1: a length computed from endpoints near t*m
+            # is off by about an ulp of t*m, past 1e-9 once m is in the millions
+            low, high = 1.0 - eps, m + eps * m
+        for i, parts in enumerate([b.parts for b in self.items]):
+            for p in parts:
+                if p.end > reach:
+                    raise SettingError(f"items[{i}]: part {p} outside [0, {target}]")
+            if kind == "US":  # the parts' summed lengths, not their union's
+                size = sum(q.end - q.start for q in parts)
+            elif len(parts) > 1:
+                raise SettingError(f"items[{i}]: multi-part batch outside the US setting")
+            else:
+                size = p.end - p.start
+            if kind == "FL":  # size < 1 - max(EPS, 8 ulps), bit for bit; so above
+                if (size < low and size < 1.0 - 8 * math.ulp(p.end)
+                        or size > high and size > m + 8 * math.ulp(p.end)):
+                    raise SettingError(f"items[{i}]: FL item length {size!r} outside [1, {m}]")
+            elif kind != "AL":
+                miss = abs(size - 1.0)
+                if miss > eps and miss > 8 * math.ulp(p.end):
+                    what = "unit-sum batch has total" if kind == "US" else "unit-length item has"
+                    raise SettingError(f"items[{i}]: {what} length {size!r}")
+
+    @cached_property
+    def part_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Starts and ends of every part, item by item, as read-only float64
+        arrays: built on first read and kept, outside ``==``, ``hash`` and
+        ``repr``.  They hold n parts exactly when every item has one."""
+        parts = [p for b in self.items for p in b.parts]
+        starts = np.array([p.start for p in parts])
+        ends = np.array([p.end for p in parts])
+        starts.flags.writeable = ends.flags.writeable = False
+        return starts, ends
 
     @property
     def n(self) -> int:

@@ -1,8 +1,10 @@
 """Exact offline baselines: a dynamic program over end-sorted items and a
 subset-enumeration oracle used to verify it.
 
-The DP takes each item as one interval (:func:`_one_runs`), reads the
-items in (end, start, index) order and fills two value tables:
+The DP takes each item as one interval (:func:`_one_runs`), read from
+the instance's part arrays when every item has one part, built on first
+use, so it sorts without walking the items.  It reads the items in (end,
+start, index) order and fills two value tables:
 
 * ``chi[i][j]``   -- best coverage using at most j accepts from the first i
                      sorted items;
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import numeric
 from .errors import SettingError, SizeGuardError
-from .intervals import Instance, SubInterval, prefix_unions, union_length
+from .intervals import Instance, prefix_unions, union_length
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,14 @@ class SortedInstance:
     ends: np.ndarray
 
 
-def _one_runs(inst: Instance) -> list[tuple[float, float]]:
-    """Each item's one run of touching parts
+def _one_runs(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of each item's one run of touching parts
     (:meth:`~kcover.intervals.Batch.runs`), the interval the DP takes for
-    it; an item of several runs is refused."""
+    it; an item of several runs is refused.  When every item has one part,
+    these are the instance's part arrays as they are."""
+    starts, ends = inst.part_arrays
+    if len(starts) == inst.n:
+        return starts, ends
     ivs = []
     for i, b in enumerate(inst.items):
         runs = b.runs()
@@ -62,29 +68,22 @@ def _one_runs(inst: Instance) -> list[tuple[float, float]]:
                 f"{len(runs)} runs of touching parts -- use brute_force_offline for it"
             )
         ivs.extend(runs)
-    return ivs
+    return tuple(np.array(ivs).T)
 
 
 def one_run_items(inst: Instance) -> bool:
     """Whether :func:`solve_offline` takes `inst`: every item is one run of
-    touching parts."""
-    return all(b.is_singleton or len(b.runs()) == 1 for b in inst.items)
+    touching parts.  O(1) once the part arrays are built, when every item
+    has one part."""
+    return len(inst.part_arrays[0]) == inst.n or all(len(b.runs()) == 1 for b in inst.items)
 
 
 def _sort_instance(inst: Instance) -> SortedInstance:
-    """The sorted items.
-
-    One pass takes each item's one part; only where some item has several
-    parts are the items taken as their runs instead, so a singleton
-    instance pays nothing per item.  ``np.lexsort`` is stable, so items
-    with equal (end, start) keep their release order, the index tie-break.
-    """
-    try:
-        ivs = [part for (part,) in [b.parts for b in inst.items]]
-    except ValueError:
-        ivs = [SubInterval(a, e) for a, e in _one_runs(inst)]
-    starts = np.array([p.start for p in ivs])
-    ends = np.array([p.end for p in ivs])
+    """The sorted items, read from :func:`_one_runs`, so an instance of
+    one-part items is sorted without walking its items.  ``np.lexsort`` is
+    stable, so items with equal (end, start) keep their release order, the
+    index tie-break."""
+    starts, ends = _one_runs(inst)
     order = np.lexsort((starts, ends))
     return SortedInstance(order.tolist(), starts[order], ends[order])
 
@@ -268,6 +267,11 @@ def _fixed_point(j, top, x, kap, pref, disjoint, intersecting) -> bool:
     )
 
 
+# Most bytes the DP's two tables may take together: 2 * 8 * (q+1) * (n+1)
+# for float64 chi and kappa, so a fill that would pass 1 GiB is refused.
+_MAX_TABLE_BYTES = 1 << 30
+
+
 def _quota(inst: Instance, quota: Optional[int]) -> int:
     """The quota a solver runs at: `quota`, or the instance's own when None,
     capped at n.  Coverage is monotone, so n accepts take every item: a DP
@@ -288,13 +292,20 @@ def solve_offline(
     and unit-sum ones whose pieces touch within EPS.  An item's run is the
     interval it covers, so the DP scores the item as that interval.  Items
     of several runs are refused; use :func:`brute_force_offline` there.
+    Tables over ``_MAX_TABLE_BYTES`` raise :class:`SizeGuardError` before
+    anything is allocated.
     """
-    q = _quota(inst, quota)
+    q, n = _quota(inst, quota), inst.n
     if q == 0:
         return 0.0, ()
+    size = 16 * (q + 1) * (n + 1)
+    if size > _MAX_TABLE_BYTES:
+        raise SizeGuardError(
+            f"the DP tables for n={n} and quota {q} take {size} bytes, over the "
+            f"guard of {_MAX_TABLE_BYTES}"
+        )
     s = _sort_instance(inst)
     chi, kappa, (phi1, sizes), (psi1, rest), pref = _dp_tables(s, q)
-    n = inst.n
 
     # Walk back from chi[n][q]; in_chi says which table the cell is in.  From
     # row j on, column j of chi is the running maximum of kappa's, so row i

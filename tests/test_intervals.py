@@ -1,7 +1,9 @@
 import math
+import random
 from itertools import accumulate
 from operator import sub
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from kcover import (
     ConfigError,
     CoverageState,
     Instance,
+    KcoverError,
     Setting,
     StructureError,
     SettingError,
@@ -167,6 +170,22 @@ class TestValidation:
     def test_fl_needs_m(self):
         with pytest.raises(SettingError):
             Setting("FL", "UN")
+
+    def test_infinite_end_refused(self):
+        # an infinite part would score a game's ratio nan and could not be
+        # written to an instance file and read back
+        with pytest.raises(StructureError) as exc:
+            SubInterval(0.0, math.inf)
+        assert str(exc.value) == "interval [0.0, inf] has an infinite end"
+        with pytest.raises(StructureError, match="infinite end"):
+            Batch.single(2.5, math.inf)
+
+    def test_infinite_target_refused(self):
+        with pytest.raises(SettingError) as exc:
+            Instance(math.inf, 2, Setting("UL", "AN"), (single(0, 1),))
+        assert str(exc.value) == "target_len must be finite, got inf"
+        with pytest.raises(SettingError, match="target_len must be positive"):
+            Instance(math.nan, 2, Setting("UL", "AN"), (single(0, 1),))
 
 
 grid = st.integers(min_value=0, max_value=120)
@@ -345,3 +364,152 @@ def test_many_disjoint_items():
         x += length
     assert state.component_count == 4000
     assert state.total_len == total
+
+
+def end_rounding(end):
+    return 8 * math.ulp(end)
+
+
+def off_unit_length(length, end):
+    miss = abs(length - 1.0)
+    return miss > numeric.EPS and miss > end_rounding(end)
+
+
+def reference_item_checks(target_len, setting, items):
+    """Instance's item checks as one helper call per item: the rule that
+    its one pass over the parts must keep, refusal for refusal."""
+    for i, batch in enumerate(items):
+        where = f"items[{i}]"
+        for p in batch.parts:
+            if p.end > target_len + numeric.EPS:
+                raise SettingError(f"{where}: part {p} outside [0, {target_len}]")
+        if setting.length == "US":
+            total = sum(p.length for p in batch.parts)
+            if off_unit_length(total, batch.parts[-1].end):
+                raise SettingError(f"{where}: unit-sum batch has total length {total!r}")
+            continue
+        if len(batch.parts) != 1:
+            raise SettingError(f"{where}: multi-part batch outside the US setting")
+        length = batch.parts[0].length
+        if setting.length == "UL":
+            if off_unit_length(length, batch.parts[0].end):
+                raise SettingError(f"{where}: unit-length item has length {length!r}")
+        elif setting.length == "FL":
+            m, slack = setting.m, end_rounding(batch.parts[0].end)
+            if (length < 1.0 - max(numeric.EPS, slack)
+                    or length > m + max(numeric.EPS * max(1.0, m), slack)):
+                raise SettingError(f"{where}: FL item length {length!r} outside [1, {m}]")
+
+
+def near_tolerance_case(choice, uniform):
+    """(target_len, setting, items) of a random UL, FL, AL or US instance
+    with one endpoint, or the target, moved by about EPS, EPS relative to it
+    or 8 ulps of it, give or take an ulp, where the item checks' tolerance
+    ends; None when
+    the move breaks a part or a batch.  Items sit near 0 or near 3e6, where
+    8 ulps of an end pass 1e-9, and start on whole numbers now and then, so
+    that a move of EPS = 2**-20 lands exactly on it; a non-US item is now
+    and then cut in two."""
+    kind = choice(("UL", "FL", "AL", "US"))
+    m = choice((1.5, 2.0, 1e7)) if kind == "FL" else None
+    at = choice((0.0, 3e6))
+    items = []
+    for _ in range(choice((1, 2, 3))):
+        cursor = at + choice((uniform(0.0, 8.0), float(choice(range(8)))))
+        if kind == "US":
+            weights = [uniform(0.2, 1.0) for _ in range(choice((1, 2, 3)))]
+            parts = []
+            for w in weights:
+                start = cursor + (uniform(0.05, 0.5) if parts else 0.0)
+                cursor = start + w / sum(weights)
+                parts.append([start, cursor])
+        else:
+            size = {"UL": 1.0, "FL": choice((1.0, m, uniform(1.0, m or 1.0))),
+                    "AL": uniform(0.05, 5.0)}[kind]
+            parts = [[cursor, cursor + size]]
+            if choice((False, False, False, True)):
+                cut = cursor + size / 2
+                parts = [[cursor, cut], [cut, cursor + size]]
+        items.append(parts)
+    target = [max(e for parts in items for _, e in parts)]
+    spot = choice([(target, 0)] + [(p, j) for parts in items for p in parts for j in (0, 1)])
+    value = spot[0][spot[1]]
+    base = choice((0.0, numeric.EPS / 2, numeric.EPS, 2 * numeric.EPS, numeric.EPS * value / 2,
+                   4 * math.ulp(value), 8 * math.ulp(value), 16 * math.ulp(value)))
+    value += choice((-1.0, 1.0)) * base
+    for _ in range(choice((0, 1))):
+        value = math.nextafter(value, choice((-math.inf, math.inf)))
+    spot[0][spot[1]] = value
+    try:
+        batches = tuple(Batch(tuple(SubInterval(a, e) for a, e in parts)) for parts in items)
+    except StructureError:
+        return None
+    return target[0], Setting(kind, "AN", m), batches
+
+
+def outcome(make):
+    try:
+        make()
+    except KcoverError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def check_one_pass_validation(case):
+    """Instance refuses `case` exactly as the per-item rule does; when it
+    takes it, its part arrays are the parts, read-only, and no part of
+    ``==``, ``hash`` or ``repr``."""
+    target, setting, items = case
+    got = outcome(lambda: Instance(target, 2, setting, items))
+    assert got == outcome(lambda: reference_item_checks(target, setting, items))
+    if got is None:
+        inst, twin = Instance(target, 2, setting, items), Instance(target, 2, setting, items)
+        starts, ends = inst.part_arrays
+        assert inst.part_arrays is inst.part_arrays  # built once
+        parts = [p for b in items for p in b.parts]
+        assert starts.dtype == ends.dtype == np.float64
+        assert starts.tolist() == [p.start for p in parts]
+        assert ends.tolist() == [p.end for p in parts]
+        for arr in (starts, ends):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
+        assert "part_arrays" not in twin.__dict__
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.sampled_from((None, 0.0, 2.0**-20)))
+def test_one_pass_validation_matches_per_item_rule(data, eps):
+    with pytest.MonkeyPatch.context() as mp:
+        if eps is not None:
+            mp.setattr(numeric, "EPS", eps)
+        case = near_tolerance_case(
+            lambda seq: data.draw(st.sampled_from(seq)),
+            lambda lo, hi: data.draw(st.floats(lo, hi)),
+        )
+        if case is not None:
+            check_one_pass_validation(case)
+
+
+@pytest.mark.parametrize("eps", [None, 0.0, 2.0**-20])
+def test_near_tolerance_cases_reach_every_refusal(monkeypatch, eps):
+    # the same check on a seeded sample, which must take and refuse
+    # instances of every setting and reach every item refusal
+    if eps is not None:
+        monkeypatch.setattr(numeric, "EPS", eps)
+    rng = random.Random(36)
+    seen = set()
+    for _ in range(3000):
+        case = near_tolerance_case(rng.choice, rng.uniform)
+        if case is not None:
+            got = check_one_pass_validation(case)
+            # the first word after "items[i]: ", which names the refusal
+            seen.add((case[1].length, got and got[1].split(": ")[1].split()[0]))
+    assert seen == {
+        ("UL", None), ("UL", "unit-length"), ("FL", None), ("FL", "FL"), ("AL", None),
+        ("US", None), ("US", "unit-sum"),
+        *((kind, "part") for kind in ("UL", "FL", "AL", "US")),
+        *((kind, "multi-part") for kind in ("UL", "FL", "AL")),
+    }

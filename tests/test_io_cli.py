@@ -18,7 +18,7 @@ from kcover import (
     read_instance,
     write_instance,
 )
-from kcover import cli, harness, numeric
+from kcover import cli, harness, numeric, offline
 from kcover.cli import main
 from kcover.harness import run_sweep, sweep_csv
 
@@ -456,6 +456,15 @@ class TestCli:
         assert "unrecognized arguments: --plot-script x.py" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+
+    def test_dp_table_guard_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "inst.json"
+        write_instance(make_instance(), path)
+        monkeypatch.setattr(offline, "_MAX_TABLE_BYTES", 100)
+        assert run_cli("run", "--policy", "soa", "--instance", str(path)) == 2
+        assert capsys.readouterr().err == (
+            "error: the DP tables for n=3 and quota 2 take 192 bytes, over the guard of 100\n"
+        )
 
     def test_infinite_instance_length_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inf.json"

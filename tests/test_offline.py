@@ -97,6 +97,32 @@ class TestSolveOffline:
         )
 
 
+    def test_table_guard(self, monkeypatch):
+        # chi and kappa take 2 * 8 * (q+1) * (n+1) bytes; past the guard the
+        # DP is refused before it sorts or allocates anything
+        inst = al_instance([(0, 1), (0.5, 1.5), (2, 3)], 2)
+        monkeypatch.setattr(offline, "_sort_instance", None)
+        monkeypatch.setattr(offline, "_MAX_TABLE_BYTES", 191)
+        with pytest.raises(SizeGuardError) as exc:
+            solve_offline(inst)
+        assert str(exc.value) == (
+            "the DP tables for n=3 and quota 2 take 192 bytes, over the guard of 191"
+        )
+        monkeypatch.undo()
+        monkeypatch.setattr(offline, "_MAX_TABLE_BYTES", 192)
+        assert solve_offline(inst) == (2.0, (0, 2))
+
+    def test_table_guard_default(self):
+        # n = 20,000 at k = 10,000 would take 3.2 GB, over the 1 GiB guard
+        inst = unit_instance([(i * 1e-4, i * 1e-4 + 1.0) for i in range(20_000)], 10_000)
+        with pytest.raises(SizeGuardError) as exc:
+            solve_offline(inst)
+        assert str(exc.value) == (
+            "the DP tables for n=20000 and quota 10000 take 3200480016 bytes, over "
+            "the guard of 1073741824"
+        )
+
+
 def predecessor_rows_by_definition(s, eps):
     """psi+1 and phi+1 of every sorted item from their definitions, one
     scan over all earlier items each; 0 where there is none."""
@@ -278,7 +304,7 @@ def test_verify_oracle_us_row_catches_a_wrong_enumeration(monkeypatch):
     right = harness.brute_force_offline
 
     def worst_subset(inst):
-        if all(b.is_singleton for b in inst.items):
+        if all(len(b.parts) == 1 for b in inst.items):
             return right(inst)
         return min(
             (union_length([inst.items[i] for i in combo]), combo)
@@ -446,6 +472,20 @@ def test_dp_takes_one_run_unit_sum_items(monkeypatch, rng, eps):
         f"solve_offline takes items whose parts touch; items[{inst.n - 1}] has 2 "
         "runs of touching parts -- use brute_force_offline for it"
     )
+
+
+def test_one_part_items_are_read_from_the_part_arrays(monkeypatch, rng):
+    # instances whose items each have one part, unit-sum ones too, are
+    # taken and sorted from their part arrays: no item's runs are computed
+    us = Instance(4.0, 2, Setting("US", "AN"), (Batch.single(0, 1), Batch.single(2.5, 3.5),
+                                               Batch.single(0.5, 1.5)))
+    cases = [gen_instance(rng, length, 40, 5, m) for length, m in (("UL", None), ("FL", 2.0))]
+    expected = [solve_offline(inst) for inst in cases + [us]]
+    monkeypatch.setattr(Batch, "runs", None)
+    for inst, want in zip(cases + [us], expected):
+        assert offline.one_run_items(inst)
+        assert solve_offline(inst) == want
+    assert expected[-1] == (2.0, (0, 1))
 
 
 def milp_offline(inst, quota):
