@@ -351,7 +351,10 @@ def _certify(adv: Adversary, label: str, rng: random.Random, solved: dict,
 def verify_adversaries(
     k_range: tuple[int, int], n_range: tuple[int, int], seed: int
 ) -> Iterator[Row]:
-    """Every bound construction forces its declared ratio on the test suite."""
+    """Every bound construction forces its declared ratio on the test suite.
+
+    The AL rows, at k = 2 and 3 where `k_range` holds them, play
+    n = 2k + 2 whatever `n_range` says."""
     # One solve_doa per (k, n), which the chain, flex and unit-sum rows
     # share, and one optimum per (quota, item runs): a unit-sum row's items
     # are the chain row's units cut into touching thirds, so it reuses the

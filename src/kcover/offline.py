@@ -30,8 +30,8 @@ what that loop computes bit for bit.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -39,16 +39,6 @@ import numpy as np
 from . import numeric
 from .errors import SettingError, SizeGuardError
 from .intervals import Instance, prefix_unions, union_length
-
-
-@dataclass(frozen=True)
-class SortedInstance:
-    """Items of a one-run instance, each as its run's interval, sorted by
-    (end, start, index)."""
-
-    order: list[int]            # sorted position -> original index
-    starts: np.ndarray          # float64, in sorted order
-    ends: np.ndarray
 
 
 def _one_runs(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -78,14 +68,14 @@ def one_run_items(inst: Instance) -> bool:
     return len(inst.part_arrays[0]) == inst.n or all(len(b.runs()) == 1 for b in inst.items)
 
 
-def _sort_instance(inst: Instance) -> SortedInstance:
-    """The sorted items, read from :func:`_one_runs`, so an instance of
-    one-part items is sorted without walking its items.  ``np.lexsort`` is
-    stable, so items with equal (end, start) keep their release order, the
-    index tie-break."""
+def _sort_instance(inst: Instance) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The items of :func:`_one_runs` sorted by (end, start, index): each
+    sorted position's original index, then the sorted starts and ends as
+    float64 arrays.  ``np.lexsort`` is stable, so items with equal (end,
+    start) keep their release order, the index tie-break."""
     starts, ends = _one_runs(inst)
     order = np.lexsort((starts, ends))
-    return SortedInstance(order.tolist(), starts[order], ends[order])
+    return order.tolist(), starts[order], ends[order]
 
 
 # Fewest items for which build_predecessors runs its numpy passes: below it
@@ -96,9 +86,10 @@ def _sort_instance(inst: Instance) -> SortedInstance:
 _NUMPY_PREDECESSORS = 80
 
 
-def build_predecessors(s: SortedInstance) -> tuple[np.ndarray, np.ndarray]:
-    """The rows the DP reads for each sorted item i: (psi+1, phi+1) as intp
-    arrays, 0 where the predecessor is absent.
+def build_predecessors(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows the DP reads for each item i of the sorted `starts` and
+    `ends`: (psi+1, phi+1) as intp arrays, 0 where the predecessor is
+    absent.
 
     psi(i): among j < i intersecting item i (end + EPS >= start of i) with
     a strictly smaller start, the one with the left-most start (ties:
@@ -115,9 +106,9 @@ def build_predecessors(s: SortedInstance) -> tuple[np.ndarray, np.ndarray]:
     (:func:`_scan_predecessors`); at or above it, O(log n) numpy passes do
     (:func:`_numpy_predecessors`).
     """
-    if len(s.starts) < _NUMPY_PREDECESSORS:
-        return _scan_predecessors(s.starts.tolist(), s.ends.tolist())
-    return _numpy_predecessors(s.starts, s.ends)
+    if len(starts) < _NUMPY_PREDECESSORS:
+        return _scan_predecessors(starts.tolist(), ends.tolist())
+    return _numpy_predecessors(starts, ends)
 
 
 def _scan_predecessors(starts: list[float], ends: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -176,11 +167,12 @@ def _numpy_predecessors(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarra
     return psi1, phi1
 
 
-def _dp_tables(s: SortedInstance, q: int):
-    """Fill chi and kappa; return their ``[i][j]`` views, the two
-    transitions of ``kappa``, each as (predecessor rows, length item i
-    adds): the disjoint one through ``chi[phi+1][j-1]`` and the
-    intersecting one through ``kappa[psi+1][j-1]``, and the prefix unions.
+def _dp_tables(starts: np.ndarray, ends: np.ndarray, q: int):
+    """Fill chi and kappa over the sorted items; return their ``[i][j]``
+    views, the two transitions of ``kappa``, each as (predecessor rows,
+    length item i adds): the disjoint one through ``chi[phi+1][j-1]`` and
+    the intersecting one through ``kappa[psi+1][j-1]``, and the prefix
+    unions.
 
     ``kappa[i][j]`` takes the intersecting transition where it wins
     strictly, and only from j == 2 on: column 0 is zero, and at j == 1 item
@@ -192,9 +184,8 @@ def _dp_tables(s: SortedInstance, q: int):
     column j with chi's rows up to c pinned to the prefix unions.  They
     hold all q+1 columns when no column is certified.
     """
-    n = len(s.order)
-    psi1, phi1 = build_predecessors(s)
-    starts, ends = s.starts, s.ends
+    n = len(starts)
+    psi1, phi1 = build_predecessors(starts, ends)
     pref = np.array(prefix_unions(zip(ends.tolist(), starts.tolist())), dtype=float)
     sizes = ends - starts
     # psi ends past item i's start or at most EPS before it; without psi,
@@ -275,8 +266,12 @@ _MAX_TABLE_BYTES = 1 << 30
 def _quota(inst: Instance, quota: Optional[int]) -> int:
     """The quota a solver runs at: `quota`, or the instance's own when None,
     capped at n.  Coverage is monotone, so n accepts take every item: a DP
-    column past n repeats column n, and no subset is larger than n."""
+    column past n repeats column n, and no subset is larger than n.  A
+    bool, or a quota that ``operator.index`` does not take, is refused."""
     q = inst.quota if quota is None else quota
+    if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
+        raise SettingError(f"quota must be an integer, got {q!r}")
+    q = operator.index(q)
     if q < 0:
         raise SettingError(f"quota must be >= 0, got {q}")
     return min(q, inst.n)
@@ -304,8 +299,8 @@ def solve_offline(
             f"the DP tables for n={n} and quota {q} take {size} bytes, over the "
             f"guard of {_MAX_TABLE_BYTES}"
         )
-    s = _sort_instance(inst)
-    chi, kappa, (phi1, sizes), (psi1, rest), pref = _dp_tables(s, q)
+    order, starts, ends = _sort_instance(inst)
+    chi, kappa, (phi1, sizes), (psi1, rest), pref = _dp_tables(starts, ends, q)
 
     # Walk back from chi[n][q]; in_chi says which table the cell is in.  From
     # row j on, column j of chi is the running maximum of kappa's, so row i
@@ -338,7 +333,7 @@ def solve_offline(
         in_chi = x + sizes[item] >= kappa[p, c] + rest[item]
         i = int(f if in_chi else p)
         j -= 1
-    picked = tuple(sorted(s.order[t] for t in chosen))
+    picked = tuple(sorted(order[t] for t in chosen))
     return float(pref[n] if q == n else chi[n, last]), picked
 
 
@@ -407,21 +402,10 @@ def _block_totals(keep: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
     return total
 
 
-def _merged_parts(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Starts, ends and owning items of the parts the enumeration scores,
-    sorted by (start, end, owner): each item's runs of touching parts
-    (:meth:`~kcover.intervals.Batch.runs`), the rule the DP and the
-    coverage state merge an item's parts by.
-
-    A merged run lies inside one component of every subset that keeps its
-    item, and that component has the same least start and greatest end: no
-    part of the run but the first can open a component, and no other part
-    starting after the run's first part and by its last can open one
-    either.  So every subset's components stay the same, and
-    :func:`_block_totals` gives the same totals bit for bit with fewer
-    ``+ 0.0`` terms.
-    """
-    parts = sorted((a, e, i) for i, b in enumerate(inst.items) for a, e in b.runs())
+def _given_parts(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Starts, ends and owning items of every item's parts as given, sorted
+    by (start, end, owner): the parts ``union_length`` merges."""
+    parts = sorted((p.start, p.end, i) for i, b in enumerate(inst.items) for p in b.parts)
     return tuple(np.array(col) for col in zip(*parts))
 
 
@@ -433,9 +417,10 @@ def brute_force_offline(
     Handles unit-sum batches natively; more than ``_MAX_N`` items raise
     :class:`SizeGuardError`.  Coverage is monotone, so only subsets of size
     min(quota, n) need to be checked.  The subsets are scored a block at a
-    time by :func:`_block_totals` on the parts of :func:`_merged_parts`,
-    whose totals equal ``union_length`` bit for bit; the first maximum in
-    enumeration order wins, and its value is ``union_length`` of the picks.
+    time by :func:`_block_totals` on every item's parts as given
+    (:func:`_given_parts`), whose totals equal ``union_length`` bit for bit;
+    the first maximum in enumeration order wins, and its value is
+    ``union_length`` of the picks.
     """
     q = _quota(inst, quota)
     n = inst.n
@@ -443,7 +428,7 @@ def brute_force_offline(
         raise SizeGuardError(f"n={n} exceeds the enumeration guard max_n={_MAX_N}")
     if q == 0:
         return 0.0, ()
-    starts, ends, owner = _merged_parts(inst)
+    starts, ends, owner = _given_parts(inst)
     best_val = -np.inf
     best_set: tuple[int, ...] = ()
     for mask in _mask_blocks(n, q, _BLOCK_ROWS):

@@ -23,7 +23,8 @@ def al_instance(pairs, k, count="AN", target=None):
 
 
 def sorted_items(inst):
-    """The instance's items in the exact DP's (end, start, index) order."""
+    """The instance's items in the exact DP's (end, start, index) order:
+    each sorted position's original index, the starts and the ends."""
     return offline._sort_instance(inst)
 
 
@@ -33,7 +34,8 @@ def dp_tables(inst):
     extended to all quota + 1 columns as the solver reads them: each later
     column c repeats the last one, with chi's rows up to min(c, n) pinned
     to the prefix unions."""
-    chi, kappa, _, _, pref = offline._dp_tables(sorted_items(inst), inst.quota)
+    _, starts, ends = sorted_items(inst)
+    chi, kappa, _, _, pref = offline._dp_tables(starts, ends, inst.quota)
     return extend_tables(chi, kappa, pref, inst.quota)
 
 

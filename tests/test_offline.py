@@ -61,6 +61,21 @@ class TestSolveOffline:
         with pytest.raises(SettingError, match="quota must be >= 0, got -1"):
             solve_offline(inst, -1)
 
+    @pytest.mark.parametrize("solve", [solve_offline, brute_force_offline])
+    def test_non_integer_quota_refused(self, solve):
+        # bools and floats are refused by name, also as the quota of a
+        # library-built instance (check_quota takes 2.0); numpy integers run
+        inst = al_instance([(0, 1), (0.5, 1.5), (2, 3)], 2)
+        cases = [(inst, q) for q in (True, False, np.bool_(True), 2.5, 2.0, "2")]
+        cases.append((replace(inst, quota=2.0), None))
+        for case, quota in cases:
+            with pytest.raises(SettingError) as exc:
+                solve(case, quota)
+            shown = case.quota if quota is None else quota
+            assert str(exc.value) == f"quota must be an integer, got {shown!r}"
+        for quota in (np.int64(2), np.uint8(2), np.intp(5)):
+            assert solve(inst, quota) == solve(inst, int(quota))
+
     def test_nested_intervals(self):
         # the inner item must not shadow the outer one
         inst = al_instance([(0.2, 0.4), (0.0, 1.0)], 2)
@@ -123,10 +138,10 @@ class TestSolveOffline:
         )
 
 
-def predecessor_rows_by_definition(s, eps):
+def predecessor_rows_by_definition(starts, ends, eps):
     """psi+1 and phi+1 of every sorted item from their definitions, one
     scan over all earlier items each; 0 where there is none."""
-    starts, ends = s.starts.tolist(), s.ends.tolist()
+    starts, ends = starts.tolist(), ends.tolist()
     psi1, phi1 = [], []
     for i, o_i in enumerate(starts):
         meets = [j for j in range(i) if ends[j] + eps >= o_i and starts[j] < o_i]
@@ -139,7 +154,7 @@ def predecessor_rows_by_definition(s, eps):
 class TestPredecessors:
     def test_reference_configuration(self):
         inst = al_instance([(0, 1), (0.5, 1.5), (2, 3)], 2)
-        psi1, phi1 = build_predecessors(sorted_items(inst))
+        psi1, phi1 = build_predecessors(*sorted_items(inst)[1:])
         assert psi1.dtype == phi1.dtype == np.intp
         assert psi1.tolist() == [0, 1, 0]
         assert phi1.tolist() == [0, 0, 2]
@@ -164,11 +179,11 @@ class TestPredecessors:
             inst.n for inst in cases}
         for eps in (numeric.EPS, 0.25, 0.3):
             monkeypatch.setattr(numeric, "EPS", eps)
-            for s in map(sorted_items, cases):
-                want = predecessor_rows_by_definition(s, eps)
-                for got in (offline._scan_predecessors(s.starts.tolist(), s.ends.tolist()),
-                            offline._numpy_predecessors(s.starts, s.ends),
-                            build_predecessors(s)):
+            for _, starts, ends in map(sorted_items, cases):
+                want = predecessor_rows_by_definition(starts, ends, eps)
+                for got in (offline._scan_predecessors(starts.tolist(), ends.tolist()),
+                            offline._numpy_predecessors(starts, ends),
+                            build_predecessors(starts, ends)):
                     assert [rows.dtype for rows in got] == [np.intp, np.intp]
                     assert [rows.tolist() for rows in got] == list(want)
 
@@ -178,7 +193,7 @@ class TestPredecessors:
         # disjoint one is 8.9 (row 3).
         ends = [8.2, 8.5, 8.9, 9.2, 9.6, 10.0]
         inst = unit_instance([(e - 1, e) for e in ends], 3, count="AN", target=10)
-        psi1, phi1 = build_predecessors(sorted_items(inst))
+        psi1, phi1 = build_predecessors(*sorted_items(inst)[1:])
         assert psi1[5] == 4
         assert phi1[5] == 3
 
@@ -343,27 +358,21 @@ def test_enumeration_many_blocks(rng):
         assert_matches_reference(inst, 8)
 
 
-def unmerged_parts(inst):
-    """Every part of every item as given, sorted by (start, end, owner)."""
-    parts = sorted((p.start, p.end, i) for i, b in enumerate(inst.items) for p in b.parts)
-    return tuple(np.array(col) for col in zip(*parts))
-
-
 @pytest.mark.parametrize("eps", [None, 0.05])
-def test_merged_parts_score_like_unmerged_parts(monkeypatch, rng, eps):
-    # Each item's own touching parts merge before the enumeration scores
-    # them; every subset's total must equal the total over the parts as
-    # given, bit for bit.  Gaps between an item's thirds: touching exactly,
-    # within EPS, at EPS, just past it and well past it.
+def test_enumeration_scores_parts_as_given(monkeypatch, rng, eps):
+    # The enumeration scores every item's parts as given, as union_length
+    # does, and reads no runs of touching parts (Batch.runs is patched
+    # out).  Gaps between an item's thirds: touching exactly, within EPS,
+    # at EPS, just past it and well past it.
     if eps is not None:
         monkeypatch.setattr(numeric, "EPS", eps)
     e = numeric.EPS
     gaps = [0.0, e / 2, e, 1.001 * e, 3 * e]
+    cases = []
     for _ in range(30):
-        items, runs = [], 0
+        items = []
         for _ in range(rng.randint(3, 8)):
             between = (rng.choice(gaps), rng.choice(gaps))
-            runs += 1 + sum(gap > e for gap in between)
             cursor, pieces = rng.uniform(0.0, 4.0), []
             for gap in (0.0, *between):
                 start = cursor + gap
@@ -371,15 +380,12 @@ def test_merged_parts_score_like_unmerged_parts(monkeypatch, rng, eps):
                 pieces.append((start, cursor))
             items.append(batch(*pieces))
         target = max(b.parts[-1].end for b in items)
-        inst = Instance(target, 2, Setting("US", "AN"), tuple(items))
-        merged, plain = offline._merged_parts(inst), unmerged_parts(inst)
-        assert len(merged[0]) == runs < len(plain[0])
-        for q in range(1, inst.n + 1):
-            for mask in offline._mask_blocks(inst.n, q, offline._BLOCK_ROWS):
-                got = offline._block_totals(mask[merged[2]], *merged[:2])
-                want = offline._block_totals(mask[plain[2]], *plain[:2])
-                assert got.tobytes() == want.tobytes()
-            assert_matches_reference(inst, q)
+        cases.append(Instance(target, 2, Setting("US", "AN"), tuple(items)))
+    want = [[assert_matches_reference(inst, q) for q in range(1, inst.n + 1)]
+            for inst in cases]
+    monkeypatch.setattr(Batch, "runs", None)
+    got = [[brute_force_offline(inst, q) for q in range(1, inst.n + 1)] for inst in cases]
+    assert got == want
 
 
 def test_combination_blocks_are_bounded():
@@ -586,12 +592,12 @@ def test_quota_override_beyond_n():
     assert value == pytest.approx(2.0)
 
 
-def reference_prefix_unions(inst, s):
+def reference_prefix_unions(inst, order):
     """Union length of the first i sorted items as one ``place`` and
     ``apply`` per item: the loop that ``prefix_unions`` replaced in the DP."""
     pref = [0]
     state = CoverageState.empty()
-    for t in s.order:
+    for t in order:
         state.apply(state.place(inst.items[t])[1])
         pref.append(state.total_len)
     return pref
@@ -627,9 +633,9 @@ def test_prefix_unions_match_absorb_loop(monkeypatch, rng, eps):
     if eps is not None:
         monkeypatch.setattr(numeric, "EPS", eps)
     for inst in cases:
-        s = sorted_items(inst)
-        got = prefix_unions(zip(s.ends.tolist(), s.starts.tolist()))
-        want = reference_prefix_unions(inst, s)
+        order, starts, ends = sorted_items(inst)
+        got = prefix_unions(zip(ends.tolist(), starts.tolist()))
+        want = reference_prefix_unions(inst, order)
         assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
 
 
@@ -643,10 +649,10 @@ def test_dp_diagonal_is_union_of_sorted_prefix(rng):
     # length of that prefix; the prefix unions themselves are checked
     # against the coverage state in test_prefix_unions_match_absorb_loop
     for inst in singleton_cases(rng):
-        s = sorted_items(inst)
+        order = sorted_items(inst)[0]
         chi, _ = dp_tables(with_quota(inst, max(2, inst.n)))
         for i in range(inst.n + 1):
-            assert chi[i][i] == union_length([inst.items[t] for t in s.order[:i]])
+            assert chi[i][i] == union_length([inst.items[t] for t in order[:i]])
 
 
 def test_quota_past_n_fills_n_columns(rng):
@@ -663,20 +669,60 @@ def test_quota_past_n_fills_n_columns(rng):
         assert chi[n][n] == solve_offline(inst, n)[0]
 
 
+def test_optimum_is_concave_in_the_quota(rng):
+    """OPT(c) = ``solve_offline(inst, c)[0]`` is concave in c = 0..n on
+    one-run instances: no second difference exceeds 8 ulps of OPT(n).  This
+    needs no oracle.
+
+    Why, for the exact union (EPS = 0; the random gaps here never fall
+    within the default EPS):
+
+    * Drop every item nested in another (and all but one copy of equal
+      items).  Swapping a picked nested item for an unpicked item holding
+      it, or dropping it, loses nothing, so OPT(c) is unchanged for c up to
+      the m items left, and equals the union of all items from c = m on.
+    * The items left, sorted by end, are sorted by start too.  In a picked
+      chain i_1 < ... < i_c, the earlier picks meet item i_t only inside
+      item i_(t-1), so the union is the sum over t of the link weights
+      ``w(i_(t-1), i_t) = len(i_t) - max(0, e(i_(t-1)) - s(i_t))``, from a
+      source whose end is -inf; a link of weight 0 from every item to a sink
+      closes the chain.
+    * For a < b < c < d the weights are Monge for a maximum:
+      ``w(a, c) + w(b, d) >= w(a, d) + w(b, c)``.  The lengths cancel, and
+      max(0, x) is convex while ``e(a) - s(d) <= e(a) - s(c), e(b) - s(d)
+      <= e(b) - s(c)`` with equal sums.  At the sink it reads
+      ``max(0, e(a) - s(c)) <= max(0, e(b) - s(c))``, as e(a) <= e(b).
+    * So OPT(c), the best path of c + 1 links from source to sink, is
+      concave in c (Aggarwal, Schieber and Tokuyama, "Finding a
+      minimum-weight k-link path in graphs with the concave Monge property
+      and applications", Discrete Comput. Geom. 12, 1994), and stays
+      concave past m, where it is flat.
+
+    Items of several runs are not covered.
+    """
+    for length, m in [("UL", None), ("FL", 2.0), ("AL", None)]:
+        for _ in range(100):
+            n = rng.randint(3, 60)
+            inst = gen_instance(rng, length, n, 2, m, count_setting="AN")
+            opt = np.array([solve_offline(inst, c)[0] for c in range(n + 1)])
+            second = opt[2:] - 2 * opt[1:-1] + opt[:-2]
+            assert second.max() <= 8 * np.spacing(opt[-1]), (inst, second.max())
+
+
 def test_tables_end_at_their_fixed_point():
     # On the unit chain the tables stop changing after a few of the k = 75
     # columns; the fill ends there and the solver reads its last column in
     # place of every later one.
     k, n = 75, 750
     _, inst = run_game(ThresholdPolicy(k, n), adv_ul_un_general(k, n))
-    chi, kappa, *_ = offline._dp_tables(sorted_items(inst), k)
+    chi, kappa, *_ = offline._dp_tables(*sorted_items(inst)[1:], k)
     assert chi.shape == kappa.shape == (n + 1, 4)
     # Every item holds the point 4, and the first 6 items are the first 6
     # in end order, whose union [0, 6] no 6 items exceed: the DP and the
     # enumeration both pick them.
     pairs = [(0, 4), (1, 5), (3.5, 6), (0.5, 6)] + [(3.5, 6)] * 4 + [(3.75, 6), (4, 6)]
     inst = al_instance(pairs, 6)
-    chi, kappa, *_ = offline._dp_tables(sorted_items(inst), 6)
+    chi, kappa, *_ = offline._dp_tables(*sorted_items(inst)[1:], 6)
     assert chi.shape == kappa.shape == (11, 4)
     assert solve_offline(inst) == brute_force_offline(inst) == (6.0, (0, 1, 2, 3, 4, 5))
 
@@ -690,7 +736,7 @@ def assert_extends_to_full_fill(monkeypatch, inst, quota):
         with monkeypatch.context() as m:
             if not stop:  # no column is certified, so all are filled
                 m.setattr(offline, "_fixed_point", lambda *args: False)
-            chi, kappa, *_, pref = offline._dp_tables(sorted_items(inst), quota)
+            chi, kappa, *_, pref = offline._dp_tables(*sorted_items(inst)[1:], quota)
             value, picks = solve_offline(inst, quota)
         runs.append((chi, kappa, pref, (value.hex(), picks)))
     (chi, kappa, pref, got), (full_chi, full_kappa, _, want) = runs
