@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .bounds import chain_alpha, lb_fl_an, lb_fl_un, lb_ul_un, lb_us_un
 from .errors import ConfigError
 from .intervals import Batch, Setting, SubInterval
-from .policies import Decision
+from .policies import ACCEPT, REJECT, Decision
 from .thresholds import check_fl_cap, check_fl_finite, check_quota
 
 
@@ -89,7 +89,7 @@ def adv_al(epsilon: float, k: int, n: int) -> Adversary:
         )
 
     def remember(clone, pos, d):
-        if clone is None and d is Decision.REJECT:
+        if clone is None and d is REJECT:
             return Batch.single(0.0, epsilon ** (k + 2 - pos))
         return Batch.single(0.0, 1.0) if clone is None and pos == k else clone
 
@@ -112,8 +112,8 @@ def adv_ul_un_k2(n: int) -> Adversary:
     def item(pos, decisions):
         if pos <= 2:
             return v2 if pos == 2 else v1
-        if decisions[1] is Decision.ACCEPT:  # both taken, or re-offer the second
-            return both if decisions[0] is Decision.ACCEPT else v2
+        if decisions[1] is ACCEPT:  # both taken, or re-offer the second
+            return both if decisions[0] is ACCEPT else v2
         return v1                            # re-offer the first
 
     return Adversary("ul-un-k2", 2, n, Setting("UL", "UN"), 2.0, lb_ul_un(2, n), {},
@@ -133,7 +133,7 @@ def _chain(name: str, k: int, n: int, parts: int, setting: Setting, config: dict
     starts = [1.0, *itertools.accumulate(offsets)]  # [1, 2] stands before item 1
 
     def remember(clone, pos, d):
-        if clone is None and d is Decision.REJECT and pos <= k:
+        if clone is None and d is REJECT and pos <= k:
             return item(pos - 1, None)
         return clone
 
@@ -182,7 +182,7 @@ def _flex(name: str, k: int, n: int, m: float, tau: int, setting: Setting,
     unit, last = Batch.single(0.0, 1.0), Batch.single(k - 1.0, float(k))
 
     def remember(accepts, pos, d):
-        return accepts + 1 if pos <= tau and d is Decision.ACCEPT else accepts
+        return accepts + 1 if pos <= tau and d is ACCEPT else accepts
 
     def item(pos, accepts):
         t = pos - tau

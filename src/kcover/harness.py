@@ -29,9 +29,9 @@ from .instance_io import instance_to_dict
 from .intervals import Batch, Instance, Setting, SubInterval, union_length
 from .offline import brute_force_offline, one_run_items, solve_offline
 from .policies import (
+    ACCEPT,
     AcceptAllPolicy,
     AnytimeThresholdPolicy,
-    Decision,
     MultiThresholdPolicy,
     Policy,
     RejectUntilForcedPolicy,
@@ -101,7 +101,7 @@ def _score(policy, inst, opt, source, source_config, declared_bound):
         ratio_infinite=alg == 0.0,
         declared_bound=declared_bound,
         accepted=accepted,
-        trace=[d.value for d in trace],
+        trace=[d._value_ for d in trace],  # .value goes through Enum's descriptor
     )
 
 
@@ -117,7 +117,6 @@ def _play(policies: Iterable[Policy], adversary: Adversary) -> Iterator[Instance
     parent's memory; the others are read as recorded.  Each distinct
     decision trace ends at its own leaf, where its instance is built once.
     """
-    accept = Decision.ACCEPT
     root = [None, None, *adversary.first()]
     leaves: dict[int, Instance] = {}
     for policy in policies:
@@ -125,14 +124,13 @@ def _play(policies: Iterable[Policy], adversary: Adversary) -> Iterator[Instance
         while (item := node[2]) is not None:
             items.append(item)
             d = policy.next(item)
-            side = d is accept
+            side = d is ACCEPT
             if node[side] is None:
                 node[side] = [None, None, *adversary.react(node[3], d, len(items))]
             node = node[side]
         if id(node) not in leaves:
-            leaves[id(node)] = Instance(
-                adversary.target_len, adversary.quota, adversary.setting, tuple(items)
-            )
+            leaves[id(node)] = Instance(adversary.target_len, adversary.quota,
+                                        adversary.setting, tuple(items))
         yield leaves[id(node)]
 
 

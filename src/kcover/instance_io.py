@@ -76,16 +76,15 @@ def instance_from_dict(doc: dict) -> Instance:
         if not isinstance(parts_doc, list) or not parts_doc:
             raise SchemaError(f"items[{i}]: expected a non-empty list of [o, d]")
         parts = []
-        for j, pair in enumerate(parts_doc):
-            where = f"items[{i}][{j}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError(f"{where}: expected [o, d]")
-            o = _number(pair[0], f"{where}[0]")
-            d = _number(pair[1], f"{where}[1]")
-            try:
-                parts.append(SubInterval(o, d))
-            except KcoverError as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
+        try:  # each refusal's text is the rest of the path, built only then
+            for j, pair in enumerate(parts_doc):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise SchemaError(": expected [o, d]")
+                parts.append(SubInterval(_number(pair[0], "[0]"), _number(pair[1], "[1]")))
+        except SchemaError as exc:
+            raise SchemaError(f"items[{i}][{j}]{exc}") from exc
+        except KcoverError as exc:
+            raise SchemaError(f"items[{i}][{j}]: {exc}") from exc
         try:
             batches.append(Batch(tuple(parts)))
         except KcoverError as exc:

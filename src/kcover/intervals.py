@@ -10,6 +10,7 @@ read-only arrays too, built on first use, which the offline solvers read.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -27,7 +28,7 @@ LENGTH_SETTINGS = ("UL", "FL", "AL", "US")
 COUNT_SETTINGS = ("UN", "AN")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubInterval:
     """Closed interval [start, end] with strictly positive, finite length."""
 
@@ -52,7 +53,7 @@ class SubInterval:
         return f"[{self.start:g}, {self.end:g}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Batch:
     """One released item: an ordered tuple of pairwise-disjoint sub-intervals.
 
@@ -63,6 +64,8 @@ class Batch:
     parts: tuple[SubInterval, ...]
 
     def __post_init__(self):
+        if len(self.parts) == 1:  # no pair of parts to check
+            return
         if not self.parts:
             raise StructureError("batch needs at least one part")
         for prev, cur in zip(self.parts, self.parts[1:]):
@@ -176,46 +179,41 @@ class CoverageState:
             setattr(new, name, getattr(self, name)[:])
         return new
 
-    def _locate(self, a: float, b: float) -> tuple[int, int, float, float]:
-        """The splice for part [a, b]: the run [lo, hi) of components it
-        touches, from the first whose end + EPS >= a up to the first whose
-        start > b + EPS (both by bisection), and the one component spanning
-        that run and the part."""
-        starts = self.starts
-        lo = bisect_left(self.reach, a)
-        hi = bisect_right(starts, b + numeric.EPS, lo)
-        if lo < hi:
-            a = min(a, starts[lo])
-            b = max(b, self.ends[hi - 1])
-        return lo, hi, a, b
-
     def place(self, batch: Batch):
         """(gain, splice): the covered length `batch` would add, and the
         splice that :meth:`apply` absorbs it with while this state is
         unchanged.  A batch of one run (:meth:`Batch.runs`), one part or
-        several touching ones, builds no state: it is placed as its run's
-        interval, whose splice is the one its parts applied in turn end
-        with, and the new total is summed from the splice point with
-        :meth:`apply`'s additions, in one C-level ``reduce`` over the
-        components right of the run (none for a run right of them all), so
-        the gain is the change of ``total_len`` bit for bit.  A batch of
-        several runs is spliced as a copy with its runs applied in turn."""
+        several touching ones, builds no state: in this one frame, its
+        run [a, b] touches components [lo, hi), the first whose end + EPS
+        >= a up to the first whose start > b + EPS (both by bisection), and
+        its splice (lo, hi, a, b) spans them and the run, as its parts
+        applied in turn would.  The new total is summed from the splice
+        point with :meth:`apply`'s additions, in one C-level ``reduce`` over
+        the components right of the run, so the gain is the change of
+        ``total_len`` bit for bit.  A batch of several runs is spliced as a
+        copy that places and applies each run in turn as a one-part batch."""
         parts, sums = batch.parts, self.sums
         if len(parts) > 1:
             (a, b), *rest = runs = batch.runs()
             if rest:
                 new = self.copy()
                 for a, b in runs:
-                    new.apply(new._locate(a, b))
+                    new.apply(new.place(Batch.single(a, b))[1])
                 return new.sums[-1] - sums[-1], new
         else:
-            (p,) = parts
-            a, b = p.start, p.end
-        splice = lo, hi, a, b = self._locate(a, b)
+            a, b = parts[0].start, parts[0].end
+        starts = self.starts
+        lo = bisect_left(self.reach, a)
+        hi = bisect_right(starts, b + numeric.EPS, lo)
+        if lo < hi:  # min(a, starts[lo]) and max(b, ends[hi - 1]), bit for bit
+            if starts[lo] < a:
+                a = starts[lo]
+            if self.ends[hi - 1] > b:
+                b = self.ends[hi - 1]
         total = sums[lo] + (b - a)
         if hi < len(sums) - 1:
-            total = reduce(add, map(sub, self.ends[hi:], self.starts[hi:]), total)
-        return total - sums[-1], splice
+            total = reduce(add, map(sub, self.ends[hi:], starts[hi:]), total)
+        return total - sums[-1], (lo, hi, a, b)
 
     def apply(self, splice) -> None:
         """Absorb, in place, the item :meth:`place` returned `splice` for.
@@ -284,6 +282,13 @@ class Setting:
         return f"{self.length}-{self.count}"
 
 
+def integer_quota(q) -> int:
+    """`q` as an int; a bool, or what ``operator.index`` refuses, is refused."""
+    if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
+        raise SettingError(f"quota must be an integer, got {q!r}")
+    return operator.index(q)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A full release sequence over the target [0, target_len] with quota."""
@@ -307,6 +312,7 @@ class Instance:
             raise SettingError("target_len must be finite, got inf")
         if not self.items:
             raise SettingError("instance needs at least one item")
+        object.__setattr__(self, "quota", integer_quota(self.quota))  # a plain int, as files hold
         check_quota(self.quota, self.n if self.setting.count == "UN" else None)
         eps = numeric.EPS
         reach = target + eps

@@ -30,7 +30,6 @@ what that loop computes bit for bit.
 from __future__ import annotations
 
 import itertools
-import operator
 from bisect import bisect_left
 from typing import Optional
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import numeric
 from .errors import SettingError, SizeGuardError
-from .intervals import Instance, prefix_unions, union_length
+from .intervals import Instance, integer_quota, prefix_unions, union_length
 
 
 def _one_runs(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -266,12 +265,8 @@ _MAX_TABLE_BYTES = 1 << 30
 def _quota(inst: Instance, quota: Optional[int]) -> int:
     """The quota a solver runs at: `quota`, or the instance's own when None,
     capped at n.  Coverage is monotone, so n accepts take every item: a DP
-    column past n repeats column n, and no subset is larger than n.  A
-    bool, or a quota that ``operator.index`` does not take, is refused."""
-    q = inst.quota if quota is None else quota
-    if isinstance(q, (bool, np.bool_)) or not hasattr(type(q), "__index__"):
-        raise SettingError(f"quota must be an integer, got {q!r}")
-    q = operator.index(q)
+    column past n repeats column n, and no subset is larger than n."""
+    q = integer_quota(inst.quota if quota is None else quota)
     if q < 0:
         raise SettingError(f"quota must be >= 0, got {q}")
     return min(q, inst.n)

@@ -24,17 +24,20 @@ class Decision(str, enum.Enum):
     REJECT = "reject"
 
 
+ACCEPT, REJECT = Decision.ACCEPT, Decision.REJECT  # read once, not via Enum's descriptor
+
+
 class Policy:
     """Per-accept threshold schedule, the rule behind every policy; it is
     stateful and single-run, so build a fresh one per game.
 
     The policy is the one record of its game: `state` is the coverage of
     its accepts, `accepted` their 0-based release indices and `trace` every
-    decision in release order.  In order: reject once the quota is used;
-    accept the first item when `free_first` is set; accept when the release
-    count `n` is known and the remaining quota covers every remaining
-    release; otherwise accept exactly when the marginal length reaches
-    ``schedule[min(len(accepted), last)]``, so the last threshold repeats.
+    decision in release order (:data:`ACCEPT` or :data:`REJECT`).  In order:
+    reject once the quota is used; then, by :meth:`_decide`, the override
+    point: accept the first item if `free_first`; accept when `n` is known
+    and the remaining quota covers every remaining release; otherwise accept
+    when the marginal length reaches ``schedule[min(len(accepted), last)]``.
     `config` holds what :meth:`describe` reports after the quota; `n` is
     read from it (absent or None means unknown), so a policy plays with the
     count its record shows.
@@ -60,30 +63,30 @@ class Policy:
         return {"quota": self.quota, **self.config}
 
     def next(self, item: Batch) -> Decision:
-        """Decide on the next item, released at position ``len(trace) + 1``,
-        and record the decision in `trace` (and its 0-based index in
-        `accepted` when it accepts); the item is placed once, for its gain,
-        and the coverage state applies that same splice only on an accept."""
-        position = len(self.trace) + 1
-        decision = Decision.REJECT
-        if len(self.accepted) < self.quota:
+        """Decide on the next item, released at position ``len(trace) + 1``:
+        :data:`ACCEPT` or :data:`REJECT`, recorded in `trace` (and on an
+        accept its 0-based index in `accepted`).  The item is placed once,
+        for its gain, and the state applies that splice only on an accept."""
+        trace, accepted = self.trace, self.accepted
+        position = len(trace) + 1
+        if len(accepted) < self.quota:
             gain, splice = self.state.place(item)
             if self._decide(gain, position):
-                decision = Decision.ACCEPT
-                self.accepted.append(position - 1)
+                accepted.append(position - 1)
                 self.state.apply(splice)
-        self.trace.append(decision)
-        return decision
+                trace.append(ACCEPT)
+                return ACCEPT
+        trace.append(REJECT)
+        return REJECT
 
     def _decide(self, gain: float, position: int) -> bool:
         """Accept the item at `position` whose marginal covered length is `gain`?"""
         if position == 1 and self.free_first:
             return True
-        left = self.quota - len(self.accepted)
-        if self.n is not None and left >= self.n - position + 1:
+        taken = len(self.accepted)
+        if self.n is not None and self.quota - taken >= self.n - position + 1:
             return True
-        i = min(len(self.accepted), len(self.schedule) - 1)
-        return gain >= self.schedule[i] - numeric.EPS
+        return gain >= self.schedule[taken if taken < len(self.schedule) else -1] - numeric.EPS
 
 
 def _default_theta(k, n, setting, m, theta):
@@ -208,13 +211,12 @@ def tally(policy: Policy, inst: Instance) -> tuple[float, tuple[int, ...], list[
     return policy.state.total_len, tuple(policy.accepted), policy.trace
 
 
-def run_policy(
-    policy: Policy, inst: Instance
-) -> tuple[float, tuple[int, ...], list[Decision]]:
+def run_policy(policy: Policy, inst: Instance) -> tuple[float, tuple[int, ...], list[Decision]]:
     """Feed a fixed instance to a policy, one item at a time.
 
     Returns (covered length, accepted item indices, full decision trace).
     """
+    decide = policy.next
     for item in inst.items:
-        policy.next(item)
+        decide(item)
     return tally(policy, inst)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError, replace
 from itertools import accumulate
 from operator import sub
 
@@ -22,6 +23,8 @@ from kcover import (
     union_length,
 )
 from kcover.intervals import absorb, added_length, prefix_unions
+from kcover.harness import gen_instance
+from kcover.instance_io import read_instance, write_instance
 from kcover.offline import solve_offline
 
 
@@ -125,6 +128,41 @@ class TestValidation:
     def test_empty_batch(self):
         with pytest.raises(StructureError):
             Batch(())
+
+    def test_slotted_parts_stay_frozen_values(self):
+        # slotted SubInterval and Batch hold no __dict__, refuse every
+        # assignment, and compare and hash by their fields; a one-part
+        # batch skips the overlap scan, and an empty one is still refused
+        p, b = iv(0.5, 1.5), Batch((iv(0, 1), iv(1, 2)))
+        for obj, field in ((p, "start"), (p, "end"), (b, "parts")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field, 1.0)
+        for obj in (p, b):
+            # a name outside the fields: which error depends on the Python version
+            with pytest.raises((AttributeError, TypeError)):
+                obj.other = 1.0
+        assert not hasattr(p, "__dict__") and not hasattr(b, "__dict__")
+        assert p == iv(0.5, 1.5) and hash(p) == hash(iv(0.5, 1.5)) and p != iv(0.5, 1.25)
+        assert b == Batch((iv(0, 1), iv(1, 2))) and hash(b) == hash(Batch((iv(0, 1), iv(1, 2))))
+        assert Batch.single(0.5, 1.5) == Batch((p,)) and len({b, Batch((iv(0, 1),)), b}) == 2
+        with pytest.raises(StructureError) as exc:
+            Batch(())
+        assert str(exc.value) == "batch needs at least one part"
+
+    def test_non_integer_quota_refused(self, tmp_path):
+        # a quota the instance file could not hold is refused when the
+        # instance is built, with the exact solvers' text; a numpy integer
+        # is taken and held as a plain int, so the instance file round-trips
+        inst = gen_instance(random.Random(1), "UL", 6, 3, count_setting="AN")
+        for quota in (2.5, 2.0, True, np.bool_(True), "3"):
+            with pytest.raises(SettingError) as exc:
+                replace(inst, quota=quota)
+            assert str(exc.value) == f"quota must be an integer, got {quota!r}"
+        numpy_quota = replace(inst, quota=np.int64(4))
+        assert type(numpy_quota.quota) is int and numpy_quota == replace(inst, quota=4)
+        assert solve_offline(numpy_quota) == solve_offline(replace(inst, quota=4))
+        write_instance(numpy_quota, tmp_path / "inst.json")
+        assert read_instance(tmp_path / "inst.json") == numpy_quota
 
     def test_unit_sum_enforced(self):
         with pytest.raises(SettingError):
@@ -341,7 +379,7 @@ def test_one_run_batch_places_as_one_splice(monkeypatch, rng, eps):
         b = Batch(tuple(parts))
         ref = state.copy()
         for p in parts:
-            ref.apply(ref._locate(p.start, p.end))
+            ref.apply(ref.place(Batch((p,)))[1])
         gain, splice = state.place(b)
         one_run = len(b.runs()) == 1
         kinds.add(one_run)

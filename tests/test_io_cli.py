@@ -114,12 +114,20 @@ class TestInstanceIO:
              "items[0][0]: start -0.5 must be >= 0"),
             (make_doc(items=[[[0, 0.5], [1, 1.5]], [[0.4, 1.4]], [[2, 3]]]),
              "items[0]: multi-part batch outside the US setting"),
+            (make_doc(items=[[[0, 1]], [[0.4, "x"]], [[2, 3]]]),
+             "items[1][0][1]: expected a number, got 'x'"),
+            (make_doc(items=[[[0, 1]], [[0.4, 1.4]], [[1e400, 3]]]),
+             "items[2][0][0]: expected a finite number, got inf"),
+            (make_doc(setting={"length": "US", "count": "UN"},
+                      items=[[[0, 1]], [[0.4, 1.4]], [[2, 2.5], [3, 2.5]]]),
+             "items[2][1]: interval [3.0, 2.5] has non-positive length"),
             (make_doc(target_len=0), "target_len must be positive"),
             (make_doc(items=[]), "instance needs at least one item"),
         ],
         ids=["top-level", "float-quota", "bool-quota", "setting", "length", "items",
              "empty-item", "short-pair", "overlapping-parts", "count", "negative-start",
-             "two-part-ul", "zero-target", "no-items"],
+             "two-part-ul", "non-number-end", "infinite-start", "reversed-part",
+             "zero-target", "no-items"],
     )
     def test_schema_error_exits_2(self, doc, message, tmp_path, capsys):
         path = tmp_path / "bad.json"

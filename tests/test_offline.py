@@ -63,16 +63,16 @@ class TestSolveOffline:
 
     @pytest.mark.parametrize("solve", [solve_offline, brute_force_offline])
     def test_non_integer_quota_refused(self, solve):
-        # bools and floats are refused by name, also as the quota of a
-        # library-built instance (check_quota takes 2.0); numpy integers run
+        # bools and floats are refused by name; a library-built instance
+        # refuses them as its own quota when it is built, with the same
+        # text (test_intervals.py); numpy integers run
         inst = al_instance([(0, 1), (0.5, 1.5), (2, 3)], 2)
-        cases = [(inst, q) for q in (True, False, np.bool_(True), 2.5, 2.0, "2")]
-        cases.append((replace(inst, quota=2.0), None))
-        for case, quota in cases:
+        for quota in (True, False, np.bool_(True), 2.5, 2.0, "2"):
             with pytest.raises(SettingError) as exc:
-                solve(case, quota)
-            shown = case.quota if quota is None else quota
-            assert str(exc.value) == f"quota must be an integer, got {shown!r}"
+                solve(inst, quota)
+            assert str(exc.value) == f"quota must be an integer, got {quota!r}"
+        with pytest.raises(SettingError, match=r"^quota must be an integer, got 2\.0$"):
+            replace(inst, quota=2.0)
         for quota in (np.int64(2), np.uint8(2), np.intp(5)):
             assert solve(inst, quota) == solve(inst, int(quota))
 

@@ -22,8 +22,9 @@ from kcover import (
     solve_doa,
     solve_offline,
 )
+from kcover import policies
 from kcover.policies import tally
-from kcover.harness import gen_instance, random_nk
+from kcover.harness import gen_instance, random_nk, replay_game
 from kcover.thresholds import default_switch
 
 from conftest import unit_instance
@@ -327,6 +328,19 @@ def test_tally_refuses_a_trace_the_policy_did_not_play(rng):
     assert tally(played, inst)[1] == (0, 1, 2)
     with pytest.raises(ProtocolError, match="decided 16 items"):
         run_policy(played, inst)
+
+
+def test_decisions_are_the_module_constants(rng):
+    # next returns and records the Decision members bound once in the
+    # module, and a game record's trace spells them as their values
+    assert policies.ACCEPT is Decision.ACCEPT and policies.REJECT is Decision.REJECT
+    inst = gen_instance(rng, "UL", 12, 4)
+    policy = ThresholdPolicy(4, 12, theta=0.6)
+    record = replay_game(policy, inst)
+    assert set(policy.trace) == {policies.ACCEPT, policies.REJECT}
+    assert all(d is policies.ACCEPT or d is policies.REJECT for d in policy.trace)
+    assert record.trace == [d.value for d in policy.trace]
+    assert all(type(d) is str for d in record.trace)
 
 
 def test_schedules_stop_at_their_last_threshold(rng):
